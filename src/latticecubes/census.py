@@ -10,15 +10,18 @@ guard: for k > 1 the cube must not have 1 among its k-values).
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
 inclusion-exclusion of its generalized orbit sliding inside {0..n}^3.
+The polynomial is linear in (a, b, g), so records sharing a bound_dim
+are summed first and each (n, bound_dim) pair is evaluated once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .diophantine import (
     NormFormSolution,
@@ -84,11 +87,11 @@ def _candidate_stream(
 
 def _build_one(
     item: tuple[int, NormFormSolution, int, PlaneSolution],
-) -> tuple[list[list[int]], list[int]]:
-    """Pure per-candidate work: octant cube and its k-values."""
+) -> tuple[Cube, list[int]]:
+    """Pure per-candidate work: octant cube (validated by build_cube) and its k-values."""
     k, mn, d, sol = item
     cube = build_cube(sol, mn).translate_to_octant()
-    return cube.as_lists(), sorted(cube.four_k_values())
+    return cube, sorted(cube.four_k_values())
 
 
 def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
@@ -108,17 +111,16 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
         built = [_build_one(it) for it in items]
 
     reg = CubeRegistry(n_built=N)
-    for (k, mn, d, sol), (cube_lists, fkv) in zip(items, built):
+    for (k, mn, d, sol), (cube, fkv) in zip(items, built):
         side = d * k
         if k != 1 and 1 in fkv:
             continue  # already reachable by the k=1 pass
-        cube = Cube.from_points(cube_lists)
         if reg.is_claimed(side, cube):
             continue
         if cube.side != side:
             raise ArithmeticError(f"pipeline cube side {cube.side} != d*k = {side}")
         if not cube.is_irreducible():
-            raise ArithmeticError(f"pipeline cube {cube_lists} is reducible")
+            raise ArithmeticError(f"pipeline cube {cube.as_lists()} is reducible")
         reg.claim(
             CubeRecord(
                 side=side,
@@ -172,16 +174,29 @@ def placement_count(N: int, d: int, inv: InvariantSet) -> int:
     )
 
 
+def box_sums(records: Iterable[CubeRecord]) -> dict[int, InvariantSet]:
+    """Invariants summed per bounding dimension (alpha0 is not summed).
+
+    placement_count is linear in (alpha, beta, gamma), so the records
+    sharing a bounding box contribute one polynomial evaluation.
+    """
+    sums: dict[int, list[int]] = {}
+    for rec in records:
+        acc = sums.setdefault(rec.bound_dim, [0, 0, 0])
+        acc[0] += rec.invariants.alpha
+        acc[1] += rec.invariants.beta
+        acc[2] += rec.invariants.gamma
+    return {d: InvariantSet(0, *abg) for d, abg in sums.items()}
+
+
+def count_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> int:
+    """NC(N) from per-bounding-dimension invariant sums (see box_sums)."""
+    return sum(placement_count(N, d, inv) for d, inv in boxes.items() if d <= N)
+
+
 def count_cubes(N: int, reg: CubeRegistry, multiples: list[CubeRecord]) -> int:
     """NC(N): lattice cubes with all 8 vertices in {0..N}^3."""
-    total = 0
-    for rec in reg.records:
-        if rec.bound_dim <= N:
-            total += placement_count(N, rec.bound_dim, rec.invariants)
-    for rec in multiples:
-        if rec.bound_dim <= N:
-            total += placement_count(N, rec.bound_dim, rec.invariants)
-    return total
+    return count_from_boxes(N, box_sums(chain(reg.records, multiples)))
 
 
 def sequence(
@@ -194,8 +209,8 @@ def sequence(
         registry = build_irreducible_list(N, threads=threads)
     elif registry.n_built < N:
         raise ValueError("cached registry was built for a smaller N")
-    multiples = build_multiples(N, registry)
-    return [count_cubes(n, registry, multiples) for n in range(1, N + 1)]
+    boxes = box_sums(chain(registry.records, build_multiples(N, registry)))
+    return [count_from_boxes(n, boxes) for n in range(1, N + 1)]
 
 
 def record_to_json(rec: CubeRecord) -> dict:

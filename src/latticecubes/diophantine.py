@@ -52,7 +52,8 @@ def lambda_d(d: int) -> int:
     acc = Fraction(8 * d)
     for p in factorint(d):
         acc *= Fraction(p - legendre_minus3(p), p)
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise ArithmeticError(f"Lambda({d}) = {acc} is not an integer")
     return int(acc)
 
 
@@ -92,37 +93,50 @@ def pi_epsilon(d: int) -> int:
 def solve_three_squares(d: int) -> list[PlaneSolution]:
     """All primitive (a, b, c) with a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c.
 
-    Direct scan: for each a, each b in [a, sqrt of remainder], test the
-    leftover for squareness.  All of a, b, c come out odd and coprime to 3
-    automatically; only the gcd filter is applied explicitly.
+    Scan over a and b, testing the leftover for squareness.  Only odd a
+    and b prime to 3 are tried: squares mod 8 force a, b, c odd for odd
+    d, and a primitive solution has none of a, b, c divisible by 3
+    (squares mod 3 are 0 or 1, so 3 divides all three or none).  The gcd
+    filter is the only one applied to what is left.
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")
     target = 3 * d * d
     out: list[PlaneSolution] = []
-    for a in range(1, d + 1):
+    for a in range(1, d + 1, 2):
+        if a % 3 == 0:
+            continue
         rest = target - a * a
         b = a
         while 2 * b * b <= rest:
-            cc = rest - b * b
-            c = isqrt(cc)
-            if c * c == cc and gcd(gcd(a, b), c) == 1:
-                out.append(PlaneSolution(a, b, c, d))
-            b += 1
+            if b % 3:
+                cc = rest - b * b
+                c = isqrt(cc)
+                if c * c == cc and gcd(gcd(a, b), c) == 1:
+                    out.append(PlaneSolution(a, b, c, d))
+            b += 2
     out.sort()
     return out
 
 
 def solve_norm_form(k: int) -> list[NormFormSolution]:
-    """All (m, n) with m^2 - mn + n^2 = k^2, gcd(m,n)=1, m >= 0, 2m < n."""
+    """All (m, n) with m^2 - mn + n^2 = k^2, gcd(m,n)=1, m >= 0, 2m < n.
+
+    For each m the equation is a quadratic in n with roots
+    (m +- sqrt(4k^2 - 3m^2)) / 2.  The smaller root is at most m/2, so
+    only the larger one can satisfy 2m < n; m <= k keeps the root real.
+    """
     if k < 1:
         raise ValueError("k must be positive")
-    kk = k * k
     out: list[NormFormSolution] = []
     for m in range(0, k + 1):
-        for n in range(2 * m + 1, 2 * k + 1):
-            if m * m - m * n + n * n == kk and gcd(m, n) == 1:
-                out.append(NormFormSolution(m, n))
+        disc = 4 * k * k - 3 * m * m
+        root = isqrt(disc)
+        if root * root != disc or (m + root) % 2:
+            continue
+        n = (m + root) // 2
+        if 2 * m < n and gcd(m, n) == 1:
+            out.append(NormFormSolution(m, n))
     return out
 
 

@@ -128,30 +128,37 @@ class Cube:
             if v in seen:
                 continue
             mates = [w for w in self.vertices if (w - v).norm2() == d2]
-            assert len(mates) == 1, "each vertex has one antipode"
+            if len(mates) != 1:
+                raise ValueError(f"vertex {v} has {len(mates)} antipodes, not 1")
             pairs.append((v, mates[0]))
             seen.add(v)
             seen.add(mates[0])
-        assert len(pairs) == 4
+        if len(pairs) != 4:
+            raise ValueError(f"{len(pairs)} main diagonals, not 4")
         return pairs
 
     def four_k_values(self) -> set[int]:
         """k-values of the cube, one per main diagonal direction.
 
         For a diagonal D with component gcd l, D.D/(3 l^2) is a perfect
-        square N^2 and side/N is the k-value.  Duplicates collapse.
+        square N^2 and side/N is the k-value.  Duplicates collapse.  With
+        corner edges e1, e2, e3 the four diagonal directions are
+        e1+e2+e3, e1+e2-e3, e1-e2+e3 and -e1+e2+e3.
         """
-        s = self.side
+        e1, e2, e3 = self.corner_edges()
+        s = isqrt(e1.norm2())
         out = set()
-        for v, w in self.main_diagonals():
-            dd = w - v
+        for dd in (e1 + e2 + e3, e1 + e2 - e3, e1 - e2 + e3, e2 + e3 - e1):
             l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
             nn, rem = divmod(dd.norm2(), 3 * l * l)
-            assert rem == 0, "main diagonal norm not divisible by 3 l^2"
+            if rem:
+                raise ArithmeticError(f"main diagonal {dd}: norm not divisible by 3 l^2")
             n = isqrt(nn)
-            assert n * n == nn, "diagonal ratio is not a perfect square"
+            if n * n != nn:
+                raise ArithmeticError(f"main diagonal {dd}: ratio {nn} is not a perfect square")
             k, rem = divmod(s, n)
-            assert rem == 0, "side not divisible by diagonal ratio"
+            if rem:
+                raise ArithmeticError(f"side {s} not divisible by diagonal ratio {n}")
             out.add(k)
         return out
 
@@ -162,7 +169,8 @@ class Cube:
         norms = [x * x + y * y + z * z for x, y, z in diffs]
         s2 = min(norms)
         es = sorted(e for e, n in zip(diffs, norms) if n == s2)
-        assert len(es) == 3
+        if len(es) != 3:
+            raise ValueError(f"{len(es)} shortest edges at the corner, not 3")
         return (es[0], es[1], es[2])
 
     def is_irreducible(self) -> bool:
@@ -224,7 +232,8 @@ def fourth_vertex(
     The apex sits at (P + Q + sign*2k*(a,b,c)) / 3; only one sign gives
     integer coordinates unless 3 | k.
     """
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign}")
     _, p, q = tri
     normal = Vec3(sol.a, sol.b, sol.c).scale(2 * k * sign)
     t = p + q + normal
@@ -240,7 +249,8 @@ def complete_cube(tetra: tuple[Vec3, Vec3, Vec3, Vec3]) -> Cube:
     (U+V+W)/2 minus each of U, V, W; all four halvings must be exact.
     """
     o, u, v, w = tetra
-    assert o == ORIGIN
+    if o != ORIGIN:
+        raise ValueError(f"tetrahedron must start at the origin, not {o}")
     g = u + v + w
     if g.x % 2 or g.y % 2 or g.z % 2:
         raise NonIntegralError("tetrahedron midpoint sums are odd")

@@ -102,6 +102,41 @@ class RingFactorization:
         return acc
 
 
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as (p, e) pairs, p ascending.
+
+    Trial division by 2, 3 and then only the 6k +- 1 candidates.
+    """
+    out: list[tuple[int, int]] = []
+    p, step = 2, 1
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        if p < 5:
+            p += step  # 2, 3, 5
+            step = 2
+        else:
+            p += 2 if p % 6 == 5 else 4  # only 1, 5 mod 6 can be prime
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _two_factor(z: RingElem) -> RingElem:
+    """The norm-4 element (1, +-1) dividing the primitive z of even norm."""
+    return RingElem(1, 1) if (z.u - z.v) % 4 == 0 else RingElem(1, -1)
+
+
+def _oriented_prime(z: RingElem, p: int) -> RingElem:
+    """The element of norm p (p = 1 mod 3) that divides the primitive z."""
+    f = unique_decomposition(p)
+    return f if divide_exact(z, f) is not None else f.conj()
+
+
 def factor_ring(u: int, v: int) -> RingFactorization:
     """Factor u + v*i*sqrt(3) into content, unit and prime-norm elements.
 
@@ -113,61 +148,29 @@ def factor_ring(u: int, v: int) -> RingFactorization:
         raise ValueError("cannot factor 0")
     g = gcd(abs(u), abs(v))
     z = RingElem(u // g, v // g)
-    n = z.norm()
 
     factors: list[tuple[RingElem, int]] = []
+    for p, e in _prime_powers(z.norm()):
+        if p == 2:
+            # prime 2 enters only via the norm-4 element (1, +-1), at most once
+            if e != 2:
+                raise ArithmeticError(f"primitive norm has 2-adic valuation {e}, not 2")
+            f, e = _two_factor(z), 1
+        elif p == 3:
+            if e != 1:
+                raise ArithmeticError(f"primitive norm has 3-adic valuation {e}, not 1")
+            f = RingElem(0, 1)
+        else:
+            f = _oriented_prime(z, p)
+        for _ in range(e):
+            q = divide_exact(z, f)
+            if q is None:
+                raise ArithmeticError(f"oriented factor {f} of norm {p} does not divide {z}")
+            z = q
+        factors.append((f, e))
 
-    # prime 2 enters only via the norm-4 element (1, +-1), at most once
-    if n % 2 == 0:
-        e = 0
-        while n % 2 == 0:
-            n //= 2
-            e += 1
-        assert e == 2, "primitive norm is divisible by 4 exactly once"
-        f = RingElem(1, 1) if (z.u - z.v) % 4 == 0 else RingElem(1, -1)
-        q = divide_exact(z, f)
-        assert q is not None
-        z = q
-        factors.append((f, 1))
-
-    if n % 3 == 0:
-        e = 0
-        while n % 3 == 0:
-            n //= 3
-            e += 1
-        assert e == 1, "primitive norm is divisible by 3 at most once"
-        f = RingElem(0, 1)
-        q = divide_exact(z, f)
-        assert q is not None
-        z = q
-        factors.append((f, 1))
-
-    p = 5
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            f = unique_decomposition(p)
-            if divide_exact(z, f) is None:
-                f = f.conj()
-            for _ in range(e):
-                q = divide_exact(z, f)
-                assert q is not None, "oriented prime factor must divide"
-                z = q
-            factors.append((f, e))
-        p += 2 if p % 6 == 5 else 4  # only 1, 5 mod 6 can be prime
-    if n > 1:
-        f = unique_decomposition(n)
-        if divide_exact(z, f) is None:
-            f = f.conj()
-        q = divide_exact(z, f)
-        assert q is not None
-        z = q
-        factors.append((f, 1))
-
-    assert z in (ONE, MINUS_ONE), "remainder after all prime factors must be a unit"
+    if z not in (ONE, MINUS_ONE):
+        raise ArithmeticError(f"remainder {z} after all prime factors is not a unit")
     unit = 1 if z == ONE else -1
     return RingFactorization(content=g, unit=unit, factors=tuple(factors))
 
@@ -175,53 +178,54 @@ def factor_ring(u: int, v: int) -> RingFactorization:
 def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
     """Solve s^2 + 3*r^2 = 2*q given that 2*q divides A^2 + 3*B^2.
 
-    Builds s + r*i*sqrt(3) from the factorization of A + B*i*sqrt(3) by
-    picking, for each prime power in 2*q, the stored factor with the right
-    orientation.  This is the congruence-compatible square root needed by
-    the triangle parametrization: the returned (r, s) satisfies
-    2*q | (A*s - 3*B*r) and 2*q | (A*r + B*s) up to the sign choices the
-    caller iterates over.
+    Builds s + r*i*sqrt(3) from A + B*i*sqrt(3) by picking, for each
+    prime power in 2*q, the prime-norm factor with the right orientation.
+    This is the congruence-compatible square root needed by the triangle
+    parametrization: the returned (r, s) satisfies 2*q | (A*s - 3*B*r)
+    and 2*q | (A*r + B*s) up to the sign choices the caller iterates over.
+
+    Only 2*q is factored, never the norm of A + B*i*sqrt(3).  For the
+    census input A + B*i*sqrt(3) = ac - bd*i*sqrt(3) the plane equation
+    a^2 + b^2 + c^2 = 3d^2 gives the identity
+
+        N(ac - bd*i*sqrt(3)) = a^2 c^2 + 3 b^2 d^2 = (a^2 + b^2)(b^2 + c^2),
+
+    a norm far larger than 2q = 2(a^2 + b^2).  Only the primes of 2q are
+    ever selected, and for each of them the reduced norm's valuation is a
+    divisibility test, so factoring the whole norm would be wasted work.
     """
     if (A * A + 3 * B * B) % (2 * q) != 0:
         raise ValueError("2q must divide A^2 + 3B^2")
-    fac = factor_ring(A, B)
-    common = gcd(fac.content, 2 * q)
+    if A == 0 and B == 0:
+        raise ValueError("cannot factor 0")
+    g = gcd(abs(A), abs(B))
+    z = RingElem(A // g, B // g)
+    n = z.norm()
+    common = gcd(g, 2 * q)
     qq = (2 * q) // (common * common)
     if qq * common * common != 2 * q:
         raise ValueError("content mismatch: 2q/content^2 not integral")
 
-    # prime powers f1^f2 of qq, by trial division
-    powers: list[tuple[int, int]] = []
-    n = qq
-    f1 = 2
-    while f1 * f1 <= n:
-        if n % f1 == 0:
-            f2 = 0
-            while n % f1 == 0:
-                n //= f1
-                f2 += 1
-            powers.append((f1, f2))
-        f1 += 1
-    if n > 1:
-        powers.append((n, 1))
-
     # the shared integer content is part of the gcd, so the product starts there
     acc = RingElem(common, 0)
-    for f1, f2 in powers:
-        if f1 == 2:
+    for p, e in _prime_powers(qq):
+        if p == 2 and e != 2:
             # a norm-form value 2q has 2-adic valuation exactly 2, one ring factor
-            assert f2 == 2, "2 enters a norm-form value as 4 exactly"
-            f2 = 1
-        target = 4 if f1 == 2 else f1
-        matched = None
-        for f, m in fac.factors:
-            if f.norm() == target:
-                matched = (f, m)
-                break
-        if matched is None:
+            raise ArithmeticError("2 enters a norm-form value as 4 exactly")
+        target = 4 if p == 2 else p
+        if n % target:
             raise ValueError(f"required factor of norm {target} not present")
-        f, m = matched
-        for _ in range(min(m, f2)):
+        # a primitive norm holds 4 and 3 at most once, each as one ring factor
+        if p == 2:
+            f, m = _two_factor(z), 1
+        elif p == 3:
+            f, m = RingElem(0, 1), 1
+        else:
+            f, m = _oriented_prime(z, p), 0
+            while n % p == 0:
+                n //= p
+                m += 1
+        for _ in range(min(m, e)):
             acc = acc * f
 
     s, r = acc.u, acc.v

@@ -1,16 +1,20 @@
 """Census: record generation, dedup, placement counting, caching."""
 
 import json
+import pickle
 
 import pytest
 
 from latticecubes.census import (
     CubeRecord,
+    _build_one,
     _candidate_stream,
     _record_from_json,
     build_irreducible_list,
+    box_sums,
     build_multiples,
     count_cubes,
+    count_from_boxes,
     load_registry,
     placement_count,
     record_to_json,
@@ -297,3 +301,27 @@ def test_count_cubes_filters_by_bound(registry19):
     multiples = build_multiples(19, registry19)
     assert count_cubes(1, registry19, multiples) == 1
     assert count_cubes(4, registry19, multiples) == 100
+
+
+def test_box_sums_count_matches_per_record_sum(registry50):
+    # referee: one placement_count per record, as counting used to run
+    multiples = build_multiples(50, registry50)
+    records = registry50.records + multiples
+    want = [
+        sum(placement_count(n, r.bound_dim, r.invariants) for r in records if r.bound_dim <= n)
+        for n in range(1, 51)
+    ]
+    assert sequence(50, registry=registry50) == want
+    assert [count_cubes(n, registry50, multiples) for n in (1, 17, 50)] == [want[0], want[16], want[49]]
+    boxes = box_sums(records)
+    assert len(boxes) < len(records)
+    assert [count_from_boxes(n, boxes) for n in range(1, 51)] == want
+
+
+def test_build_one_returns_the_validated_octant_cube():
+    item = next(it for it in _candidate_stream(7) if it[0] == 7)
+    cube, fkv = _build_one(item)
+    assert cube == Cube.from_points(cube.as_lists())  # already canonical and valid
+    assert cube == cube.translate_to_octant()
+    assert fkv == sorted(cube.four_k_values())
+    assert pickle.loads(pickle.dumps(cube)) == cube  # crosses the worker pool

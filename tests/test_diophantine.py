@@ -57,7 +57,7 @@ def test_pi_epsilon_values():
 
 
 def test_pi_epsilon_matches_enumeration():
-    for d in range(1, 100, 2):
+    for d in range(1, 302, 2):
         assert pi_epsilon(d) == len(solve_three_squares(d)), d
 
 
@@ -113,3 +113,48 @@ def test_k_values_iff_norm_form_solvable():
     ks = set(k_values(100))
     for k in range(1, 101, 2):
         assert (k in ks) == bool(solve_norm_form(k)), k
+
+
+# -- differential tests: the pruned solvers against plain scans --------------
+
+
+def _three_squares_full_scan(d):
+    """Referee: every (a, b) with a <= b, no parity or mod-3 pruning."""
+    target = 3 * d * d
+    out = []
+    for a in range(1, d + 1):
+        rest = target - a * a
+        b = a
+        while 2 * b * b <= rest:
+            cc = rest - b * b
+            c = math.isqrt(cc)
+            if c * c == cc and math.gcd(math.gcd(a, b), c) == 1:
+                out.append(PlaneSolution(a, b, c, d))
+            b += 1
+    return sorted(out)
+
+
+def test_solve_three_squares_matches_full_scan():
+    for d in range(1, 202, 2):
+        assert solve_three_squares(d) == _three_squares_full_scan(d), d
+
+
+def _norm_form_scan(K):
+    """Referee: scan every pair 0 <= m <= K, 2m < n <= 2K once and file
+    the pairs with m^2 - mn + n^2 = k^2, k <= K, under k (m, then n
+    ascending), as the old per-k double loop did."""
+    by_k = {k: [] for k in range(1, K + 1)}
+    for m in range(0, K + 1):
+        for n in range(2 * m + 1, 2 * K + 1):
+            v = m * m - m * n + n * n
+            k = math.isqrt(v)
+            if k * k == v and k <= K and math.gcd(m, n) == 1:
+                by_k[k].append(NormFormSolution(m, n))
+    return by_k
+
+
+def test_solve_norm_form_matches_scan():
+    scanned = _norm_form_scan(301)
+    assert sum(map(len, scanned.values())) > 40
+    for k, want in scanned.items():
+        assert solve_norm_form(k) == want, k

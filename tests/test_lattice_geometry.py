@@ -1,6 +1,7 @@
 """Vectors, cube canonicalization, and the triangle-to-cube construction."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -248,3 +249,55 @@ def test_build_cube_matches_census_records(registry30):
         sol, mn = rec.source
         again = build_cube(sol, mn).translate_to_octant()
         assert again == rec.cube
+
+
+def _k_values_by_diagonal_search(cube):
+    """Referee: pair every vertex with its antipode by an 8 x 8 distance
+    search and take side / sqrt(D.D / (3 l^2)) for each main diagonal D."""
+    s = cube.side
+    out = set()
+    for v in cube.vertices:
+        (w,) = [w for w in cube.vertices if (w - v).norm2() == 3 * s * s]
+        dd = w - v
+        l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
+        n = isqrt(dd.norm2() // (3 * l * l))
+        out.add(s // n)
+    return out
+
+
+def test_four_k_values_matches_diagonal_search(registry50):
+    from latticecubes.census import build_multiples
+
+    multiples = build_multiples(50, registry50)
+    cubes = [r.cube for r in registry50.records] + [r.cube for r in multiples]
+    assert len(multiples) > 0
+    for cube in cubes:
+        assert cube.four_k_values() == _k_values_by_diagonal_search(cube), cube.as_lists()
+
+
+def _raw_cube(points):
+    # bypasses Cube.from_points, whose validation would reject these shapes
+    return Cube(tuple(sorted(Vec3(*p) for p in points)))
+
+
+_RHOMBOHEDRON = [[0, 0, 0], [1, 1, 0], [1, 0, 1], [0, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 2, 2]]
+_RATIO_NOT_SQUARE = [[0, 1, 0], [1, 0, 2], [1, 3, 1], [2, 2, 1], [2, 2, 3], [3, 1, 3], [3, 4, 2], [4, 3, 4]]
+_SIDE_NOT_DIVISIBLE = [[0, 0, 2], [1, 0, 0], [2, 0, 3], [2, 1, 2], [3, 0, 1], [3, 1, 0], [4, 1, 3], [5, 1, 1]]
+_CUBOID = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 2)]
+
+
+@pytest.mark.parametrize(
+    "call, exc",
+    [
+        (lambda: _raw_cube(_RHOMBOHEDRON).four_k_values(), ArithmeticError),
+        (lambda: _raw_cube(_RATIO_NOT_SQUARE).four_k_values(), ArithmeticError),
+        (lambda: _raw_cube(_SIDE_NOT_DIVISIBLE).four_k_values(), ArithmeticError),
+        (lambda: _raw_cube(_CUBOID).corner_edges(), ValueError),
+        (lambda: _raw_cube(_CUBOID).main_diagonals(), ValueError),
+        (lambda: fourth_vertex((ORIGIN, Vec3(1, 0, 0), Vec3(0, 1, 0)), PlaneSolution(1, 1, 1, 1), 1, 0), ValueError),
+        (lambda: complete_cube((Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 1), Vec3(0, 0, 0))), ValueError),
+    ],
+)
+def test_geometry_checks_raise_typed_errors(call, exc):
+    with pytest.raises(exc):
+        call()

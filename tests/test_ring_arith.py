@@ -2,12 +2,16 @@
 and the gcd routine that extracts (r, s) for the cube parametrization."""
 
 import random
+from functools import lru_cache
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latticecubes import ring_arith
+from latticecubes.diophantine import solve_three_squares
 from latticecubes.ring_arith import (
     MINUS_ONE,
     ONE,
@@ -172,3 +176,102 @@ def test_find_rs_rejects_incompatible():
         find_rs(25, 0, 10)  # 2q does not divide A^2 + 3B^2
     with pytest.raises(ValueError):
         find_rs(5, 5, 10)  # content^2 = 25 does not divide 2q = 20
+
+
+# -- differential tests: find_rs against the full-norm factorization --------
+
+
+def _find_rs_by_factor_ring(A, B, q):
+    """Referee: the selection find_rs used to make from factor_ring(A, B),
+    which trial-divides the whole norm of A + B i sqrt(3)."""
+    if (A * A + 3 * B * B) % (2 * q) != 0:
+        raise ValueError("2q must divide A^2 + 3B^2")
+    fac = factor_ring(A, B)
+    common = gcd(fac.content, 2 * q)
+    qq = (2 * q) // (common * common)
+    if qq * common * common != 2 * q:
+        raise ValueError("content mismatch")
+    acc = RingElem(common, 0)
+    for p, e in sympy.factorint(qq).items():
+        if p == 2:
+            assert e == 2
+            e = 1
+        target = 4 if p == 2 else p
+        matched = [(f, m) for f, m in fac.factors if f.norm() == target]
+        if not matched:
+            raise ValueError(f"required factor of norm {target} not present")
+        f, m = matched[0]
+        for _ in range(min(m, e)):
+            acc = acc * f
+    s, r = acc.u, acc.v
+    if s * s + 3 * r * r != 2 * q:
+        s, r = r, s
+    if s * s + 3 * r * r != 2 * q:
+        raise ValueError("factor selection does not multiply to norm 2q")
+    return r, s
+
+
+@lru_cache(maxsize=None)
+def _plane_solutions(d):
+    return solve_three_squares(d)
+
+
+def test_find_rs_matches_factor_ring_selection():
+    seen = 0
+    for d in range(1, 152, 2):
+        for a, b, c, _ in _plane_solutions(d):
+            q = a * a + b * b
+            assert find_rs(a * c, -b * d, q) == _find_rs_by_factor_ring(a * c, -b * d, q), (a, b, c, d)
+            seen += 1
+    assert seen == sum(len(_plane_solutions(d)) for d in range(1, 152, 2)) > 1000
+
+
+@given(
+    st.integers(0, 300).map(lambda i: 2 * i + 1),
+    st.integers(0, 10_000),
+    st.permutations([0, 1, 2]),
+    st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+)
+@settings(max_examples=150, deadline=None)
+def test_find_rs_matches_referee_on_random_plane_solutions(d, pick, perm, signs):
+    # any ordering and signing of a plane solution satisfies the plane
+    # equation, so it is a valid find_rs input even off the census path
+    sols = _plane_solutions(d)
+    abc = sols[pick % len(sols)][:3]
+    a, b, c = (signs[i] * abc[perm[i]] for i in range(3))
+    q = a * a + b * b
+    assert find_rs(a * c, -b * d, q) == _find_rs_by_factor_ring(a * c, -b * d, q)
+
+
+def test_prime_powers_matches_sympy():
+    for n in range(1, 5000):
+        assert ring_arith._prime_powers(n) == sorted(sympy.factorint(n).items()), n
+
+
+# -- pipeline checks are typed raises, so they hold under python -O ----------
+
+
+def _wrong_decomposition(elem):
+    def patched(p):
+        return elem
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "call, patch, exc",
+    [
+        # 2q = 2 has 2-adic valuation 1: not a norm-form value
+        (lambda: find_rs(1, 1, 1), None, ArithmeticError),
+        (lambda: find_rs(7, 0, 7), None, ValueError),  # no factor of norm 7 in 1
+        # a "prime factor" of norm 1 never reduces 2 + i sqrt 3 to a unit
+        (lambda: factor_ring(2, 1), RingElem(1, 0), ArithmeticError),
+        # a factor of the wrong norm divides in neither orientation
+        (lambda: factor_ring(2, 1), RingElem(2, 3), ArithmeticError),
+    ],
+)
+def test_ring_checks_raise_typed_errors(monkeypatch, call, patch, exc):
+    if patch is not None:
+        monkeypatch.setattr(ring_arith, "unique_decomposition", _wrong_decomposition(patch))
+    with pytest.raises(exc):
+        call()
