@@ -259,8 +259,37 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+class CacheMismatch(ValueError):
+    """A cached record disagrees with what its stored vertices determine."""
+
+
+def _check_record(rec: CubeRecord) -> None:
+    """Re-derive a cached record's fields from its vertices; raise CacheMismatch on any difference."""
+    cube = rec.cube.translate_to_octant()
+    where = f"cached record {rec.cube.as_lists()}"
+    if rec.cube != cube:
+        raise CacheMismatch(f"{where}: cube is not octant-normalized")
+    if not cube.is_irreducible():
+        raise CacheMismatch(f"{where}: cube is reducible")
+    derived = {
+        "side": cube.side,
+        "bound_dim": cube.bounding_dim(),
+        "k_values": frozenset(cube.four_k_values()),
+        "invariants": invariants(cube),
+    }
+    for name, value in derived.items():
+        stored = getattr(rec, name)
+        if stored != value:
+            raise CacheMismatch(f"{where}: stored {name} {stored} != derived {value}")
+
+
 def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
-    """Registry from cache if present, valid, and built for at least N."""
+    """Registry from cache if present, readable, and built for at least N.
+
+    Every record is checked against its own vertices (_check_record) and
+    against the orbits claimed before it; a mismatch raises CacheMismatch
+    rather than letting a tampered field reach the count.
+    """
     p = Path(path)
     if not p.is_file():
         return None
@@ -273,5 +302,8 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
         return None
     reg = CubeRegistry(n_built=doc["N"])
     for rec in records:
+        _check_record(rec)
+        if reg.is_claimed(rec.side, rec.cube):
+            raise CacheMismatch(f"cached record {rec.cube.as_lists()}: orbit already claimed")
         reg.claim(rec)
     return reg

@@ -18,10 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .census import (
+    CacheMismatch,
     CubeRegistry,
     build_irreducible_list,
     build_multiples,
@@ -38,17 +38,6 @@ from .reference import COUNTS_LISTED, COUNTS_LOG
 from .symmetry import invariants
 
 
-@dataclass
-class RunConfig:
-    n: int
-    command: str
-    format: str = "table"
-    cache_path: Optional[str] = None
-    threads: int = 1
-    multiples: bool = False
-    oracle_max: Optional[int] = None
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -59,35 +48,39 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _get_registry(cfg: RunConfig) -> CubeRegistry:
-    if cfg.cache_path:
-        reg = load_registry(cfg.cache_path, cfg.n)
+def _get_registry(args: argparse.Namespace) -> CubeRegistry:
+    if args.cache_path:
+        try:
+            reg = load_registry(args.cache_path, args.n)
+        except CacheMismatch as exc:
+            print(f"rejected registry cache {args.cache_path}: {exc}", file=sys.stderr)
+            reg = None
         if reg is not None:
             print(f"loaded registry cache (N={reg.n_built})", file=sys.stderr)
             return reg
-    reg = build_irreducible_list(cfg.n, threads=cfg.threads)
-    if cfg.cache_path:
-        save_registry(reg, cfg.cache_path)
-        print(f"saved registry cache to {cfg.cache_path}", file=sys.stderr)
+    reg = build_irreducible_list(args.n, threads=args.threads)
+    if args.cache_path:
+        save_registry(reg, args.cache_path)
+        print(f"saved registry cache to {args.cache_path}", file=sys.stderr)
     return reg
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    reg = _get_registry(cfg)
-    value = count_cubes(cfg.n, reg, build_multiples(cfg.n, reg))
-    print(json.dumps(value) if cfg.format == "json" else value)
+def cmd_count(args: argparse.Namespace) -> int:
+    reg = _get_registry(args)
+    value = count_cubes(args.n, reg, build_multiples(args.n, reg))
+    print(json.dumps(value) if args.format == "json" else value)
     return 0
 
 
-def cmd_sequence(cfg: RunConfig) -> int:
-    values = sequence(cfg.n, threads=cfg.threads, registry=_get_registry(cfg))
-    if cfg.format == "json":
+def cmd_sequence(args: argparse.Namespace) -> int:
+    values = sequence(args.n, threads=args.threads, registry=_get_registry(args))
+    if args.format == "json":
         print(json.dumps(values))
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         print("n,nc")
         for i, v in enumerate(values, 1):
             print(f"{i},{v}")
-    elif cfg.format == "bfile":
+    elif args.format == "bfile":
         out = "".join(f"{i} {v}\n" for i, v in enumerate(values, 1))
         sys.stdout.write(out)
     else:
@@ -96,13 +89,13 @@ def cmd_sequence(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_list(cfg: RunConfig) -> int:
-    reg = _get_registry(cfg)
-    records = [r for r in reg.records if r.side <= cfg.n]
-    if cfg.multiples:
-        records += [r for r in build_multiples(cfg.n, reg) if r.side <= cfg.n]
+def cmd_list(args: argparse.Namespace) -> int:
+    reg = _get_registry(args)
+    records = [r for r in reg.records if r.side <= args.n]
+    if args.multiples:
+        records += [r for r in build_multiples(args.n, reg) if r.side <= args.n]
     records.sort(key=lambda r: (r.side, -r.bound_dim, r.cube.vertices))
-    if cfg.format == "json":
+    if args.format == "json":
         print(json.dumps([record_to_json(r) for r in records], indent=1))
     else:
         for r in records:
@@ -112,8 +105,8 @@ def cmd_list(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_invariants(cfg: RunConfig, cube_json: Optional[str]) -> int:
-    text = cube_json if cube_json is not None else sys.stdin.read()
+def cmd_invariants(args: argparse.Namespace) -> int:
+    text = args.cube if args.cube is not None else sys.stdin.read()
     try:
         pts = json.loads(text)
         cube = Cube.from_points(pts).translate_to_octant()
@@ -122,7 +115,7 @@ def cmd_invariants(cfg: RunConfig, cube_json: Optional[str]) -> int:
         return 1
     inv = invariants(cube)
     kvals = sorted(cube.four_k_values())
-    if cfg.format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -140,13 +133,13 @@ def cmd_invariants(cfg: RunConfig, cube_json: Optional[str]) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    reg = _get_registry(cfg)
-    census_vals = sequence(cfg.n, threads=cfg.threads, registry=reg)
-    oracle_cap = min(cfg.n, cfg.oracle_max) if cfg.oracle_max else cfg.n
+def cmd_verify(args: argparse.Namespace) -> int:
+    reg = _get_registry(args)
+    census_vals = sequence(args.n, threads=args.threads, registry=reg)
+    oracle_cap = min(args.n, args.oracle_max) if args.oracle_max else args.n
     failures = 0
     print(f"{'n':>4} {'census':>12} {'oracle':>12} {'listed':>12} {'log':>12}")
-    for n in range(1, cfg.n + 1):
+    for n in range(1, args.n + 1):
         c = census_vals[n - 1]
         o = brute_force_count(n) if n <= oracle_cap else None
         listed = COUNTS_LISTED[n - 1] if n <= len(COUNTS_LISTED) else None
@@ -175,13 +168,14 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_representations(cfg: RunConfig, d: int) -> int:
+def cmd_representations(args: argparse.Namespace) -> int:
+    d = args.d
     if d % 2 == 0:
         print("d must be odd", file=sys.stderr)
         return 1
     sols = solve_three_squares(d)
     formula = pi_epsilon(d)
-    if cfg.format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -220,12 +214,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Count the lattice cubes with vertices in {0..n}^3.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("count", parents=[shared], help="print NC(n)")
-    sub.add_parser("sequence", parents=[shared], help="print NC(1..n)")
+    sub.add_parser("count", parents=[shared], help="print NC(n)").set_defaults(func=cmd_count)
+    sub.add_parser("sequence", parents=[shared], help="print NC(1..n)").set_defaults(func=cmd_sequence)
     p_list = sub.add_parser("list", parents=[shared], help="cube records with side <= n")
     p_list.add_argument(
         "--multiples", action="store_true", help="include dilated (reducible) cubes"
     )
+    p_list.set_defaults(func=cmd_list)
     p_inv = sub.add_parser(
         "invariants", parents=[shared], help="invariants of a cube given as JSON"
     )
@@ -234,6 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="?",
         help="cube as JSON [[x,y,z] * 8]; read from stdin when omitted",
     )
+    p_inv.set_defaults(func=cmd_invariants)
     p_ver = sub.add_parser(
         "verify", parents=[shared], help="census vs oracle vs published values"
     )
@@ -242,39 +238,20 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         help="run the brute-force oracle only up to this n",
     )
+    p_ver.set_defaults(func=cmd_verify)
     p_rep = sub.add_parser(
         "representations",
         parents=[shared],
         help="solutions of a^2+b^2+c^2=3d^2 and their count",
     )
     p_rep.add_argument("d", type=_positive_int, help="odd d >= 1")
+    p_rep.set_defaults(func=cmd_representations)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        n=args.n,
-        command=args.command,
-        format=args.format,
-        cache_path=args.cache_path,
-        threads=args.threads,
-        multiples=getattr(args, "multiples", False),
-        oracle_max=getattr(args, "oracle_max", None),
-    )
-    if cfg.command == "count":
-        return cmd_count(cfg)
-    if cfg.command == "sequence":
-        return cmd_sequence(cfg)
-    if cfg.command == "list":
-        return cmd_list(cfg)
-    if cfg.command == "invariants":
-        return cmd_invariants(cfg, args.cube)
-    if cfg.command == "verify":
-        return cmd_verify(cfg)
-    if cfg.command == "representations":
-        return cmd_representations(cfg, args.d)
-    raise AssertionError(f"unhandled command {cfg.command}")
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ Three problems appear:
 * the representation count pi_eps(d) = number of primitive solutions of
   the plane equation, for which a closed formula exists and is
   cross-checked against plain enumeration.
+
+prime_powers (trial division) is the package's one integer factorizer;
+ring_arith uses it too.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
-
-from sympy import factorint, isprime
 
 
 class PlaneSolution(NamedTuple):
@@ -36,9 +37,33 @@ class NormFormSolution(NamedTuple):
     n: int
 
 
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n as (p, e) pairs, p ascending; [] for n <= 1.
+
+    Trial division by 2, 3 and then only the 6k +- 1 candidates.
+    """
+    out: list[tuple[int, int]] = []
+    p, step = 2, 1
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        if p < 5:
+            p += step  # 2, 3, 5
+            step = 2
+        else:
+            p += 2 if p % 6 == 5 else 4  # only 1, 5 mod 6 can be prime
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def legendre_minus3(p: int) -> int:
     """The character chi(p) = (-3 | p) for an odd prime p."""
-    if p % 2 == 0 or not isprime(p):
+    if p % 2 == 0 or prime_powers(p) != [(p, 1)]:
         raise ValueError(f"{p} is not an odd prime")
     if p == 3:
         return 0
@@ -50,7 +75,7 @@ def lambda_d(d: int) -> int:
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")
     acc = Fraction(8 * d)
-    for p in factorint(d):
+    for p, _ in prime_powers(d):
         acc *= Fraction(p - legendre_minus3(p), p)
     if acc.denominator != 1:
         raise ArithmeticError(f"Lambda({d}) = {acc} is not an integer")
@@ -68,7 +93,7 @@ def gamma2(d: int) -> int:
         raise ValueError("d must be a positive odd integer")
     if d == 3:
         return 1
-    primes = factorint(d)
+    primes = [p for p, _ in prime_powers(d)]
     if any(p % 8 in (5, 7) for p in primes):
         return 0
     k = sum(1 for p in primes if p % 8 in (1, 3) and p != 3)
@@ -144,8 +169,4 @@ def k_values(N: int) -> list[int]:
     """Odd k <= N equal to 1 or with every prime factor = 1 mod 3."""
     if N < 1:
         raise ValueError("N must be positive")
-    out = []
-    for k in range(1, N + 1, 2):
-        if k == 1 or all(p % 3 == 1 for p in factorint(k)):
-            out.append(k)
-    return out
+    return [k for k in range(1, N + 1, 2) if all(p % 3 == 1 for p, _ in prime_powers(k))]

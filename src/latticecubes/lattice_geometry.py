@@ -120,23 +120,6 @@ class Cube:
             max(v.z for v in self.vertices),
         )
 
-    def main_diagonals(self) -> list[tuple[Vec3, Vec3]]:
-        d2 = 3 * self.side**2
-        pairs = []
-        seen: set[Vec3] = set()
-        for v in self.vertices:
-            if v in seen:
-                continue
-            mates = [w for w in self.vertices if (w - v).norm2() == d2]
-            if len(mates) != 1:
-                raise ValueError(f"vertex {v} has {len(mates)} antipodes, not 1")
-            pairs.append((v, mates[0]))
-            seen.add(v)
-            seen.add(mates[0])
-        if len(pairs) != 4:
-            raise ValueError(f"{len(pairs)} main diagonals, not 4")
-        return pairs
-
     def four_k_values(self) -> set[int]:
         """k-values of the cube, one per main diagonal direction.
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
+from .diophantine import prime_powers
+
 
 class NotRepresentable(ValueError):
     """Raised when a prime has no representation x^2 + 3*y^2."""
@@ -102,30 +104,6 @@ class RingFactorization:
         return acc
 
 
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (p, e) pairs, p ascending.
-
-    Trial division by 2, 3 and then only the 6k +- 1 candidates.
-    """
-    out: list[tuple[int, int]] = []
-    p, step = 2, 1
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        if p < 5:
-            p += step  # 2, 3, 5
-            step = 2
-        else:
-            p += 2 if p % 6 == 5 else 4  # only 1, 5 mod 6 can be prime
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def _two_factor(z: RingElem) -> RingElem:
     """The norm-4 element (1, +-1) dividing the primitive z of even norm."""
     return RingElem(1, 1) if (z.u - z.v) % 4 == 0 else RingElem(1, -1)
@@ -150,7 +128,7 @@ def factor_ring(u: int, v: int) -> RingFactorization:
     z = RingElem(u // g, v // g)
 
     factors: list[tuple[RingElem, int]] = []
-    for p, e in _prime_powers(z.norm()):
+    for p, e in prime_powers(z.norm()):
         if p == 2:
             # prime 2 enters only via the norm-4 element (1, +-1), at most once
             if e != 2:
@@ -208,7 +186,7 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
 
     # the shared integer content is part of the gcd, so the product starts there
     acc = RingElem(common, 0)
-    for p, e in _prime_powers(qq):
+    for p, e in prime_powers(qq):
         if p == 2 and e != 2:
             # a norm-form value 2q has 2-adic valuation exactly 2, one ring factor
             raise ArithmeticError("2 enters a norm-form value as 4 exactly")

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from latticecubes.census import (
+    CacheMismatch,
     CubeRecord,
     _build_one,
     _candidate_stream,
@@ -23,7 +24,7 @@ from latticecubes.census import (
 )
 from latticecubes.lattice_geometry import Cube, build_cube
 from latticecubes.reference import COUNTS_LISTED
-from latticecubes.symmetry import InvariantSet, canonical_form
+from latticecubes.symmetry import InvariantSet, canonical_form, invariants
 
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
 
@@ -287,6 +288,39 @@ def test_cache_rejects_stale_or_broken(tmp_path, registry19):
     assert load_registry(p, 19) is None  # version mismatch
     p.write_text("{not json")
     assert load_registry(p, 19) is None  # corrupt file
+
+
+def _shift(rec):
+    rec["cube"] = [[x + 1, y, z] for x, y, z in rec["cube"]]
+
+
+def _add_reducible(recs):
+    cube = UNIT.dilate(3)
+    source = _record_from_json(recs[0]).source
+    kv = frozenset(cube.four_k_values())
+    recs.append(record_to_json(CubeRecord(3, 3, cube, kv, invariants(cube), source)))
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda recs: recs[3].update(side=recs[3]["side"] + 2), "stored side"),
+        (lambda recs: recs[3].update(bound_dim=recs[3]["bound_dim"] + 1), "stored bound_dim"),
+        (lambda recs: recs[3]["k_values"].append(999), "stored k_values"),
+        (lambda recs: recs[3]["invariants"].__setitem__(3, 1), "stored invariants"),
+        (lambda recs: _shift(recs[3]), "not octant-normalized"),
+        (_add_reducible, "reducible"),
+        (lambda recs: recs.append(dict(recs[3])), "orbit already claimed"),
+    ],
+)
+def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, message):
+    p = tmp_path / "reg.json"
+    save_registry(registry19, p)
+    doc = json.loads(p.read_text())
+    tamper(doc["records"])
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CacheMismatch, match=message):
+        load_registry(p, 19)
 
 
 def test_cache_save_is_deterministic(tmp_path, registry19):

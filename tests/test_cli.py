@@ -217,16 +217,59 @@ def test_cache_corruption_falls_back(tmp_path, capsys):
     assert "saved registry cache" in err  # rebuilt and overwrote the bad file
 
 
+def test_tampered_cache_is_rebuilt(tmp_path, capsys):
+    cache = tmp_path / "reg.json"
+    rc, out, _ = run(capsys, "count", "--n", "20", "--cache", str(cache))
+    assert rc == 0 and out == "102550\n"
+    doc = json.loads(cache.read_text())
+    rec = next(r for r in doc["records"] if r["bound_dim"] == 11)
+    rec["invariants"][1] += 1  # alpha; trusted, it would count 103550
+    cache.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "count", "--n", "20", "--cache", str(cache))
+    assert rc == 0
+    assert out == "102550\n"
+    assert "rejected registry cache" in err and "stored invariants" in err
+    assert "saved registry cache" in err
+    rc, out, err = run(capsys, "count", "--n", "20", "--cache", str(cache))
+    assert out == "102550\n" and "loaded registry cache (N=20)" in err
+
+
+def _src_env():
+    src = str(Path(latticecubes.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+_NO_SYMPY = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now fails
+from latticecubes.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = main(["count", "--n", "15"])
+assert (rc, out.getvalue()) == (0, "27190\\n"), (rc, out.getvalue())
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = main(["representations", "2011", "--format", "json"])
+data = json.loads(out.getvalue())
+assert rc == 0 and data["formula"] == data["enumerated"] == 336, (rc, data["formula"])
+"""
+
+
+def test_runtime_needs_no_sympy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SYMPY], capture_output=True, text=True, env=_src_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_sequence_under_python_O():
     # the pipeline's data guards are explicit raises, so -O (which strips
     # asserts) must leave the census running and its numbers unchanged
-    src = str(Path(latticecubes.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "latticecubes.cli", "sequence", "--n", "30", "--format", "json"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -3,8 +3,10 @@ a^2 + b^2 + c^2 = 3 d^2, the norm-form solutions m^2 - mn + n^2 = k^2,
 and the closed-form representation count pi_epsilon."""
 
 import math
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from latticecubes.diophantine import (
     NormFormSolution,
@@ -14,6 +16,7 @@ from latticecubes.diophantine import (
     lambda_d,
     legendre_minus3,
     pi_epsilon,
+    prime_powers,
     solve_norm_form,
     solve_three_squares,
 )
@@ -158,3 +161,50 @@ def test_solve_norm_form_matches_scan():
     assert sum(map(len, scanned.values())) > 40
     for k, want in scanned.items():
         assert solve_norm_form(k) == want, k
+
+
+# -- differential tests: the trial-division factorizer and its callers
+# against sympy, which the tests keep as an independent referee ---------------
+
+
+def test_prime_powers_matches_sympy():
+    assert prime_powers(0) == prime_powers(1) == []
+    for n in range(1, 10_001):
+        assert prime_powers(n) == sorted(sympy.factorint(n).items()), n
+
+
+def test_legendre_minus3_matches_sympy():
+    for p in (0, 1, 2, 9, 25, 91):
+        with pytest.raises(ValueError):
+            legendre_minus3(p)
+    for p in range(0, 5001):
+        if p % 2 and sympy.isprime(p):
+            assert legendre_minus3(p) == sympy.legendre_symbol(-3 % p, p), p
+        else:
+            with pytest.raises(ValueError):
+                legendre_minus3(p)
+
+
+def _chi(p):
+    return sympy.legendre_symbol(-3 % p, p)
+
+
+def test_lambda_d_and_gamma2_match_sympy():
+    for d in range(1, 2002, 2):
+        primes = sympy.primefactors(d)
+        want = Fraction(8 * d)
+        for p in primes:
+            want *= 1 - Fraction(_chi(p), p)
+        assert lambda_d(d) == want, d
+        if d == 3:
+            want_g = 1
+        elif any(p % 8 in (5, 7) for p in primes):
+            want_g = 0
+        else:
+            want_g = 2 ** sum(1 for p in primes if p != 3)
+        assert gamma2(d) == want_g, d
+
+
+def test_k_values_match_sympy():
+    want = [k for k in range(1, 3001, 2) if all(p % 3 == 1 for p in sympy.primefactors(k))]
+    assert k_values(3000) == want

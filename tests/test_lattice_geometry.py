@@ -88,16 +88,6 @@ def test_bounding_dim_and_extents():
     assert c17.extents() == (23, 17, 23)
 
 
-def test_main_diagonals():
-    c = Cube.from_points(UNIT)
-    pairs = c.main_diagonals()
-    assert len(pairs) == 4
-    assert all((w - v).norm2() == 3 for v, w in pairs)
-    assert {v for p in pairs for v in p} == set(c.vertices)
-    c3 = Cube.from_points(ROW3)
-    assert all((w - v).norm2() == 27 for v, w in c3.main_diagonals())
-
-
 def test_four_k_values():
     assert Cube.from_points(UNIT).four_k_values() == {1}
     assert Cube.from_points(ROW3).four_k_values() == {1, 3}
@@ -293,7 +283,6 @@ _CUBOID = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 2)]
         (lambda: _raw_cube(_RATIO_NOT_SQUARE).four_k_values(), ArithmeticError),
         (lambda: _raw_cube(_SIDE_NOT_DIVISIBLE).four_k_values(), ArithmeticError),
         (lambda: _raw_cube(_CUBOID).corner_edges(), ValueError),
-        (lambda: _raw_cube(_CUBOID).main_diagonals(), ValueError),
         (lambda: fourth_vertex((ORIGIN, Vec3(1, 0, 0), Vec3(0, 1, 0)), PlaneSolution(1, 1, 1, 1), 1, 0), ValueError),
         (lambda: complete_cube((Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 1), Vec3(0, 0, 0))), ValueError),
     ],

@@ -243,11 +243,6 @@ def test_find_rs_matches_referee_on_random_plane_solutions(d, pick, perm, signs)
     assert find_rs(a * c, -b * d, q) == _find_rs_by_factor_ring(a * c, -b * d, q)
 
 
-def test_prime_powers_matches_sympy():
-    for n in range(1, 5000):
-        assert ring_arith._prime_powers(n) == sorted(sympy.factorint(n).items()), n
-
-
 # -- pipeline checks are typed raises, so they hold under python -O ----------
 
 
