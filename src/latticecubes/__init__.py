@@ -25,7 +25,7 @@ from .diophantine import (
     solve_three_squares,
 )
 from .lattice_geometry import Cube, Vec3, build_cube
-from .oracle import brute_force_count, brute_force_orbit_fill
+from .oracle import brute_force_count, brute_force_orbit_fill, brute_force_sequence
 from .symmetry import InvariantSet, generalized_orbit, invariants, symmetry_orbit
 
 __version__ = "0.1.0"
@@ -40,6 +40,7 @@ __all__ = [
     "Vec3",
     "brute_force_count",
     "brute_force_orbit_fill",
+    "brute_force_sequence",
     "build_cube",
     "build_irreducible_list",
     "build_multiples",

@@ -17,6 +17,7 @@ are summed first and each (n, bound_dim) pair is evaluated once.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 from multiprocessing import Pool
@@ -248,6 +249,11 @@ def _record_from_json(data: dict) -> CubeRecord:
 
 
 def save_registry(reg: CubeRegistry, path: str | Path) -> None:
+    """Write the registry as JSON to `path`, atomically.
+
+    The document goes to a temp file beside `path` that then replaces it,
+    so a crash or error mid-write leaves any previous cache intact.
+    """
     records = sorted(
         reg.records, key=lambda r: (r.side, r.bound_dim, r.cube.vertices)
     )
@@ -256,11 +262,19 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
         "N": reg.n_built,
         "records": [record_to_json(r) for r in records],
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    p = Path(path)
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, indent=1) + "\n")
+        os.replace(tmp, p)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class CacheMismatch(ValueError):
-    """A cached record disagrees with what its stored vertices determine."""
+    """A registry cache that cannot be trusted: unreadable, of another
+    version, missing keys, or holding a record that disagrees with what its
+    stored vertices determine."""
 
 
 def _check_record(rec: CubeRecord) -> None:
@@ -284,10 +298,12 @@ def _check_record(rec: CubeRecord) -> None:
 
 
 def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
-    """Registry from cache if present, readable, and built for at least N.
+    """Registry from the cache at `path`, or None if there is no file or it
+    was built for a smaller N.
 
-    Every record is checked against its own vertices (_check_record) and
-    against the orbits claimed before it; a mismatch raises CacheMismatch
+    A file that is not this version's JSON document, or lacks a key, raises
+    CacheMismatch with the reason.  So does a record that disagrees with its
+    own vertices (_check_record) or repeats an orbit claimed before it,
     rather than letting a tampered field reach the count.
     """
     p = Path(path)
@@ -295,11 +311,20 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
         return None
     try:
         doc = json.loads(p.read_text())
-        if doc.get("version") != CACHE_VERSION or doc.get("N", 0) < N:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CacheMismatch(f"unreadable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CacheMismatch("not a JSON object")
+    if doc.get("version") != CACHE_VERSION:
+        raise CacheMismatch(f"version {doc.get('version')!r}, expected {CACHE_VERSION}")
+    try:
+        if doc["N"] < N:
             return None
         records = [_record_from_json(r) for r in doc["records"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-        return None
+    except KeyError as exc:
+        raise CacheMismatch(f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CacheMismatch(f"malformed document: {exc}") from exc
     reg = CubeRegistry(n_built=doc["N"])
     for rec in records:
         _check_record(rec)

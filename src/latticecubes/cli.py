@@ -33,7 +33,8 @@ from .census import (
 )
 from .diophantine import pi_epsilon, solve_three_squares
 from .lattice_geometry import Cube
-from .oracle import brute_force_count
+# brute_force_count is not called here; it stays bound for perfbench/tracing.py, which wraps it
+from .oracle import brute_force_count, brute_force_sequence
 from .reference import COUNTS_LISTED, COUNTS_LOG
 from .symmetry import invariants
 
@@ -137,11 +138,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reg = _get_registry(args)
     census_vals = sequence(args.n, threads=args.threads, registry=reg)
     oracle_cap = min(args.n, args.oracle_max) if args.oracle_max else args.n
+    oracle_vals = brute_force_sequence(oracle_cap)
     failures = 0
     print(f"{'n':>4} {'census':>12} {'oracle':>12} {'listed':>12} {'log':>12}")
     for n in range(1, args.n + 1):
         c = census_vals[n - 1]
-        o = brute_force_count(n) if n <= oracle_cap else None
+        o = oracle_vals[n - 1] if n <= oracle_cap else None
         listed = COUNTS_LISTED[n - 1] if n <= len(COUNTS_LISTED) else None
         logged = COUNTS_LOG[n - 1] if n <= len(COUNTS_LOG) else None
         mark = ""

