@@ -24,9 +24,9 @@ from .diophantine import (
     solve_norm_form,
     solve_three_squares,
 )
-from .lattice_geometry import Cube, Vec3, build_cube
-from .oracle import brute_force_count, brute_force_orbit_fill, brute_force_sequence
-from .symmetry import InvariantSet, generalized_orbit, invariants, symmetry_orbit
+from .lattice_geometry import Cube, Frame, Vec3, build_cube
+from .oracle import brute_force_count, brute_force_sequence
+from .symmetry import InvariantSet, invariants
 
 __version__ = "0.1.0"
 
@@ -34,18 +34,17 @@ __all__ = [
     "Cube",
     "CubeRecord",
     "CubeRegistry",
+    "Frame",
     "InvariantSet",
     "NormFormSolution",
     "PlaneSolution",
     "Vec3",
     "brute_force_count",
-    "brute_force_orbit_fill",
     "brute_force_sequence",
     "build_cube",
     "build_irreducible_list",
     "build_multiples",
     "count_cubes",
-    "generalized_orbit",
     "invariants",
     "k_values",
     "pi_epsilon",
@@ -53,5 +52,4 @@ __all__ = [
     "sequence",
     "solve_norm_form",
     "solve_three_squares",
-    "symmetry_orbit",
 ]

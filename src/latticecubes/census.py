@@ -2,10 +2,11 @@
 
 Generation sweeps k (triangle scale), (m, n) (norm-form solution), odd d
 (plane scale) and the plane solutions (a, b, c); each tuple yields one
-cube.  A cube is accepted when it is genuinely new - not in the
-generalized orbit of anything already recorded at the same side length -
-and when the k = 1 pass could not have produced it (the "exception"
-guard: for k > 1 the cube must not have 1 among its k-values).
+cube, as its Frame (the three edges at one corner).  A cube is accepted
+when it is genuinely new - not in the generalized orbit of anything
+already recorded at the same side length - and when the k = 1 pass could
+not have produced it (the "exception" guard: for k > 1 the cube must not
+have 1 among its k-values).  Only an accepted cube gets its 8 vertices.
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
@@ -31,7 +32,7 @@ from .diophantine import (
     solve_norm_form,
     solve_three_squares,
 )
-from .lattice_geometry import Cube, build_cube
+from .lattice_geometry import Cube, Frame, build_cube
 from .symmetry import ClassKey, InvariantSet, class_key, invariants, orbit_classes
 
 CACHE_VERSION = 1
@@ -62,10 +63,10 @@ class CubeRegistry:
 
     def claim(self, record: CubeRecord) -> None:
         self.records.append(record)
-        self.by_side.setdefault(record.side, set()).update(orbit_classes(record.cube))
+        self.by_side.setdefault(record.side, set()).update(orbit_classes(record.cube.corner_edges()))
 
-    def is_claimed(self, side: int, octant_cube: Cube) -> bool:
-        return class_key(octant_cube) in self.by_side.get(side, ())
+    def is_claimed(self, side: int, frame: Frame) -> bool:
+        return class_key(frame) in self.by_side.get(side, ())
 
 
 def _candidate_stream(
@@ -88,11 +89,11 @@ def _candidate_stream(
 
 def _build_one(
     item: tuple[int, NormFormSolution, int, PlaneSolution],
-) -> tuple[Cube, list[int]]:
-    """Pure per-candidate work: octant cube (validated by build_cube) and its k-values."""
+) -> tuple[Frame, list[int]]:
+    """Pure per-candidate work: the cube's frame (checked by build_cube) and its k-values."""
     k, mn, d, sol = item
-    cube = build_cube(sol, mn).translate_to_octant()
-    return cube, sorted(cube.four_k_values())
+    frame = build_cube(sol, mn)
+    return frame, sorted(frame.k_values())
 
 
 def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
@@ -112,23 +113,24 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
         built = [_build_one(it) for it in items]
 
     reg = CubeRegistry(n_built=N)
-    for (k, mn, d, sol), (cube, fkv) in zip(items, built):
+    for (k, mn, d, sol), (frame, fkv) in zip(items, built):
         side = d * k
         if k != 1 and 1 in fkv:
             continue  # already reachable by the k=1 pass
-        if reg.is_claimed(side, cube):
+        if reg.is_claimed(side, frame):
             continue
-        if cube.side != side:
-            raise ArithmeticError(f"pipeline cube side {cube.side} != d*k = {side}")
-        if not cube.is_irreducible():
-            raise ArithmeticError(f"pipeline cube {cube.as_lists()} is reducible")
+        if frame.side != side:
+            raise ArithmeticError(f"pipeline cube side {frame.side} != d*k = {side}")
+        if not frame.is_primitive():
+            raise ArithmeticError(f"pipeline cube with frame {frame} is reducible")
+        cube = frame.cube()
         reg.claim(
             CubeRecord(
                 side=side,
                 bound_dim=cube.bounding_dim(),
                 cube=cube,
                 k_values=frozenset(fkv),
-                invariants=invariants(cube),
+                invariants=invariants(frame),
                 source=(sol, mn),
             )
         )
@@ -149,13 +151,14 @@ def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
             dil = rec.cube.dilate(j)
             if dil.bounding_dim() != j * rec.bound_dim:
                 raise ArithmeticError(f"dilation by {j} moved the box of {rec.cube.as_lists()}")
+            frame = dil.corner_edges()
             out.append(
                 CubeRecord(
                     side=rec.side * j,
                     bound_dim=j * rec.bound_dim,
                     cube=dil,
-                    k_values=frozenset(dil.four_k_values()),
-                    invariants=invariants(dil),
+                    k_values=frozenset(frame.k_values()),
+                    invariants=invariants(frame),
                     source=rec.source,
                 )
             )
@@ -277,24 +280,26 @@ class CacheMismatch(ValueError):
     stored vertices determine."""
 
 
-def _check_record(rec: CubeRecord) -> None:
-    """Re-derive a cached record's fields from its vertices; raise CacheMismatch on any difference."""
-    cube = rec.cube.translate_to_octant()
+def _check_record(rec: CubeRecord) -> Frame:
+    """Re-derive a cached record's fields from its vertices; raise CacheMismatch
+    on any difference.  Returns the cube's frame."""
     where = f"cached record {rec.cube.as_lists()}"
-    if rec.cube != cube:
+    if rec.cube != rec.cube.translate_to_octant():
         raise CacheMismatch(f"{where}: cube is not octant-normalized")
-    if not cube.is_irreducible():
+    frame = rec.cube.corner_edges()
+    if not frame.is_primitive():
         raise CacheMismatch(f"{where}: cube is reducible")
     derived = {
-        "side": cube.side,
-        "bound_dim": cube.bounding_dim(),
-        "k_values": frozenset(cube.four_k_values()),
-        "invariants": invariants(cube),
+        "side": frame.side,
+        "bound_dim": rec.cube.bounding_dim(),
+        "k_values": frozenset(frame.k_values()),
+        "invariants": invariants(frame),
     }
     for name, value in derived.items():
         stored = getattr(rec, name)
         if stored != value:
             raise CacheMismatch(f"{where}: stored {name} {stored} != derived {value}")
+    return frame
 
 
 def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
@@ -327,8 +332,7 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
         raise CacheMismatch(f"malformed document: {exc}") from exc
     reg = CubeRegistry(n_built=doc["N"])
     for rec in records:
-        _check_record(rec)
-        if reg.is_claimed(rec.side, rec.cube):
+        if reg.is_claimed(rec.side, _check_record(rec)):
             raise CacheMismatch(f"cached record {rec.cube.as_lists()}: orbit already claimed")
         reg.claim(rec)
     return reg

@@ -6,7 +6,8 @@ The construction chain is
         -> generating vectors zeta, eta of the triangle lattice in the plane
         -> equilateral triangle O, P, Q
         -> apex R of a regular tetrahedron
-        -> the circumscribing cube (8 vertices, all integral).
+        -> the circumscribing cube, as its frame: the three integral
+           edge vectors at the tetrahedron's origin corner.
 
 Everything is exact integer or Fraction arithmetic; any non-integrality
 is a typed error, never a rounding.
@@ -14,7 +15,6 @@ is a typed error, never a rounding.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -61,9 +61,81 @@ class Vec3(NamedTuple):
 
 ORIGIN = Vec3(0, 0, 0)
 
-# squared-distance multiset of a cube with side s: 12 edges, 12 face
-# diagonals, 4 main diagonals
-_SIGNATURE = (12, 12, 4)
+
+class Frame(NamedTuple):
+    """A cube up to translation: its three edge vectors at one corner.
+
+    Every orbit quantity of a cube is a function of its frame, and none
+    of them depends on which corner, edge order or edge signs are used.
+    Build a checked frame with Frame.of.
+    """
+
+    e1: Vec3
+    e2: Vec3
+    e3: Vec3
+
+    @staticmethod
+    def of(e1: Vec3, e2: Vec3, e3: Vec3) -> "Frame":
+        """The frame (e1, e2, e3), if its edges have one positive integer
+        length and are pairwise orthogonal; ValueError otherwise."""
+        s2 = e1.norm2()
+        if e2.norm2() != s2 or e3.norm2() != s2:
+            raise ValueError(f"edges {e1}, {e2}, {e3} differ in length")
+        s = isqrt(s2)
+        if s2 == 0 or s * s != s2:
+            raise ValueError(f"cube side is not a positive integer (side^2 = {s2})")
+        if e1.dot(e2) or e1.dot(e3) or e2.dot(e3):
+            raise ValueError(f"edges {e1}, {e2}, {e3} are not orthogonal")
+        return Frame(e1, e2, e3)
+
+    @property
+    def side(self) -> int:
+        return isqrt(self.e1.norm2())
+
+    def extents(self) -> tuple[int, int, int]:
+        """Per-axis widths of the cube: sums of the edges' |coordinates|."""
+        return tuple(sum(map(abs, col)) for col in zip(*self))
+
+    def k_values(self) -> set[int]:
+        """k-values of the cube, one per main diagonal direction.
+
+        For a diagonal D with component gcd l, D.D/(3 l^2) is a perfect
+        square N^2 and side/N is the k-value.  Duplicates collapse.  The
+        four diagonal directions are e1+e2+e3, e1+e2-e3, e1-e2+e3 and
+        -e1+e2+e3.
+        """
+        e1, e2, e3 = self
+        s = self.side
+        out = set()
+        for dd in (e1 + e2 + e3, e1 + e2 - e3, e1 - e2 + e3, e2 + e3 - e1):
+            l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
+            nn, rem = divmod(dd.norm2(), 3 * l * l)
+            if rem:
+                raise ArithmeticError(f"main diagonal {dd}: norm not divisible by 3 l^2")
+            n = isqrt(nn)
+            if n * n != nn:
+                raise ArithmeticError(f"main diagonal {dd}: ratio {nn} is not a perfect square")
+            k, rem = divmod(s, n)
+            if rem:
+                raise ArithmeticError(f"side {s} not divisible by diagonal ratio {n}")
+            out.add(k)
+        return out
+
+    def is_primitive(self) -> bool:
+        """True when the cube is no dilation of a smaller lattice cube."""
+        return gcd(*(abs(t) for e in self for t in e)) == 1
+
+    def orthogonal_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The edges as columns, divided by the side: an orthogonal matrix."""
+        s = self.side
+        return tuple(tuple(Fraction(e[i], s) for e in self) for i in range(3))
+
+    def cube(self) -> "Cube":
+        """The cube the frame spans, octant-normalized."""
+        vs = [ORIGIN]
+        for e in self:
+            vs += [v + e for v in vs]
+        return Cube(tuple(sorted(vs))).translate_to_octant()
 
 
 @dataclass(frozen=True)
@@ -74,25 +146,18 @@ class Cube:
 
     @staticmethod
     def from_points(points: Iterable[Sequence[int]]) -> "Cube":
+        """The cube with these 8 vertices; ValueError unless they are one.
+
+        The edges at the smallest vertex must form a Frame, and the 8
+        points must be exactly the vertices that frame spans from there.
+        """
         vs = tuple(sorted(Vec3(int(p[0]), int(p[1]), int(p[2])) for p in points))
         if len(vs) != 8 or len(set(vs)) != 8:
             raise ValueError("a cube needs 8 distinct vertices")
-        dists = Counter(
-            (vs[i] - vs[j]).norm2() for i in range(8) for j in range(i + 1, 8)
-        )
-        s2 = min(dists)
-        if (dists[s2], dists[2 * s2], dists[3 * s2]) != _SIGNATURE or len(dists) != 3:
-            raise ValueError("distance multiset is not a cube signature")
-        s = isqrt(s2)
-        if s * s != s2:
-            raise ValueError(f"cube side is not an integer (side^2 = {s2})")
-        return Cube(vs)
-
-    @property
-    def side(self) -> int:
-        v0 = self.vertices[0]
-        s2 = min((v - v0).norm2() for v in self.vertices[1:])
-        return isqrt(s2)
+        cube = Cube(vs)
+        if Frame.of(*cube.corner_edges()).cube() != cube.translate_to_octant():
+            raise ValueError("the 8 points are not the cube spanned by their corner edges")
+        return cube
 
     def translate(self, t: Vec3) -> "Cube":
         # translation preserves lexicographic order, no re-sort needed
@@ -112,41 +177,12 @@ class Cube:
     def bounding_dim(self) -> int:
         return max(max(v) for v in self.vertices)
 
-    def extents(self) -> tuple[int, int, int]:
-        """Per-axis coordinate maxima."""
-        return (
-            max(v.x for v in self.vertices),
-            max(v.y for v in self.vertices),
-            max(v.z for v in self.vertices),
-        )
+    def corner_edges(self) -> Frame:
+        """Edge vectors at the lexicographically smallest vertex, sorted.
 
-    def four_k_values(self) -> set[int]:
-        """k-values of the cube, one per main diagonal direction.
-
-        For a diagonal D with component gcd l, D.D/(3 l^2) is a perfect
-        square N^2 and side/N is the k-value.  Duplicates collapse.  With
-        corner edges e1, e2, e3 the four diagonal directions are
-        e1+e2+e3, e1+e2-e3, e1-e2+e3 and -e1+e2+e3.
+        The frame is not checked (Frame.of does that): a vertex set that
+        is not a cube yields whatever its three shortest edges are.
         """
-        e1, e2, e3 = self.corner_edges()
-        s = isqrt(e1.norm2())
-        out = set()
-        for dd in (e1 + e2 + e3, e1 + e2 - e3, e1 - e2 + e3, e2 + e3 - e1):
-            l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
-            nn, rem = divmod(dd.norm2(), 3 * l * l)
-            if rem:
-                raise ArithmeticError(f"main diagonal {dd}: norm not divisible by 3 l^2")
-            n = isqrt(nn)
-            if n * n != nn:
-                raise ArithmeticError(f"main diagonal {dd}: ratio {nn} is not a perfect square")
-            k, rem = divmod(s, n)
-            if rem:
-                raise ArithmeticError(f"side {s} not divisible by diagonal ratio {n}")
-            out.add(k)
-        return out
-
-    def corner_edges(self) -> tuple[Vec3, Vec3, Vec3]:
-        """Edge vectors at the lexicographically smallest vertex, sorted."""
         x0, y0, z0 = self.vertices[0]
         diffs = [Vec3(x - x0, y - y0, z - z0) for x, y, z in self.vertices[1:]]
         norms = [x * x + y * y + z * z for x, y, z in diffs]
@@ -154,21 +190,7 @@ class Cube:
         es = sorted(e for e, n in zip(diffs, norms) if n == s2)
         if len(es) != 3:
             raise ValueError(f"{len(es)} shortest edges at the corner, not 3")
-        return (es[0], es[1], es[2])
-
-    def is_irreducible(self) -> bool:
-        g = 0
-        for e in self.corner_edges():
-            g = gcd(g, gcd(gcd(abs(e.x), abs(e.y)), abs(e.z)))
-        return g == 1
-
-    def orthogonal_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Corner edges as columns, divided by the side: an orthogonal matrix."""
-        s = self.side
-        e1, e2, e3 = self.corner_edges()
-        return tuple(
-            tuple(Fraction(e[i], s) for e in (e1, e2, e3)) for i in range(3)
-        )
+        return Frame(es[0], es[1], es[2])
 
     def as_lists(self) -> list[list[int]]:
         return [[v.x, v.y, v.z] for v in self.vertices]
@@ -225,11 +247,12 @@ def fourth_vertex(
     return Vec3(t.x // 3, t.y // 3, t.z // 3)
 
 
-def complete_cube(tetra: tuple[Vec3, Vec3, Vec3, Vec3]) -> Cube:
-    """The unique cube circumscribing a regular lattice tetrahedron.
+def complete_cube(tetra: tuple[Vec3, Vec3, Vec3, Vec3]) -> Frame:
+    """The frame at O of the unique cube circumscribing a regular lattice
+    tetrahedron O, U, V, W.
 
-    With non-origin vertices U, V, W the remaining cube vertices are
-    (U+V+W)/2 minus each of U, V, W; all four halvings must be exact.
+    The cube's far corner is G = (U+V+W)/2 and O's edges are G-U, G-V and
+    G-W; the halving must be exact.  Frame.of checks that they span a cube.
     """
     o, u, v, w = tetra
     if o != ORIGIN:
@@ -238,11 +261,11 @@ def complete_cube(tetra: tuple[Vec3, Vec3, Vec3, Vec3]) -> Cube:
     if g.x % 2 or g.y % 2 or g.z % 2:
         raise NonIntegralError("tetrahedron midpoint sums are odd")
     gh = Vec3(g.x // 2, g.y // 2, g.z // 2)
-    return Cube.from_points([o, u, v, w, gh, gh - u, gh - v, gh - w])
+    return Frame.of(gh - u, gh - v, gh - w)
 
 
-def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Cube:
-    """Full chain from a plane solution and a norm-form solution to a cube."""
+def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
+    """Full chain from a plane solution and a norm-form solution to a cube's frame."""
     a, b, c, d = sol
     m, n = mn
     kk = m * m - m * n + n * n

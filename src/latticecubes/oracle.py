@@ -8,7 +8,7 @@ once per position of its bounding box inside the grid.  One sweep over
 the sides s <= N yields NC(m) for every m <= N.
 
 No ring arithmetic, no triangle parametrization, no orbit machinery:
-the only shared code is the Vec3/Cube canonical form.  That is the
+the only shared code is lattice_geometry's Vec3 and Cube.from_points.  That is the
 point - this module is the referee for the fast counter.
 """
 
@@ -18,7 +18,6 @@ from collections import Counter
 from math import isqrt
 
 from .lattice_geometry import Cube, Vec3
-from .symmetry import generalized_orbit
 
 _EPS = tuple((e1, e2, e3) for e1 in (0, 1) for e2 in (0, 1) for e3 in (0, 1))
 
@@ -120,21 +119,3 @@ def brute_force_sequence(N: int) -> list[int]:
 def brute_force_count(n: int) -> int:
     """Number of lattice cubes with all 8 vertices in {0..n}^3."""
     return brute_force_sequence(n)[-1]
-
-
-def brute_force_orbit_fill(c: Cube, n: int) -> int:
-    """Distinct cubes in {0..n}^3 reachable from c's generalized orbit.
-
-    Literal set construction used to validate the placement polynomial;
-    intended for small bounding boxes only.
-    """
-    seen: set[tuple[Vec3, ...]] = set()
-    for member in generalized_orbit(c):
-        w1, w2, w3 = member.extents()
-        if max(w1, w2, w3) > n:
-            continue
-        for i in range(n - w1 + 1):
-            for j in range(n - w2 + 1):
-                for k in range(n - w3 + 1):
-                    seen.add(member.translate(Vec3(i, j, k)).vertices)
-    return len(seen)

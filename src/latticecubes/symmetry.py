@@ -14,20 +14,19 @@ alpha, beta, gamma are computed per translation class: a class with
 extents (w1, w2, w3) has slack s_i = d - w_i and contributes
 (s1+1)(s2+1)(s3+1), (s1+1)(s2+1)s3, (s1+1)s2 s3 respectively.
 
-The frame kernel computes all of this from the cube's three corner edge
-vectors e1, e2, e3.  They fix the cube up to translation, and only up to
-sign and order: negating e_i moves the corner to the other end of that
-edge.  So a translation class is keyed by the three edges, each
+The frame kernel computes all of this from the cube's Frame, the three
+edge vectors e1, e2, e3 at any one of its corners.  They fix the cube up
+to translation, and only up to sign and order: negating e_i moves the
+corner to the other end of that edge.  A frame has no position; the
+kernel takes its cube octant-normalized.  So a translation class is keyed by the three edges, each
 sign-normalized to a positive first non-zero coordinate, sorted.  A box
 map acts on the edges as a signed permutation; the extents of a class are
 the per-axis sums of |e_i|; and a positioned image is its class key plus
 its offset from the origin, d - w on each axis the map flips and 0 on the
 others.  alpha0 counts the distinct (class key, offset) pairs.
 
-The vertex path (apply_box_map, symmetry_orbit, generalized_orbit,
-canonical_form) moves all 8 vertices literally.  Nothing in the census
-uses it: it is the referee that the tests and
-oracle.brute_force_orbit_fill check the kernel against.
+The tests check the kernel against a referee that moves all 8 vertices
+of a cube literally (tests/referee.py).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
-from .lattice_geometry import Cube, Vec3
+from .lattice_geometry import Frame
 
 # all 48 (permutation, per-axis flip) pairs
 BOX_MAPS: tuple[tuple[tuple[int, int, int], tuple[bool, bool, bool]], ...] = tuple(
@@ -66,12 +65,6 @@ class InvariantSet(NamedTuple):
     gamma: int
 
 
-def _assert_octant(c: Cube) -> None:
-    for axis in range(3):
-        if min(v[axis] for v in c.vertices) != 0:
-            raise ValueError("cube must be octant-normalized")
-
-
 def _line(x: int, y: int, z: int) -> Edge:
     """The edge up to sign: its first non-zero coordinate made positive."""
     if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
@@ -79,42 +72,40 @@ def _line(x: int, y: int, z: int) -> Edge:
     return (x, y, z)
 
 
-def class_key(c: Cube) -> ClassKey:
-    """The translation class of c: its corner edges up to sign and order."""
-    e1, e2, e3 = sorted([_line(*e) for e in c.corner_edges()])
+def class_key(frame: Frame) -> ClassKey:
+    """The translation class of a cube: its frame up to sign and order."""
+    e1, e2, e3 = sorted([_line(*e) for e in frame])
     return (e1, e2, e3)
 
 
 def _frame_orbit(
-    c: Cube,
+    frame: Frame,
 ) -> Iterator[tuple[ClassKey, tuple[int, int, int], tuple[int, int, int]]]:
-    """The frame kernel: (class key, slack, signs) of c under each half map.
+    """The frame kernel: (class key, slack, signs) of the cube under each half map.
 
     slack[i] = d - w_i is the room the image class has along axis i of
     [0, d]^3.  The map with these signs and the one with all signs
     negated both produce the class key.
     """
-    _assert_octant(c)
-    edges = c.corner_edges()
-    w = [sum(map(abs, col)) for col in zip(*edges)]  # extents
+    w = frame.extents()
     d = max(w)
     for (p0, p1, p2), signs in _HALF_MAPS:
         s0, s1, s2 = signs
         # class_key of the image, inlined: this loop is the census hot path
-        e1, e2, e3 = sorted([_line(s0 * e[p0], s1 * e[p1], s2 * e[p2]) for e in edges])
+        e1, e2, e3 = sorted([_line(s0 * e[p0], s1 * e[p1], s2 * e[p2]) for e in frame])
         yield (e1, e2, e3), (d - w[p0], d - w[p1], d - w[p2]), signs
 
 
-def orbit_classes(c: Cube) -> frozenset[ClassKey]:
+def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
     """Class keys of the translation classes in the symmetry orbit."""
-    return frozenset(key for key, _, _ in _frame_orbit(c))
+    return frozenset(key for key, _, _ in _frame_orbit(frame))
 
 
-def invariants(c: Cube) -> InvariantSet:
-    """(alpha0, alpha, beta, gamma) of an octant-normalized cube, by the frame kernel."""
+def invariants(frame: Frame) -> InvariantSet:
+    """(alpha0, alpha, beta, gamma) of the cube spanned by the frame, by the frame kernel."""
     slack_of = {}
     positioned = set()
-    for key, slack, signs in _frame_orbit(c):
+    for key, slack, signs in _frame_orbit(frame):
         slack_of[key] = slack
         r0, r1, r2 = slack
         _, g1, g2 = signs  # g0 = +1: the half maps keep axis 0
@@ -130,51 +121,6 @@ def invariants(c: Cube) -> InvariantSet:
         gamma += (s1 + 1) * s2 * s3
     if not (alpha0 <= alpha and gamma <= beta <= alpha and 48 % alpha0 == 0):
         raise ArithmeticError(
-            f"inconsistent invariants {(alpha0, alpha, beta, gamma)} for {c.as_lists()}"
+            f"inconsistent invariants {(alpha0, alpha, beta, gamma)} for frame {frame}"
         )
     return InvariantSet(alpha0, alpha, beta, gamma)
-
-
-def apply_box_map(
-    c: Cube, d: int, perm: tuple[int, int, int], flips: tuple[bool, bool, bool]
-) -> Cube:
-    """Image of c under one signed permutation of the box [0, d]^3."""
-    vs = []
-    for v in c.vertices:
-        coords = tuple(d - v[perm[i]] if flips[i] else v[perm[i]] for i in range(3))
-        vs.append(Vec3(*coords))
-    return Cube(tuple(sorted(vs)))
-
-
-def symmetry_orbit(c: Cube) -> frozenset[Cube]:
-    """All distinct positioned images of c under the 48 box maps."""
-    _assert_octant(c)
-    d = c.bounding_dim()
-    return frozenset(apply_box_map(c, d, perm, flips) for perm, flips in BOX_MAPS)
-
-
-def _octant_images(c: Cube) -> set[Cube]:
-    """Octant forms of the symmetry orbit, one per translation class."""
-    return {img.translate_to_octant() for img in symmetry_orbit(c)}
-
-
-def generalized_orbit(c: Cube) -> frozenset[Cube]:
-    """The symmetry orbit closed under all translations inside [0, d]^3."""
-    d = c.bounding_dim()
-    out = set()
-    for cls in _octant_images(c):
-        w1, w2, w3 = cls.extents()
-        for i in range(d - w1 + 1):
-            for j in range(d - w2 + 1):
-                for k in range(d - w3 + 1):
-                    out.add(cls.translate(Vec3(i, j, k)))
-    return frozenset(out)
-
-
-def canonical_form(c: Cube) -> Cube:
-    """Lexicographically smallest octant form over the 48 box images.
-
-    A fingerprint of the full symmetry-and-translation class; two cubes
-    have equal canonical forms iff their generalized orbits coincide.
-    """
-    return min(_octant_images(c.translate_to_octant()), key=lambda x: x.vertices)

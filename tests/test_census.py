@@ -23,11 +23,12 @@ from latticecubes.census import (
     save_registry,
     sequence,
 )
-from latticecubes.lattice_geometry import Cube, build_cube
+from latticecubes.lattice_geometry import Cube, Frame, build_cube
 from latticecubes.reference import COUNTS_LISTED
-from latticecubes.symmetry import InvariantSet, canonical_form, invariants
+from latticecubes.symmetry import InvariantSet, invariants
 
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
+from .referee import canonical_form
 
 UNIT = Cube.from_points(TABLE1[0][2])
 
@@ -115,25 +116,27 @@ def test_no_duplicate_orbits(registry19):
 
 
 def test_claim_membership_trick(registry19):
-    from latticecubes.symmetry import apply_box_map, class_key, orbit_classes, symmetry_orbit
+    from latticecubes.symmetry import class_key, orbit_classes
+
+    from .referee import apply_box_map, symmetry_orbit
 
     rec = next(r for r in registry19.records if r.side == 5)
     # claiming indexes the class keys of the whole orbit at that side
-    assert orbit_classes(rec.cube) <= registry19.by_side[5]
+    assert orbit_classes(rec.cube.corner_edges()) <= registry19.by_side[5]
     # the octant form of every image of a claimed orbit tests as claimed
     for img in symmetry_orbit(rec.cube):
-        assert registry19.is_claimed(5, img.translate_to_octant())
+        assert registry19.is_claimed(5, img.translate_to_octant().corner_edges())
     # a box image, octant-normalized, is one of the claimed classes
     img = apply_box_map(rec.cube, rec.bound_dim, (2, 0, 1), (True, False, True))
-    assert class_key(img.translate_to_octant()) in orbit_classes(rec.cube)
-    assert registry19.is_claimed(5, img.translate_to_octant())
+    assert class_key(img.translate_to_octant().corner_edges()) in orbit_classes(rec.cube.corner_edges())
+    assert registry19.is_claimed(5, img.translate_to_octant().corner_edges())
     # a reducible cube of the same side was never claimed
-    assert not registry19.is_claimed(13, UNIT.dilate(13))
+    assert not registry19.is_claimed(13, UNIT.dilate(13).corner_edges())
 
 
 def test_accept_guards_are_raises(monkeypatch):
     # a pipeline cube failing a guard stops the census, with or without -O
-    monkeypatch.setattr(Cube, "is_irreducible", lambda self: False)
+    monkeypatch.setattr(Frame, "is_primitive", lambda self: False)
     with pytest.raises(ArithmeticError):
         build_irreducible_list(3)
 
@@ -216,11 +219,12 @@ def test_acceptance_is_schedule_independent(registry19):
 
     reg = CubeRegistry(n_built=19)
     for k, mn, d, sol in reversed(list(_candidate_stream(19))):
-        cube = build_cube(sol, mn).translate_to_octant()
-        fkv = cube.four_k_values()
+        frame = build_cube(sol, mn)
+        cube = frame.cube()
+        fkv = frame.k_values()
         if k != 1 and 1 in fkv:
             continue
-        if reg.is_claimed(d * k, cube):
+        if reg.is_claimed(d * k, frame):
             continue
         reg.claim(
             CubeRecord(
@@ -228,7 +232,7 @@ def test_acceptance_is_schedule_independent(registry19):
                 bound_dim=cube.bounding_dim(),
                 cube=cube,
                 k_values=frozenset(fkv),
-                invariants=invariants(cube),
+                invariants=invariants(frame),
                 source=(sol, mn),
             )
         )
@@ -329,8 +333,8 @@ def _shift(rec):
 def _add_reducible(recs):
     cube = UNIT.dilate(3)
     source = _record_from_json(recs[0]).source
-    kv = frozenset(cube.four_k_values())
-    recs.append(record_to_json(CubeRecord(3, 3, cube, kv, invariants(cube), source)))
+    kv = frozenset(cube.corner_edges().k_values())
+    recs.append(record_to_json(CubeRecord(3, 3, cube, kv, invariants(cube.corner_edges()), source)))
 
 
 @pytest.mark.parametrize(
@@ -386,8 +390,9 @@ def test_box_sums_count_matches_per_record_sum(registry50):
 
 def test_build_one_returns_the_validated_octant_cube():
     item = next(it for it in _candidate_stream(7) if it[0] == 7)
-    cube, fkv = _build_one(item)
+    frame, fkv = _build_one(item)
+    cube = frame.cube()
     assert cube == Cube.from_points(cube.as_lists())  # already canonical and valid
     assert cube == cube.translate_to_octant()
-    assert fkv == sorted(cube.four_k_values())
-    assert pickle.loads(pickle.dumps(cube)) == cube  # crosses the worker pool
+    assert fkv == sorted(frame.k_values())
+    assert pickle.loads(pickle.dumps(frame)) == frame  # crosses the worker pool

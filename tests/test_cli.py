@@ -123,6 +123,28 @@ def test_rejects_unknown_flag(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "4", "--format", "bfile"],
+        ["count", "--n", "4", "--format", "csv"],
+        ["list", "--n", "3", "--format", "bfile"],
+        ["verify", "--n", "3", "--format", "json"],
+        ["invariants", UNIT_JSON, "--n", "3"],
+        ["invariants", UNIT_JSON, "--format", "csv"],
+        ["representations", "5", "--n", "7"],
+        ["representations", "5", "--cache", "reg.json"],
+        ["representations", "5", "--threads", "4"],
+        ["representations", "5", "--format", "csv"],
+    ],
+    ids=lambda argv: " ".join(a for a in argv if not a.startswith("[")),
+)
+def test_rejects_flags_the_subcommand_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_invariants_argument(capsys):
     rc, out, err = run(capsys, "invariants", UNIT_JSON)
     assert rc == 0
@@ -174,6 +196,18 @@ def test_verify_oracle_cap_and_log_flag(capsys):
     assert rows[2].split()[2] == "-"  # oracle column empty past the cap
     assert "log differs" in rows[14]  # the published computation log is wrong here
     assert "listed differs" not in out
+
+
+def test_verify_fails_on_listing_mismatch(capsys, monkeypatch):
+    listed = list(COUNTS_LISTED)
+    listed[3] += 1  # NC(4)
+    monkeypatch.setattr("latticecubes.cli.COUNTS_LISTED", listed)
+    rc, out, err = run(capsys, "verify", "--n", "6")
+    assert rc == 1
+    rows = out.splitlines()[1:]
+    assert "listed differs" in rows[3]
+    assert "MISMATCH" not in out and "differs" not in rows[2] + rows[4]
+    assert "census differs from the oracle or the listing on 1 rows" in err
 
 
 def test_representations_table(capsys):

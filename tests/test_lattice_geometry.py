@@ -1,15 +1,19 @@
 """Vectors, cube canonicalization, and the triangle-to-cube construction."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticecubes.census import build_irreducible_list
 from latticecubes.diophantine import NormFormSolution, PlaneSolution
 from latticecubes.lattice_geometry import (
     ORIGIN,
     Cube,
+    Frame,
     NonIntegralError,
     Vec3,
     build_cube,
@@ -19,9 +23,9 @@ from latticecubes.lattice_geometry import (
     zeta_eta,
 )
 from latticecubes.ring_arith import find_rs
-from latticecubes.symmetry import canonical_form
-
+from latticecubes.symmetry import BOX_MAPS
 from .published_data import EXAMPLE_CUBE, TABLE1
+from .referee import apply_box_map, canonical_form
 
 UNIT = TABLE1[0][2]
 ROW3 = TABLE1[1][2]  # the side-3 cube, bound 5
@@ -42,7 +46,7 @@ def test_vec3_ops():
 def test_from_points_sorts_and_validates():
     c = Cube.from_points(list(reversed(UNIT)))
     assert c.vertices == tuple(sorted(Vec3(*p) for p in UNIT))
-    assert c.side == 1
+    assert c.corner_edges().side == 1
     for row in TABLE1:
         Cube.from_points(row[2])  # all published rows are genuine cubes
 
@@ -57,10 +61,72 @@ def test_from_points_rejections():
         Cube.from_points(cuboid)
 
 
+# squared-distance multiset of a cube with side s: 12 edges, 12 face
+# diagonals, 4 main diagonals
+_SIGNATURE = (12, 12, 4)
+
+
+def _is_cube_by_distances(points):
+    """Referee: the distance-signature check Cube.from_points used to make.
+    8 distinct points whose 28 squared distances are 12 x s^2, 12 x 2s^2
+    and 4 x 3s^2, with s an integer."""
+    vs = sorted(Vec3(*p) for p in points)
+    if len(vs) != 8 or len(set(vs)) != 8:
+        return False
+    dists = Counter((vs[i] - vs[j]).norm2() for i in range(8) for j in range(i + 1, 8))
+    s2 = min(dists)
+    if (dists[s2], dists[2 * s2], dists[3 * s2]) != _SIGNATURE or len(dists) != 3:
+        return False
+    return isqrt(s2) ** 2 == s2
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_from_points_agrees_with_distance_signature(registry50, data):
+    rec = data.draw(st.sampled_from(registry50.records))
+    perm, flips = data.draw(st.sampled_from(BOX_MAPS), label="box map")
+    pts = apply_box_map(rec.cube, rec.bound_dim, perm, flips).as_lists()
+    if data.draw(st.booleans(), label="move one vertex"):
+        i, axis = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 2))
+        pts[i][axis] += data.draw(st.sampled_from((1, -1)))
+    try:
+        Cube.from_points(pts)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == _is_cube_by_distances(pts), pts
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(3, 0, 0), (0, 3, 0), (0, 0, 2)], "differ in length"),
+        ([(1, 2, 2), (2, 1, 2), (2, 2, 1)], "not orthogonal"),
+        ([(3, 0, 0), (3, 0, 0), (0, 3, 0)], "not orthogonal"),  # e1.e2 only
+        ([(3, 0, 0), (0, 3, 0), (3, 0, 0)], "not orthogonal"),  # e1.e3 only
+        ([(3, 0, 0), (0, 3, 0), (0, 3, 0)], "not orthogonal"),  # e2.e3 only
+        ([(1, 1, 0), (1, 0, 1), (0, 1, 1)], "not a positive integer"),
+        ([(0, 0, 0)] * 3, "not a positive integer"),
+    ],
+)
+def test_frame_of_rejects_non_cubes(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Frame.of(*(Vec3(*e) for e in edges))
+
+
+def test_frame_spans_its_cube_from_any_corner():
+    for side, _, verts, _, _ in TABLE1:
+        cube = Cube.from_points(verts)
+        e1, e2, e3 = cube.corner_edges()
+        assert Frame.of(e1, e2, e3).side == side
+        assert Frame.of(e1, e2, e3).cube() == cube.translate_to_octant()
+        assert Frame.of(-e3, e1, -e2).cube() == cube.translate_to_octant()
+
+
 def test_side():
-    assert Cube.from_points(UNIT).side == 1
-    assert Cube.from_points(ROW3).side == 3
-    assert Cube.from_points(EXAMPLE_CUBE).side == 61
+    assert Cube.from_points(UNIT).corner_edges().side == 1
+    assert Cube.from_points(ROW3).corner_edges().side == 3
+    assert Cube.from_points(EXAMPLE_CUBE).corner_edges().side == 61
 
 
 def test_translate_keeps_canonical_order():
@@ -85,29 +151,29 @@ def test_bounding_dim_and_extents():
     assert Cube.from_points(ROW3).bounding_dim() == 5
     c17 = Cube.from_points(TABLE1[10][2])
     assert c17.bounding_dim() == 23
-    assert c17.extents() == (23, 17, 23)
+    assert c17.corner_edges().extents() == (23, 17, 23)
 
 
 def test_four_k_values():
-    assert Cube.from_points(UNIT).four_k_values() == {1}
-    assert Cube.from_points(ROW3).four_k_values() == {1, 3}
-    assert Cube.from_points(TABLE1[7][2]).four_k_values() == {1}  # side 13, bound 17
-    assert Cube.from_points(UNIT).dilate(2).four_k_values() == {2}
+    assert Cube.from_points(UNIT).corner_edges().k_values() == {1}
+    assert Cube.from_points(ROW3).corner_edges().k_values() == {1, 3}
+    assert Cube.from_points(TABLE1[7][2]).corner_edges().k_values() == {1}  # side 13, bound 17
+    assert Cube.from_points(UNIT).dilate(2).corner_edges().k_values() == {2}
     for side, _, verts, kv, _ in TABLE1:
-        assert Cube.from_points(verts).four_k_values() == kv, side
+        assert Cube.from_points(verts).corner_edges().k_values() == kv, side
 
 
 def test_is_irreducible():
-    assert Cube.from_points(UNIT).is_irreducible()
-    assert not Cube.from_points(UNIT).dilate(3).is_irreducible()
+    assert Cube.from_points(UNIT).corner_edges().is_primitive()
+    assert not Cube.from_points(UNIT).dilate(3).corner_edges().is_primitive()
     for _, _, verts, _, _ in TABLE1:
-        assert Cube.from_points(verts).is_irreducible()
-    assert Cube.from_points(EXAMPLE_CUBE).is_irreducible()
+        assert Cube.from_points(verts).corner_edges().is_primitive()
+    assert Cube.from_points(EXAMPLE_CUBE).corner_edges().is_primitive()
 
 
 def test_orthogonal_matrix_exact():
     for _, _, verts, _, _ in TABLE1:
-        m = Cube.from_points(verts).orthogonal_matrix()
+        m = Cube.from_points(verts).corner_edges().orthogonal_matrix()
         for i in range(3):
             for j in range(3):
                 want = Fraction(1) if i == j else Fraction(0)
@@ -206,8 +272,8 @@ def test_complete_cube_unit():
     zeta, eta = _pipeline_zeta_eta(sol)
     tri = triangle_vertices(zeta, eta, 0, 1)
     apex = fourth_vertex(tri, sol, 1, -1)
-    cube = complete_cube((ORIGIN, tri[1], tri[2], apex))
-    assert cube.translate_to_octant() == Cube.from_points(UNIT)
+    frame = complete_cube((ORIGIN, tri[1], tri[2], apex))
+    assert frame.cube() == Cube.from_points(UNIT)
 
 
 def test_complete_cube_parity_guard():
@@ -217,16 +283,16 @@ def test_complete_cube_parity_guard():
 
 def test_build_cube_examples():
     unit = build_cube(PlaneSolution(1, 1, 1, 1), NormFormSolution(0, 1))
-    assert unit.translate_to_octant() == Cube.from_points(UNIT)
+    assert unit.cube() == Cube.from_points(UNIT)
 
     c3 = build_cube(PlaneSolution(1, 1, 5, 3), NormFormSolution(0, 1))
     assert c3.side == 3
-    assert canonical_form(c3) == canonical_form(Cube.from_points(ROW3))
+    assert canonical_form(c3.cube()) == canonical_form(Cube.from_points(ROW3))
 
     c7 = build_cube(PlaneSolution(1, 1, 1, 1), NormFormSolution(3, 8))
     assert c7.side == 7
-    assert c7.four_k_values() == {1, 7}
-    assert canonical_form(c7) == canonical_form(Cube.from_points(TABLE1[3][2]))
+    assert c7.k_values() == {1, 7}
+    assert canonical_form(c7.cube()) == canonical_form(Cube.from_points(TABLE1[3][2]))
 
 
 def test_build_cube_rejects_non_square_norm():
@@ -237,14 +303,14 @@ def test_build_cube_rejects_non_square_norm():
 def test_build_cube_matches_census_records(registry30):
     for rec in registry30.records:
         sol, mn = rec.source
-        again = build_cube(sol, mn).translate_to_octant()
+        again = build_cube(sol, mn).cube()
         assert again == rec.cube
 
 
 def _k_values_by_diagonal_search(cube):
     """Referee: pair every vertex with its antipode by an 8 x 8 distance
     search and take side / sqrt(D.D / (3 l^2)) for each main diagonal D."""
-    s = cube.side
+    s = cube.corner_edges().side
     out = set()
     for v in cube.vertices:
         (w,) = [w for w in cube.vertices if (w - v).norm2() == 3 * s * s]
@@ -262,7 +328,21 @@ def test_four_k_values_matches_diagonal_search(registry50):
     cubes = [r.cube for r in registry50.records] + [r.cube for r in multiples]
     assert len(multiples) > 0
     for cube in cubes:
-        assert cube.four_k_values() == _k_values_by_diagonal_search(cube), cube.as_lists()
+        assert cube.corner_edges().k_values() == _k_values_by_diagonal_search(cube), cube.as_lists()
+
+
+def test_frame_path_matches_vertex_path(registry50):
+    # the frame build_cube returns sits at the tetrahedron's origin corner,
+    # not at the smallest vertex of the record's cube
+    from latticecubes.census import build_multiples
+
+    records = registry50.records + build_multiples(50, registry50)
+    for rec in records:
+        frame = build_cube(*rec.source)
+        j = rec.side // frame.side  # dilation factor of a multiple
+        frame = Frame(*(e.scale(j) for e in frame))
+        assert frame.cube() == rec.cube, rec.source
+        assert frame.k_values() == _k_values_by_diagonal_search(rec.cube), rec.source
 
 
 def _raw_cube(points):
@@ -279,9 +359,9 @@ _CUBOID = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 2)]
 @pytest.mark.parametrize(
     "call, exc",
     [
-        (lambda: _raw_cube(_RHOMBOHEDRON).four_k_values(), ArithmeticError),
-        (lambda: _raw_cube(_RATIO_NOT_SQUARE).four_k_values(), ArithmeticError),
-        (lambda: _raw_cube(_SIDE_NOT_DIVISIBLE).four_k_values(), ArithmeticError),
+        (lambda: _raw_cube(_RHOMBOHEDRON).corner_edges().k_values(), ArithmeticError),
+        (lambda: _raw_cube(_RATIO_NOT_SQUARE).corner_edges().k_values(), ArithmeticError),
+        (lambda: _raw_cube(_SIDE_NOT_DIVISIBLE).corner_edges().k_values(), ArithmeticError),
         (lambda: _raw_cube(_CUBOID).corner_edges(), ValueError),
         (lambda: fourth_vertex((ORIGIN, Vec3(1, 0, 0), Vec3(0, 1, 0)), PlaneSolution(1, 1, 1, 1), 1, 0), ValueError),
         (lambda: complete_cube((Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 1), Vec3(0, 0, 0))), ValueError),

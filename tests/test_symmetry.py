@@ -4,21 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecubes.census import build_multiples
-from latticecubes.lattice_geometry import Cube, Vec3
-from latticecubes.oracle import brute_force_orbit_fill
+from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.symmetry import (
     BOX_MAPS,
     InvariantSet,
-    apply_box_map,
-    canonical_form,
     class_key,
-    generalized_orbit,
     invariants,
     orbit_classes,
-    symmetry_orbit,
 )
 
 from .published_data import TABLE1, PUBLISHED_MAPS_24
+from .referee import (
+    apply_box_map,
+    brute_force_orbit_fill,
+    canonical_form,
+    generalized_orbit,
+    symmetry_orbit,
+)
 
 UNIT = Cube.from_points(TABLE1[0][2])
 ROW3 = Cube.from_points(TABLE1[1][2])
@@ -84,7 +86,7 @@ def test_generalized_orbit_sizes():
 def test_invariants_match_published_table():
     for side, bound, verts, _, inv in TABLE1:
         c = Cube.from_points(verts)
-        assert invariants(c) == InvariantSet(*inv), (side, bound)
+        assert invariants(c.corner_edges()) == InvariantSet(*inv), (side, bound)
 
 
 def test_invariants_against_direct_orbit_semantics():
@@ -92,7 +94,7 @@ def test_invariants_against_direct_orbit_semantics():
     # size, members clear of the face z = d, members clear of z = d and y = d
     for side, bound, verts, _, _ in TABLE1:
         c = Cube.from_points(verts)
-        inv = invariants(c)
+        inv = invariants(c.corner_edges())
         orbit = generalized_orbit(c)
         d = c.bounding_dim()
         assert inv.alpha == len(orbit)
@@ -117,7 +119,7 @@ def test_beta_equals_translation_intersection():
         c = Cube.from_points(verts)
         orbit = generalized_orbit(c)
         shifted = {m.translate(Vec3(0, 0, 1)) for m in orbit}
-        assert invariants(c).beta == len(orbit & shifted)
+        assert invariants(c.corner_edges()).beta == len(orbit & shifted)
 
 
 def test_gamma_equals_diagonal_translation_intersection():
@@ -127,7 +129,7 @@ def test_gamma_equals_diagonal_translation_intersection():
         c = Cube.from_points(verts)
         orbit = generalized_orbit(c)
         shifted = {m.translate(Vec3(0, -1, 1)) for m in orbit}
-        assert invariants(c).gamma == len(orbit & shifted)
+        assert invariants(c.corner_edges()).gamma == len(orbit & shifted)
 
 
 def test_invariant_constraints_hold_on_registry(registry30):
@@ -142,7 +144,7 @@ def test_generalized_orbit_fill_consistency():
     # counting the orbit's translates inside its own box must give alpha
     for c in (UNIT, ROW3, ROW5):
         d = c.bounding_dim()
-        assert brute_force_orbit_fill(c, d) == invariants(c).alpha
+        assert brute_force_orbit_fill(c, d) == invariants(c.corner_edges()).alpha
 
 
 def test_canonical_form_invariance():
@@ -159,10 +161,10 @@ def test_orbit_classes_are_octant_forms():
     # one class key per octant form of the orbit, and a key does not
     # depend on where the cube sits
     octant_forms = {img.translate_to_octant() for img in symmetry_orbit(ROW5)}
-    assert orbit_classes(ROW5) == {class_key(f) for f in octant_forms}
-    assert len(orbit_classes(ROW5)) == len(octant_forms)
+    assert orbit_classes(ROW5.corner_edges()) == {class_key(f.corner_edges()) for f in octant_forms}
+    assert len(orbit_classes(ROW5.corner_edges())) == len(octant_forms)
     for f in octant_forms:
-        assert class_key(f.translate(Vec3(3, -2, 7))) == class_key(f)
+        assert class_key(f.translate(Vec3(3, -2, 7)).corner_edges()) == class_key(f.corner_edges())
 
 
 def _vertex_invariants(c):
@@ -171,26 +173,27 @@ def _vertex_invariants(c):
     positioned = symmetry_orbit(c)
     alpha = beta = gamma = 0
     for cls in {img.translate_to_octant() for img in positioned}:
-        s1, s2, s3 = (d - w for w in cls.extents())
+        s1, s2, s3 = (d - w for w in cls.corner_edges().extents())
         alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
         beta += (s1 + 1) * (s2 + 1) * s3
         gamma += (s1 + 1) * s2 * s3
     return InvariantSet(len(positioned), alpha, beta, gamma)
 
 
-def _assert_kernel_matches_referee(c):
-    inv = invariants(c)
+def _assert_kernel_matches_referee(frame, c):
+    """The kernel on `frame` against the vertex referee on `c`, its cube."""
+    inv = invariants(frame)
     orbit = symmetry_orbit(c)
     assert inv == _vertex_invariants(c)
     assert inv.alpha0 == len(orbit)
-    assert orbit_classes(c) == {class_key(img.translate_to_octant()) for img in orbit}
+    assert orbit_classes(frame) == {class_key(img.translate_to_octant().corner_edges()) for img in orbit}
 
 
 def test_kernel_matches_referee_on_registry_and_dilations(registry50):
     cubes = [r.cube for r in registry50.records]
     cubes += [r.cube for r in build_multiples(50, registry50)]
     for c in cubes:
-        _assert_kernel_matches_referee(c)
+        _assert_kernel_matches_referee(c.corner_edges(), c)
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,8 +206,20 @@ def test_kernel_matches_referee_on_box_images(registry50, data):
     base = rec.cube.dilate(j)
     moved = apply_box_map(base, base.bounding_dim(), perm, flips).translate(shift)
     c = moved.translate_to_octant()
-    _assert_kernel_matches_referee(c)
+    _assert_kernel_matches_referee(c.corner_edges(), c)
     # a box image keeps the invariants and the orbit's classes
-    assert class_key(moved) in orbit_classes(base)
-    assert invariants(c) == invariants(base)
-    assert orbit_classes(c) == orbit_classes(base)
+    assert class_key(moved.corner_edges()) in orbit_classes(base.corner_edges())
+    assert invariants(c.corner_edges()) == invariants(base.corner_edges())
+    assert orbit_classes(c.corner_edges()) == orbit_classes(base.corner_edges())
+
+
+def test_kernel_at_origin_corner_matches_referee(registry50):
+    # build_cube's frame sits at the tetrahedron's origin corner, not at the
+    # smallest vertex: the kernel's results must not depend on the corner
+    records = registry50.records + build_multiples(50, registry50)
+    for rec in records:
+        frame = build_cube(*rec.source)
+        j = rec.side // frame.side  # dilation factor of a multiple
+        frame = Frame(*(e.scale(j) for e in frame))
+        assert class_key(frame) == class_key(rec.cube.corner_edges()), rec.source
+        _assert_kernel_matches_referee(frame, rec.cube)
