@@ -9,7 +9,10 @@ the sides s <= N yields NC(m) for every m <= N.
 
 No ring arithmetic, no triangle parametrization, no orbit machinery:
 the only shared code is lattice_geometry's Vec3 and Cube.from_points.  That is the
-point - this module is the referee for the fast counter.
+point - this module is the referee for the fast counter.  Cube.from_points
+validates through Frame.of, the census's cube check; a fault there can make
+this module raise but cannot change its count, since the frames are built
+orthogonal here.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from latticecubes.symmetry import InvariantSet
 
 from .published_data import TABLE1
 from .referee import brute_force_orbit_fill, canonical_form, symmetry_orbit
+from .test_lattice_geometry import _is_cube_by_distances
 
 GOLDEN_14 = [1, 9, 36, 100, 229, 473, 910, 1648, 2795, 4469, 6818, 10032, 14315, 19907]
 
@@ -138,7 +139,7 @@ def test_geometry_invariant_suite():
     checked = 0
     for k, mn, d, sol in _candidate_stream(30):
         cube = build_cube(sol, mn)
-        Cube.from_points(cube.cube().as_lists())  # re-validates the 8 vertices
+        assert _is_cube_by_distances(cube.cube().as_lists()), f"not a cube from {sol}, {mn}"
         assert cube.side == d * k, f"side {cube.side} != d*k = {d * k} for {sol}, {mn}"
         octant = cube.cube()
         assert 48 % len(symmetry_orbit(octant)) == 0

@@ -15,6 +15,7 @@ from latticecubes.symmetry import (
 
 from .published_data import TABLE1, PUBLISHED_MAPS_24
 from .referee import (
+    _maxima,
     apply_box_map,
     brute_force_orbit_fill,
     canonical_form,
@@ -173,7 +174,7 @@ def _vertex_invariants(c):
     positioned = symmetry_orbit(c)
     alpha = beta = gamma = 0
     for cls in {img.translate_to_octant() for img in positioned}:
-        s1, s2, s3 = (d - w for w in cls.corner_edges().extents())
+        s1, s2, s3 = (d - w for w in _maxima(cls))
         alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
         beta += (s1 + 1) * (s2 + 1) * s3
         gamma += (s1 + 1) * s2 * s3
