@@ -87,13 +87,14 @@ def _candidate_stream(
                 d += 2
 
 
-def _build_one(
-    item: tuple[int, NormFormSolution, int, PlaneSolution],
-) -> tuple[Frame, list[int]]:
-    """Pure per-candidate work: the cube's frame (checked by build_cube) and its k-values."""
+def _build_one(item: tuple[int, NormFormSolution, int, PlaneSolution]) -> Frame:
+    """Pure per-candidate work: the cube's frame, checked by build_cube.
+
+    k-values are left to the accept pass, which reads them only for the
+    k = 1 guard at k != 1 and for accepted records.
+    """
     k, mn, d, sol = item
-    frame = build_cube(sol, mn)
-    return frame, sorted(frame.k_values())
+    return build_cube(sol, mn)
 
 
 def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
@@ -113,9 +114,9 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
         built = [_build_one(it) for it in items]
 
     reg = CubeRegistry(n_built=N)
-    for (k, mn, d, sol), (frame, fkv) in zip(items, built):
+    for (k, mn, d, sol), frame in zip(items, built):
         side = d * k
-        if k != 1 and 1 in fkv:
+        if k != 1 and 1 in frame.k_values():
             continue  # already reachable by the k=1 pass
         if reg.is_claimed(side, frame):
             continue
@@ -129,7 +130,7 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
                 side=side,
                 bound_dim=cube.bounding_dim(),
                 cube=cube,
-                k_values=frozenset(fkv),
+                k_values=frozenset(frame.k_values()),
                 invariants=invariants(frame),
                 source=(sol, mn),
             )
@@ -140,25 +141,29 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
 def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
     """Dilations j >= 2 of registry records with j * bound_dim <= N.
 
-    Invariants and k-values are recomputed from the dilated cube; they
-    do not scale linearly (the dilated cube has slack in its original
-    box position, changing the whole orbit structure).
+    A dilate's k-values are its parent's times j.  Its invariants come
+    from the parent's orbit table with every slack scaled by j
+    (symmetry.invariants), which are not the parent's invariants: the
+    placement polynomials are not linear in the slack.  The frame kernel
+    runs once per parent that has a multiple, not once per dilate.
     """
     out = []
     for rec in reg.records:
+        if 2 * rec.bound_dim > N:
+            continue
+        frame = rec.cube.corner_edges()
         j = 2
         while j * rec.bound_dim <= N:
             dil = rec.cube.dilate(j)
             if dil.bounding_dim() != j * rec.bound_dim:
                 raise ArithmeticError(f"dilation by {j} moved the box of {rec.cube.as_lists()}")
-            frame = dil.corner_edges()
             out.append(
                 CubeRecord(
                     side=rec.side * j,
                     bound_dim=j * rec.bound_dim,
                     cube=dil,
-                    k_values=frozenset(frame.k_values()),
-                    invariants=invariants(frame),
+                    k_values=frozenset(j * k for k in rec.k_values),
+                    invariants=invariants(frame, j),
                     source=rec.source,
                 )
             )

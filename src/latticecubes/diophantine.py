@@ -16,6 +16,7 @@ ring_arith uses it too.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -116,31 +117,32 @@ def pi_epsilon(d: int) -> int:
 
 
 def solve_three_squares(d: int) -> list[PlaneSolution]:
-    """All primitive (a, b, c) with a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c.
+    """All primitive (a, b, c) with a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c, sorted.
 
-    Scan over a and b, testing the leftover for squareness.  Only odd a
-    and b prime to 3 are tried: squares mod 8 force a, b, c odd for odd
-    d, and a primitive solution has none of a, b, c divisible by 3
-    (squares mod 3 are 0 or 1, so 3 divides all three or none).  The gcd
-    filter is the only one applied to what is left.
+    Only odd values prime to 3 can occur: squares mod 8 force a, b, c odd
+    for odd d, and a primitive solution has none of a, b, c divisible by
+    3 (squares mod 3 are 0 or 1, so 3 divides all three or none).  The
+    squares of those values up to 3d^2 go into one {x^2: x} table; for
+    each a, the b^2 with b >= a and 2b^2 <= 3d^2 - a^2 are kept when the
+    leftover 3d^2 - a^2 - b^2 is in the table too.  The gcd filter is the
+    only one applied to what is left.  a and b ascend, so the output is
+    already sorted.
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")
     target = 3 * d * d
+    roots = [x for x in range(1, isqrt(target) + 1, 2) if x % 3]
+    root_of = {x * x: x for x in roots}
+    squares = list(root_of)  # ascending
     out: list[PlaneSolution] = []
-    for a in range(1, d + 1, 2):
-        if a % 3 == 0:
-            continue
+    for i, a in enumerate(roots):
+        if a > d:
+            break
         rest = target - a * a
-        b = a
-        while 2 * b * b <= rest:
-            if b % 3:
-                cc = rest - b * b
-                c = isqrt(cc)
-                if c * c == cc and gcd(gcd(a, b), c) == 1:
-                    out.append(PlaneSolution(a, b, c, d))
-            b += 2
-    out.sort()
+        for b2 in [b2 for b2 in squares[i : bisect_right(squares, rest // 2)] if rest - b2 in root_of]:
+            b, c = root_of[b2], root_of[rest - b2]
+            if gcd(gcd(a, b), c) == 1:
+                out.append(PlaneSolution(a, b, c, d))
     return out
 
 

@@ -138,6 +138,13 @@ class Frame(NamedTuple):
         return Cube(tuple(sorted(vs))).translate_to_octant()
 
 
+def _lattice_point(p: Sequence[int]) -> Vec3:
+    """p as a Vec3, if it is three plain ints; ValueError otherwise."""
+    if not isinstance(p, (list, tuple)) or len(p) != 3 or any(type(t) is not int for t in p):
+        raise ValueError(f"{p!r} is not a lattice point of three integers")
+    return Vec3(*p)
+
+
 @dataclass(frozen=True)
 class Cube:
     """A lattice cube as its 8 vertices in canonical (sorted) order."""
@@ -148,10 +155,12 @@ class Cube:
     def from_points(points: Iterable[Sequence[int]]) -> "Cube":
         """The cube with these 8 vertices; ValueError unless they are one.
 
-        The edges at the smallest vertex must form a Frame, and the 8
-        points must be exactly the vertices that frame spans from there.
+        Each point must be a list or tuple of exactly three ints (bool is
+        not an int here).  The edges at the smallest vertex must form a
+        Frame, and the 8 points must be exactly the vertices that frame
+        spans from there.
         """
-        vs = tuple(sorted(Vec3(int(p[0]), int(p[1]), int(p[2])) for p in points))
+        vs = tuple(sorted(map(_lattice_point, points)))
         if len(vs) != 8 or len(set(vs)) != 8:
             raise ValueError("a cube needs 8 distinct vertices")
         cube = Cube(vs)

@@ -14,6 +14,7 @@ The only units are +-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
@@ -62,13 +63,15 @@ def divide_exact(z: RingElem, w: RingElem) -> Optional[RingElem]:
     return RingElem(t.u // n, t.v // n)
 
 
+@lru_cache(maxsize=None)
 def unique_decomposition(p: int) -> RingElem:
     """Representation of the prime p as an element of norm p (norm 4 for p=2).
 
     For p = 1 mod 3 returns (x, y) with x^2 + 3y^2 = p, x > 0, y > 0;
     the representation is unique up to signs.  For p = 2 returns (1, 1),
     the norm-4 factor through which 2 enters the ring.  Raises
-    NotRepresentable for p = 3 and for primes p = 2 mod 3.
+    NotRepresentable for p = 3 and for primes p = 2 mod 3.  Memoized: the
+    census asks for each prime many times (about 10^4 calls at N = 400).
     """
     if p == 2:
         return RingElem(1, 1)

@@ -31,6 +31,7 @@ of a cube literally (tests/referee.py).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterator, NamedTuple
 
@@ -45,6 +46,7 @@ BOX_MAPS: tuple[tuple[tuple[int, int, int], tuple[bool, bool, bool]], ...] = tup
 
 Edge = tuple[int, int, int]
 ClassKey = tuple[Edge, Edge, Edge]
+Slack = tuple[int, int, int]
 
 # The box maps as signed permutations of edge vectors: image edge i is
 # signs[i] * e[perm[i]], with sign -1 on each flipped axis.  Only the 24
@@ -80,7 +82,7 @@ def class_key(frame: Frame) -> ClassKey:
 
 def _frame_orbit(
     frame: Frame,
-) -> Iterator[tuple[ClassKey, tuple[int, int, int], tuple[int, int, int]]]:
+) -> Iterator[tuple[ClassKey, Slack, tuple[int, int, int]]]:
     """The frame kernel: (class key, slack, signs) of the cube under each half map.
 
     slack[i] = d - w_i is the room the image class has along axis i of
@@ -96,31 +98,52 @@ def _frame_orbit(
         yield (e1, e2, e3), (d - w[p0], d - w[p1], d - w[p2]), signs
 
 
-def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
-    """Class keys of the translation classes in the symmetry orbit."""
-    return frozenset(key for key, _, _ in _frame_orbit(frame))
+@lru_cache(maxsize=1)
+def _orbit_table(key: ClassKey) -> tuple[frozenset[ClassKey], tuple[Slack, ...], int]:
+    """One frame kernel pass over the cube of class `key`: the class keys
+    of its orbit, the slack of each class, and alpha0.
 
-
-def invariants(frame: Frame) -> InvariantSet:
-    """(alpha0, alpha, beta, gamma) of the cube spanned by the frame, by the frame kernel."""
+    The table depends on the class key alone, so any frame of the cube
+    (any corner, sign or order) reads the same entry.  The last table is
+    kept: the census asks for a cube's invariants and then for its orbit
+    classes, and for the invariants of each dilate of one cube in a row.
+    """
     slack_of = {}
     positioned = set()
-    for key, slack, signs in _frame_orbit(frame):
-        slack_of[key] = slack
+    for image, slack, signs in _frame_orbit(Frame(*key)):
+        slack_of[image] = slack
         r0, r1, r2 = slack
         _, g1, g2 = signs  # g0 = +1: the half maps keep axis 0
         # offsets of the map with these signs, which flips where g = -1,
         # and of its negation, which flips where g = +1 and on axis 0
-        positioned.add((key, (0, r1 if g1 < 0 else 0, r2 if g2 < 0 else 0)))
-        positioned.add((key, (r0, r1 if g1 > 0 else 0, r2 if g2 > 0 else 0)))
-    alpha0 = len(positioned)
+        positioned.add((image, (0, r1 if g1 < 0 else 0, r2 if g2 < 0 else 0)))
+        positioned.add((image, (r0, r1 if g1 > 0 else 0, r2 if g2 > 0 else 0)))
+    return frozenset(slack_of), tuple(slack_of.values()), len(positioned)
+
+
+def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
+    """Class keys of the translation classes in the symmetry orbit."""
+    return _orbit_table(class_key(frame))[0]
+
+
+def invariants(frame: Frame, j: int = 1) -> InvariantSet:
+    """(alpha0, alpha, beta, gamma) of the cube spanned by j * frame, by the frame kernel.
+
+    Dilating a cube by j >= 1 scales its orbit's class keys, slacks and
+    offsets by j, one to one: alpha0 stays and alpha, beta, gamma are the
+    same polynomials in j * slack.  So a dilate reuses its parent's table.
+    """
+    if j < 1:
+        raise ValueError("dilation factor must be positive")
+    _, slacks, alpha0 = _orbit_table(class_key(frame))
     alpha = beta = gamma = 0
-    for s1, s2, s3 in slack_of.values():
+    for r1, r2, r3 in slacks:
+        s1, s2, s3 = j * r1, j * r2, j * r3
         alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
         beta += (s1 + 1) * (s2 + 1) * s3
         gamma += (s1 + 1) * s2 * s3
     if not (alpha0 <= alpha and gamma <= beta <= alpha and 48 % alpha0 == 0):
         raise ArithmeticError(
-            f"inconsistent invariants {(alpha0, alpha, beta, gamma)} for frame {frame}"
+            f"inconsistent invariants {(alpha0, alpha, beta, gamma)} for frame {frame} dilated by {j}"
         )
     return InvariantSet(alpha0, alpha, beta, gamma)

@@ -5,8 +5,10 @@ in-box translations, where the package works on a cube's three corner
 edges (latticecubes.symmetry).  They are slow and only used by the tests.
 """
 
+from math import gcd, isqrt
+
 from latticecubes.lattice_geometry import Cube, Vec3
-from latticecubes.symmetry import BOX_MAPS
+from latticecubes.symmetry import BOX_MAPS, InvariantSet
 
 
 def _assert_octant(c: Cube) -> None:
@@ -63,6 +65,34 @@ def canonical_form(c: Cube) -> Cube:
     have equal canonical forms iff their generalized orbits coincide.
     """
     return min(_octant_images(c.translate_to_octant()), key=lambda x: x.vertices)
+
+
+def vertex_invariants(c: Cube) -> InvariantSet:
+    """(alpha0, alpha, beta, gamma) from the 48 vertex images of the octant-normalized c."""
+    d = c.bounding_dim()
+    positioned = symmetry_orbit(c)
+    alpha = beta = gamma = 0
+    for cls in {img.translate_to_octant() for img in positioned}:
+        s1, s2, s3 = (d - w for w in _maxima(cls))
+        alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
+        beta += (s1 + 1) * (s2 + 1) * s3
+        gamma += (s1 + 1) * s2 * s3
+    return InvariantSet(len(positioned), alpha, beta, gamma)
+
+
+def diagonal_k_values(c: Cube) -> set[int]:
+    """k-values by pairing every vertex with its antipode in an 8 x 8
+    distance search and taking side / sqrt(D.D / (3 l^2)) for each main
+    diagonal D."""
+    s = c.corner_edges().side
+    out = set()
+    for v in c.vertices:
+        (w,) = [w for w in c.vertices if (w - v).norm2() == 3 * s * s]
+        dd = w - v
+        l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
+        n = isqrt(dd.norm2() // (3 * l * l))
+        out.add(s // n)
+    return out
 
 
 def brute_force_orbit_fill(c: Cube, n: int) -> int:

@@ -28,7 +28,7 @@ from latticecubes.reference import COUNTS_LISTED
 from latticecubes.symmetry import InvariantSet, invariants
 
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
-from .referee import canonical_form
+from .referee import canonical_form, diagonal_k_values, vertex_invariants
 
 UNIT = Cube.from_points(TABLE1[0][2])
 
@@ -182,6 +182,18 @@ def test_dilated_invariants_are_recomputed(registry19):
     )
     assert dil.invariants == InvariantSet(12, 30, 8, 0)
     assert dil.k_values == frozenset({2})
+
+
+def test_multiples_match_their_own_frames():
+    # a multiple's k-values and invariants are derived from its parent's;
+    # recompute them from the dilated cube itself, by frame and by vertices
+    reg = build_irreducible_list(200)
+    multiples = build_multiples(200, reg)
+    assert max(m.side // next(r for r in reg.records if r.source == m.source).side for m in multiples) >= 20
+    for m in multiples:
+        frame = m.cube.corner_edges()
+        assert m.k_values == frame.k_values() == diagonal_k_values(m.cube), m.cube.as_lists()
+        assert m.invariants == invariants(frame) == vertex_invariants(m.cube), m.cube.as_lists()
 
 
 def test_sequence_small():
@@ -345,6 +357,7 @@ def _add_reducible(recs):
         (lambda recs: recs[3]["k_values"].append(999), "stored k_values"),
         (lambda recs: recs[3]["invariants"].__setitem__(3, 1), "stored invariants"),
         (lambda recs: _shift(recs[3]), "not octant-normalized"),
+        (lambda recs: recs[3]["cube"][7].__setitem__(2, 1.5), "not a lattice point"),
         (_add_reducible, "reducible"),
         (lambda recs: recs.append(dict(recs[3])), "orbit already claimed"),
     ],
@@ -390,9 +403,8 @@ def test_box_sums_count_matches_per_record_sum(registry50):
 
 def test_build_one_returns_the_validated_octant_cube():
     item = next(it for it in _candidate_stream(7) if it[0] == 7)
-    frame, fkv = _build_one(item)
+    frame = _build_one(item)
     cube = frame.cube()
     assert cube == Cube.from_points(cube.as_lists())  # already canonical and valid
     assert cube == cube.translate_to_octant()
-    assert fkv == sorted(frame.k_values())
     assert pickle.loads(pickle.dumps(frame)) == frame  # crosses the worker pool

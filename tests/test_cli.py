@@ -180,6 +180,16 @@ def test_invariants_rejects_garbage(capsys):
     assert "not a lattice cube" in err
 
 
+@pytest.mark.parametrize("coordinate", ["1.5", '"1"', "true", "1, 1"])
+def test_invariants_rejects_non_integer_points(capsys, coordinate):
+    # the unit cube with its last coordinate made a float, a string, a
+    # bool, or two numbers: none may be truncated into the unit cube
+    pts = UNIT_JSON[: UNIT_JSON.rindex("1]")] + coordinate + "]]"
+    rc, out, err = run(capsys, "invariants", pts)
+    assert (rc, out) == (1, "")
+    assert "not a lattice cube" in err and "not a lattice point" in err
+
+
 def test_verify_small(capsys):
     rc, out, err = run(capsys, "verify", "--n", "6")
     assert rc == 0

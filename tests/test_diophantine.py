@@ -60,7 +60,7 @@ def test_pi_epsilon_values():
 
 
 def test_pi_epsilon_matches_enumeration():
-    for d in range(1, 302, 2):
+    for d in [*range(1, 1000, 2), 2011]:
         assert pi_epsilon(d) == len(solve_three_squares(d)), d
 
 
@@ -140,6 +140,30 @@ def _three_squares_full_scan(d):
 def test_solve_three_squares_matches_full_scan():
     for d in range(1, 202, 2):
         assert solve_three_squares(d) == _three_squares_full_scan(d), d
+
+
+def _three_squares_pruned_scan(d):
+    """Referee: odd a, b prime to 3, and an isqrt test of each leftover."""
+    target = 3 * d * d
+    out = []
+    for a in range(1, d + 1, 2):
+        if a % 3 == 0:
+            continue
+        rest = target - a * a
+        b = a
+        while 2 * b * b <= rest:
+            if b % 3:
+                cc = rest - b * b
+                c = math.isqrt(cc)
+                if c * c == cc and math.gcd(math.gcd(a, b), c) == 1:
+                    out.append(PlaneSolution(a, b, c, d))
+            b += 2
+    return sorted(out)
+
+
+def test_solve_three_squares_matches_pruned_scan():
+    for d in range(1, 402, 2):
+        assert solve_three_squares(d) == _three_squares_pruned_scan(d), d
 
 
 def _norm_form_scan(K):

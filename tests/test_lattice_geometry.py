@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,7 @@ from latticecubes.lattice_geometry import (
 from latticecubes.ring_arith import find_rs
 from latticecubes.symmetry import BOX_MAPS
 from .published_data import EXAMPLE_CUBE, TABLE1
-from .referee import apply_box_map, canonical_form
+from .referee import apply_box_map, canonical_form, diagonal_k_values
 
 UNIT = TABLE1[0][2]
 ROW3 = TABLE1[1][2]  # the side-3 cube, bound 5
@@ -59,6 +59,10 @@ def test_from_points_rejections():
     cuboid = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 2)]
     with pytest.raises(ValueError):
         Cube.from_points(cuboid)
+    # a coordinate is a plain int, and a point has exactly three
+    for last in ([1, 1, 1.5], [1, 1, 1.0], [1, 1, "1"], [1, 1, True], [1, 1, 1, 7], [1, 1], 111):
+        with pytest.raises(ValueError, match="not a lattice point"):
+            Cube.from_points(UNIT[:7] + [last])
 
 
 # squared-distance multiset of a cube with side s: 12 edges, 12 face
@@ -307,20 +311,6 @@ def test_build_cube_matches_census_records(registry30):
         assert again == rec.cube
 
 
-def _k_values_by_diagonal_search(cube):
-    """Referee: pair every vertex with its antipode by an 8 x 8 distance
-    search and take side / sqrt(D.D / (3 l^2)) for each main diagonal D."""
-    s = cube.corner_edges().side
-    out = set()
-    for v in cube.vertices:
-        (w,) = [w for w in cube.vertices if (w - v).norm2() == 3 * s * s]
-        dd = w - v
-        l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
-        n = isqrt(dd.norm2() // (3 * l * l))
-        out.add(s // n)
-    return out
-
-
 def test_four_k_values_matches_diagonal_search(registry50):
     from latticecubes.census import build_multiples
 
@@ -328,7 +318,7 @@ def test_four_k_values_matches_diagonal_search(registry50):
     cubes = [r.cube for r in registry50.records] + [r.cube for r in multiples]
     assert len(multiples) > 0
     for cube in cubes:
-        assert cube.corner_edges().k_values() == _k_values_by_diagonal_search(cube), cube.as_lists()
+        assert cube.corner_edges().k_values() == diagonal_k_values(cube), cube.as_lists()
 
 
 def test_frame_path_matches_vertex_path(registry50):
@@ -342,7 +332,7 @@ def test_frame_path_matches_vertex_path(registry50):
         j = rec.side // frame.side  # dilation factor of a multiple
         frame = Frame(*(e.scale(j) for e in frame))
         assert frame.cube() == rec.cube, rec.source
-        assert frame.k_values() == _k_values_by_diagonal_search(rec.cube), rec.source
+        assert frame.k_values() == diagonal_k_values(rec.cube), rec.source
 
 
 def _raw_cube(points):

@@ -8,6 +8,7 @@ from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.symmetry import (
     BOX_MAPS,
     InvariantSet,
+    _orbit_table,
     class_key,
     invariants,
     orbit_classes,
@@ -15,12 +16,12 @@ from latticecubes.symmetry import (
 
 from .published_data import TABLE1, PUBLISHED_MAPS_24
 from .referee import (
-    _maxima,
     apply_box_map,
     brute_force_orbit_fill,
     canonical_form,
     generalized_orbit,
     symmetry_orbit,
+    vertex_invariants,
 )
 
 UNIT = Cube.from_points(TABLE1[0][2])
@@ -168,24 +169,11 @@ def test_orbit_classes_are_octant_forms():
         assert class_key(f.translate(Vec3(3, -2, 7)).corner_edges()) == class_key(f.corner_edges())
 
 
-def _vertex_invariants(c):
-    """The invariants from the 48 vertex images: the referee for the kernel."""
-    d = c.bounding_dim()
-    positioned = symmetry_orbit(c)
-    alpha = beta = gamma = 0
-    for cls in {img.translate_to_octant() for img in positioned}:
-        s1, s2, s3 = (d - w for w in _maxima(cls))
-        alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
-        beta += (s1 + 1) * (s2 + 1) * s3
-        gamma += (s1 + 1) * s2 * s3
-    return InvariantSet(len(positioned), alpha, beta, gamma)
-
-
 def _assert_kernel_matches_referee(frame, c):
     """The kernel on `frame` against the vertex referee on `c`, its cube."""
     inv = invariants(frame)
     orbit = symmetry_orbit(c)
-    assert inv == _vertex_invariants(c)
+    assert inv == vertex_invariants(c)
     assert inv.alpha0 == len(orbit)
     assert orbit_classes(frame) == {class_key(img.translate_to_octant().corner_edges()) for img in orbit}
 
@@ -224,3 +212,31 @@ def test_kernel_at_origin_corner_matches_referee(registry50):
         frame = Frame(*(e.scale(j) for e in frame))
         assert class_key(frame) == class_key(rec.cube.corner_edges()), rec.source
         _assert_kernel_matches_referee(frame, rec.cube)
+
+
+def _dilated_invariants(frame):
+    return invariants(frame, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_orbit_memo_matches_uncached_passes(registry50, data):
+    # the kernel's table is memoized by class key: interleaved calls on
+    # different cubes, and on frames of one cube at other corners, signs
+    # and edge orders, must each equal a pass with the memo cleared
+    pool = data.draw(st.lists(st.sampled_from(registry50.records), min_size=2, max_size=3))
+    calls = []
+    for _ in range(data.draw(st.integers(2, 10), label="calls")):
+        rec = data.draw(st.sampled_from(pool))
+        edges = list(rec.cube.corner_edges())
+        perm = data.draw(st.permutations(range(3)), label="edge order")
+        signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * 3), label="edge signs")
+        frame = Frame(*(edges[p].scale(g) for p, g in zip(perm, signs)))
+        fn = data.draw(st.sampled_from((invariants, orbit_classes, _dilated_invariants)))
+        calls.append((fn, frame))
+    got = [fn(frame) for fn, frame in calls]
+    want = []
+    for fn, frame in calls:
+        _orbit_table.cache_clear()
+        want.append(fn(frame))
+    assert got == want
