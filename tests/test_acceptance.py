@@ -62,15 +62,16 @@ def test_golden_sequence():
 
 
 @criterion(2)
-def test_oracle_equivalence(registry50):
-    census_vals = sequence(50, registry=registry50)
-    oracle_vals = brute_force_sequence(50)  # one frame sweep gives NC(1..50)
+def test_oracle_equivalence():
+    census_vals = sequence(100)
+    oracle_vals = brute_force_sequence(100)  # one frame sweep gives NC(1..100)
+    assert len(oracle_vals) == len(census_vals) == len(COUNTS_LISTED) == 100
     for n, (oracle, census, listed) in enumerate(
         zip(oracle_vals, census_vals, COUNTS_LISTED), 1
     ):
         assert oracle == census, f"n={n}: oracle {oracle} != census {census}"
         assert oracle == listed, f"n={n}: oracle {oracle} != listed {listed}"
-    return "census equals the brute-force oracle and the listing for n = 1..50"
+    return "census equals the brute-force oracle and the listing for n = 1..100"
 
 
 @criterion(3)

@@ -220,6 +220,23 @@ def test_verify_fails_on_listing_mismatch(capsys, monkeypatch):
     assert "census differs from the oracle or the listing on 1 rows" in err
 
 
+def test_verify_fails_on_oracle_mismatch(capsys, monkeypatch):
+    real = latticecubes.cli.brute_force_sequence
+
+    def off_by_one(n):
+        vals = real(n)
+        vals[3] += 1  # NC(4)
+        return vals
+
+    monkeypatch.setattr("latticecubes.cli.brute_force_sequence", off_by_one)
+    rc, out, err = run(capsys, "verify", "--n", "6")
+    assert rc == 1
+    rows = out.splitlines()[1:]
+    assert rows[3].endswith("<< census/oracle MISMATCH")
+    assert "MISMATCH" not in "".join(rows[:3] + rows[4:])
+    assert "census differs from the oracle or the listing on 1 rows" in err
+
+
 def test_representations_table(capsys):
     rc, out, _ = run(capsys, "representations", "5")
     assert rc == 0

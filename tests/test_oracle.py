@@ -1,5 +1,7 @@
 """The brute-force frame-enumeration referee."""
 
+from itertools import permutations, product
+
 import pytest
 
 from latticecubes.lattice_geometry import Cube, Vec3
@@ -29,26 +31,38 @@ def test_vectors_of_norm():
     assert all(v.norm2() == 9 for v in vs)
 
 
+def _signed_orderings(frame):
+    """The 48 ordered frames of one cube class: 6 edge orders, 8 sign choices."""
+    return [
+        tuple(e if sign > 0 else -e for e, sign in zip(order, signs))
+        for order in permutations(frame)
+        for signs in product((1, -1), repeat=3)
+    ]
+
+
 def test_enumerate_frames_small():
-    assert len(enumerate_frames(1)) == 48
-    assert len(enumerate_frames(2)) == 48
-    frames3 = enumerate_frames(3)
-    assert len(frames3) == 240  # axis frames + (1,2,2)-type frames
-    for e1, e2, e3 in frames3:
-        assert e1.norm2() == e2.norm2() == e3.norm2() == 9
-        assert e1.dot(e2) == e2.dot(e3) == e1.dot(e3) == 0
-        cr = e1.cross(e2)
-        assert e3.scale(3) in (cr, -cr)
+    assert [len(enumerate_frames(s)) for s in (1, 2, 3)] == [1, 1, 5]
+    assert enumerate_frames(1) == [(Vec3(0, 0, 1), Vec3(0, 1, 0), Vec3(1, 0, 0))]
+    for s in range(1, 41):
+        for e1, e2, e3 in enumerate_frames(s):
+            # sign-normalized: the first non-zero coordinate is positive
+            assert all(next(c for c in e if c) > 0 for e in (e1, e2, e3)), (s, e1, e2, e3)
+            assert e1 < e2 < e3, s
+            assert e1.norm2() == e2.norm2() == e3.norm2() == s * s
+            assert e1.dot(e2) == e2.dot(e3) == e1.dot(e3) == 0
+            cr = e1.cross(e2)
+            assert e3.scale(s) in (cr, -cr), s
 
 
 def test_enumerate_frames_group_action():
-    # the 48 signed permutations act freely on frames
-    for s in range(1, 12):
-        assert len(enumerate_frames(s)) % 48 == 0, s
+    # the 48 signed permutations act freely on the frames of one class
+    for s in range(1, 41):
+        for frame in enumerate_frames(s):
+            assert len(set(_signed_orderings(frame))) == 48, (s, frame)
 
 
 def _frames_by_vec3(s):
-    """The frame enumeration written with Vec3.dot/Vec3.cross, as a referee."""
+    """All ordered frames written with Vec3.dot/Vec3.cross, as a referee."""
     vs = _vectors_of_norm(s * s)
     frames = []
     for e1 in vs:
@@ -65,10 +79,14 @@ def _frames_by_vec3(s):
 
 
 def test_enumerate_frames_matches_vec3_referee():
+    # the signed orderings of the class frames are every ordered frame, once
     for s in range(1, 41):
         frames = enumerate_frames(s)
-        assert frames == _frames_by_vec3(s), s
         assert all(type(e) is Vec3 for frame in frames for e in frame), s
+        ordered = [f for frame in frames for f in _signed_orderings(frame)]
+        want = _frames_by_vec3(s)
+        assert len(ordered) == len(want) == len(set(want)), s
+        assert set(ordered) == set(want), s
 
 
 def test_enumerate_frames_rejects():
