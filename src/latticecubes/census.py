@@ -8,6 +8,19 @@ already recorded at the same side length - and when the k = 1 pass could
 not have produced it (the "exception" guard: for k > 1 the cube must not
 have 1 among its k-values).  Only an accepted cube gets its 8 vertices.
 
+The k > 1 sweeps stay, though they yield no record below side
+7*13*19*31 = 53599: for an odd prime p dividing the side, a primitive
+frame is x*y^T mod p with y isotropic, so p divides at most one of the
+four main-diagonal gcds, which are the k-values.  A cube without k-value
+1 therefore has four distinct primes = 1 mod 3 in its side; the tests
+pin one of side 53599.
+
+The accept pass ends with a per-side check: the translation classes
+claimed at side s are all those of the primitive cubes of side s, whose
+number is Dedekind's psi(s) for odd s, and there are none of even side.
+A registry cache stores only each record's source and replays it
+through the same pass, so a lost, altered or extra record fails loudly.
+
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
 inclusion-exclusion of its generalized orbit sliding inside {0..n}^3.
@@ -21,6 +34,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+from math import isqrt
 from multiprocessing import Pool
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -28,6 +42,7 @@ from typing import Iterable, Iterator, Optional
 from .diophantine import (
     NormFormSolution,
     PlaneSolution,
+    dedekind_psi,
     k_values,
     solve_norm_form,
     solve_three_squares,
@@ -35,7 +50,9 @@ from .diophantine import (
 from .lattice_geometry import Cube, Frame, build_cube
 from .symmetry import ClassKey, InvariantSet, class_key, invariants, orbit_classes
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+
+Candidate = tuple[int, NormFormSolution, int, PlaneSolution]  # (k, mn, d, sol)
 
 
 @dataclass(frozen=True)
@@ -69,9 +86,7 @@ class CubeRegistry:
         return class_key(frame) in self.by_side.get(side, ())
 
 
-def _candidate_stream(
-    N: int,
-) -> Iterator[tuple[int, NormFormSolution, int, PlaneSolution]]:
+def _candidate_stream(N: int) -> Iterator[Candidate]:
     """(k, mn, d, sol) tuples in the canonical generation order."""
     planes: dict[int, list[PlaneSolution]] = {}  # plane solutions per d
     for k in k_values(N):
@@ -87,7 +102,7 @@ def _candidate_stream(
                 d += 2
 
 
-def _build_one(item: tuple[int, NormFormSolution, int, PlaneSolution]) -> Frame:
+def _build_one(item: Candidate) -> Frame:
     """Pure per-candidate work: the cube's frame, checked by build_cube.
 
     k-values are left to the accept pass, which reads them only for the
@@ -112,7 +127,12 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
             built = pool.map(_build_one, items, chunksize=max(1, len(items) // (threads * 8)))
     else:
         built = [_build_one(it) for it in items]
+    return _accept(N, items, built)
 
+
+def _accept(N: int, items: list[Candidate], built: list[Frame]) -> CubeRegistry:
+    """The accept pass over candidates and their frames, in order, then
+    the per-side completeness check (ArithmeticError naming the side)."""
     reg = CubeRegistry(n_built=N)
     for (k, mn, d, sol), frame in zip(items, built):
         side = d * k
@@ -135,6 +155,11 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
                 source=(sol, mn),
             )
         )
+    for s in sorted(reg.by_side.keys() | set(range(1, N + 1, 2))):
+        claimed = len(reg.by_side.get(s, ()))
+        expected = dedekind_psi(s) if s <= N and s % 2 else 0
+        if claimed != expected:
+            raise ArithmeticError(f"side {s}: {claimed} translation classes claimed, expected {expected}")
     return reg
 
 
@@ -241,39 +266,22 @@ def record_to_json(rec: CubeRecord) -> dict:
     }
 
 
-def _record_from_json(data: dict) -> CubeRecord:
-    src = data["source"]
-    return CubeRecord(
-        side=data["side"],
-        bound_dim=data["bound_dim"],
-        cube=Cube.from_points(data["cube"]),
-        k_values=frozenset(data["k_values"]),
-        invariants=InvariantSet(*data["invariants"]),
-        source=(
-            PlaneSolution(src["a"], src["b"], src["c"], src["d"]),
-            NormFormSolution(src["m"], src["n"]),
-        ),
-    )
-
-
 def save_registry(reg: CubeRegistry, path: str | Path) -> None:
-    """Write the registry as JSON to `path`, atomically.
+    """Write N and each record's source [a, b, c, d, m, n], in registry
+    order, as JSON to `path`, atomically.
 
     The document goes to a temp file beside `path` that then replaces it,
     so a crash or error mid-write leaves any previous cache intact.
     """
-    records = sorted(
-        reg.records, key=lambda r: (r.side, r.bound_dim, r.cube.vertices)
-    )
     doc = {
         "version": CACHE_VERSION,
         "N": reg.n_built,
-        "records": [record_to_json(r) for r in records],
+        "sources": [[*sol, *mn] for sol, mn in (r.source for r in reg.records)],
     }
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(doc, indent=1) + "\n")
+        tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
         os.replace(tmp, p)
     finally:
         tmp.unlink(missing_ok=True)
@@ -281,40 +289,30 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
 
 class CacheMismatch(ValueError):
     """A registry cache that cannot be trusted: unreadable, of another
-    version, missing keys, or holding a record that disagrees with what its
-    stored vertices determine."""
+    version, missing keys, or with sources that do not replay to the
+    census registry for its N."""
 
 
-def _check_record(rec: CubeRecord) -> Frame:
-    """Re-derive a cached record's fields from its vertices; raise CacheMismatch
-    on any difference.  Returns the cube's frame."""
-    where = f"cached record {rec.cube.as_lists()}"
-    if rec.cube != rec.cube.translate_to_octant():
-        raise CacheMismatch(f"{where}: cube is not octant-normalized")
-    frame = rec.cube.corner_edges()
-    if not frame.is_primitive():
-        raise CacheMismatch(f"{where}: cube is reducible")
-    derived = {
-        "side": frame.side,
-        "bound_dim": rec.cube.bounding_dim(),
-        "k_values": frozenset(frame.k_values()),
-        "invariants": invariants(frame),
-    }
-    for name, value in derived.items():
-        stored = getattr(rec, name)
-        if stored != value:
-            raise CacheMismatch(f"{where}: stored {name} {stored} != derived {value}")
-    return frame
+def _source_item(src: list) -> Candidate:
+    """The candidate (k, mn, d, sol) a cached source [a, b, c, d, m, n] stands for."""
+    if not isinstance(src, list) or len(src) != 6:
+        raise CacheMismatch(f"cached source {src!r} is not a list of six integers")
+    for t in src:
+        if type(t) is not int:
+            raise CacheMismatch(f"cached source {src!r}: {t!r} is not an integer")
+    a, b, c, d, m, n = src
+    return isqrt(m * m - m * n + n * n), NormFormSolution(m, n), d, PlaneSolution(a, b, c, d)
 
 
 def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     """Registry from the cache at `path`, or None if there is no file or it
     was built for a smaller N.
 
-    A file that is not this version's JSON document, or lacks a key, raises
-    CacheMismatch with the reason.  So does a record that disagrees with its
-    own vertices (_check_record) or repeats an orbit claimed before it,
-    rather than letting a tampered field reach the count.
+    Each source is rebuilt and replayed through the census's accept pass,
+    so the registry ends with the census's completeness check.  A file
+    that is not this version's JSON document, lacks a key, holds a source
+    that is not six integers or does not become a record, or fails the
+    accept pass, raises CacheMismatch with the reason.
     """
     p = Path(path)
     if not p.is_file():
@@ -328,16 +326,21 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     if doc.get("version") != CACHE_VERSION:
         raise CacheMismatch(f"version {doc.get('version')!r}, expected {CACHE_VERSION}")
     try:
-        if doc["N"] < N:
-            return None
-        records = [_record_from_json(r) for r in doc["records"]]
+        n_built, sources = doc["N"], doc["sources"]
     except KeyError as exc:
         raise CacheMismatch(f"missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise CacheMismatch(f"malformed document: {exc}") from exc
-    reg = CubeRegistry(n_built=doc["N"])
-    for rec in records:
-        if reg.is_claimed(rec.side, _check_record(rec)):
-            raise CacheMismatch(f"cached record {rec.cube.as_lists()}: orbit already claimed")
-        reg.claim(rec)
+    if type(n_built) is not int or n_built < 1 or not isinstance(sources, list):
+        raise CacheMismatch("malformed document: N is not a positive integer or sources not a list")
+    if n_built < N:
+        return None
+    items = [_source_item(src) for src in sources]
+    try:
+        reg = _accept(n_built, items, [_build_one(it) for it in items])
+    except (ValueError, ArithmeticError) as exc:
+        raise CacheMismatch(f"replay of the cached sources: {exc}") from exc
+    if len(reg.records) != len(items):
+        raise CacheMismatch(
+            f"cached sources that do not become records: {len(items) - len(reg.records)}"
+            " (orbit already claimed or reachable at k = 1)"
+        )
     return reg

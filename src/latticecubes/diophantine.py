@@ -62,6 +62,19 @@ def prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def dedekind_psi(n: int) -> int:
+    """Dedekind's psi(n) = n * prod over primes p | n of (1 + 1/p).
+
+    For odd n it is the number of translation classes of primitive
+    lattice cubes with side n; no primitive cube has an even side.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    for p, _ in prime_powers(n):
+        n = n // p * (p + 1)
+    return n
+
+
 def legendre_minus3(p: int) -> int:
     """The character chi(p) = (-3 | p) for an odd prime p."""
     if p % 2 == 0 or prime_powers(p) != [(p, 1)]:

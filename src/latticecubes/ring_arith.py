@@ -13,7 +13,6 @@ The only units are +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
@@ -46,10 +45,6 @@ class RingElem(NamedTuple):
 
     def __neg__(self) -> "RingElem":
         return RingElem(-self.u, -self.v)
-
-
-ONE = RingElem(1, 0)
-MINUS_ONE = RingElem(-1, 0)
 
 
 def divide_exact(z: RingElem, w: RingElem) -> Optional[RingElem]:
@@ -85,28 +80,6 @@ def unique_decomposition(p: int) -> RingElem:
     raise NotRepresentable(f"{p} has no representation x^2 + 3y^2")
 
 
-@dataclass(frozen=True)
-class RingFactorization:
-    """content * unit * prod(factors[i] ** mult[i]) for a ring element.
-
-    content is the integer gcd pulled out first; each factor is a ring
-    element of prime norm (norm 4 for the prime 2, norm 3 for the prime 3)
-    oriented so that it actually divides the reduced element.  The unit is
-    +1 or -1.  Invariant: content^2 * prod(norm(f)^m) == norm of the input.
-    """
-
-    content: int
-    unit: int
-    factors: tuple[tuple[RingElem, int], ...]
-
-    def value(self) -> RingElem:
-        acc = RingElem(self.content * self.unit, 0)
-        for f, m in self.factors:
-            for _ in range(m):
-                acc = acc * f
-        return acc
-
-
 def _two_factor(z: RingElem) -> RingElem:
     """The norm-4 element (1, +-1) dividing the primitive z of even norm."""
     return RingElem(1, 1) if (z.u - z.v) % 4 == 0 else RingElem(1, -1)
@@ -116,44 +89,6 @@ def _oriented_prime(z: RingElem, p: int) -> RingElem:
     """The element of norm p (p = 1 mod 3) that divides the primitive z."""
     f = unique_decomposition(p)
     return f if divide_exact(z, f) is not None else f.conj()
-
-
-def factor_ring(u: int, v: int) -> RingFactorization:
-    """Factor u + v*i*sqrt(3) into content, unit and prime-norm elements.
-
-    The reduced part (u, v)/content is primitive, so its norm is divisible
-    by 4 at most once, by 3 at most once, and only by primes p = 1 mod 3
-    otherwise; each prime-norm factor is oriented by exact division.
-    """
-    if u == 0 and v == 0:
-        raise ValueError("cannot factor 0")
-    g = gcd(abs(u), abs(v))
-    z = RingElem(u // g, v // g)
-
-    factors: list[tuple[RingElem, int]] = []
-    for p, e in prime_powers(z.norm()):
-        if p == 2:
-            # prime 2 enters only via the norm-4 element (1, +-1), at most once
-            if e != 2:
-                raise ArithmeticError(f"primitive norm has 2-adic valuation {e}, not 2")
-            f, e = _two_factor(z), 1
-        elif p == 3:
-            if e != 1:
-                raise ArithmeticError(f"primitive norm has 3-adic valuation {e}, not 1")
-            f = RingElem(0, 1)
-        else:
-            f = _oriented_prime(z, p)
-        for _ in range(e):
-            q = divide_exact(z, f)
-            if q is None:
-                raise ArithmeticError(f"oriented factor {f} of norm {p} does not divide {z}")
-            z = q
-        factors.append((f, e))
-
-    if z not in (ONE, MINUS_ONE):
-        raise ArithmeticError(f"remainder {z} after all prime factors is not a unit")
-    unit = 1 if z == ONE else -1
-    return RingFactorization(content=g, unit=unit, factors=tuple(factors))
 
 
 def find_rs(A: int, B: int, q: int) -> tuple[int, int]:

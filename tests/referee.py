@@ -1,13 +1,18 @@
-"""Vertex-level referees the package is checked against.
+"""Referees the package is checked against, used only by the tests.
 
-These move all 8 vertices of a cube literally, under the 48 box maps and
-in-box translations, where the package works on a cube's three corner
-edges (latticecubes.symmetry).  They are slow and only used by the tests.
+The vertex-level ones move all 8 vertices of a cube literally, under the
+48 box maps and in-box translations, where the package works on a cube's
+three corner edges (latticecubes.symmetry).  They are slow.  factor_ring
+factors a whole element of Z[i*sqrt(3)], where ring_arith.find_rs only
+factors 2q; it is the find_rs referee.
 """
 
+from dataclasses import dataclass
 from math import gcd, isqrt
 
+from latticecubes.diophantine import prime_powers
 from latticecubes.lattice_geometry import Cube, Vec3
+from latticecubes.ring_arith import RingElem, _oriented_prime, _two_factor, divide_exact
 from latticecubes.symmetry import BOX_MAPS, InvariantSet
 
 
@@ -111,3 +116,67 @@ def brute_force_orbit_fill(c: Cube, n: int) -> int:
                 for k in range(n - w3 + 1):
                     seen.add(member.translate(Vec3(i, j, k)).vertices)
     return len(seen)
+
+
+ONE = RingElem(1, 0)
+MINUS_ONE = RingElem(-1, 0)
+
+
+@dataclass(frozen=True)
+class RingFactorization:
+    """content * unit * prod(factors[i] ** mult[i]) for a ring element.
+
+    content is the integer gcd pulled out first; each factor is a ring
+    element of prime norm (norm 4 for the prime 2, norm 3 for the prime 3)
+    oriented so that it actually divides the reduced element.  The unit is
+    +1 or -1.  Invariant: content^2 * prod(norm(f)^m) == norm of the input.
+    """
+
+    content: int
+    unit: int
+    factors: tuple[tuple[RingElem, int], ...]
+
+    def value(self) -> RingElem:
+        acc = RingElem(self.content * self.unit, 0)
+        for f, m in self.factors:
+            for _ in range(m):
+                acc = acc * f
+        return acc
+
+
+def factor_ring(u: int, v: int) -> RingFactorization:
+    """Factor u + v*i*sqrt(3) into content, unit and prime-norm elements.
+
+    The reduced part (u, v)/content is primitive, so its norm is divisible
+    by 4 at most once, by 3 at most once, and only by primes p = 1 mod 3
+    otherwise; each prime-norm factor is oriented by exact division.
+    """
+    if u == 0 and v == 0:
+        raise ValueError("cannot factor 0")
+    g = gcd(abs(u), abs(v))
+    z = RingElem(u // g, v // g)
+
+    factors: list[tuple[RingElem, int]] = []
+    for p, e in prime_powers(z.norm()):
+        if p == 2:
+            # prime 2 enters only via the norm-4 element (1, +-1), at most once
+            if e != 2:
+                raise ArithmeticError(f"primitive norm has 2-adic valuation {e}, not 2")
+            f, e = _two_factor(z), 1
+        elif p == 3:
+            if e != 1:
+                raise ArithmeticError(f"primitive norm has 3-adic valuation {e}, not 1")
+            f = RingElem(0, 1)
+        else:
+            f = _oriented_prime(z, p)
+        for _ in range(e):
+            q = divide_exact(z, f)
+            if q is None:
+                raise ArithmeticError(f"oriented factor {f} of norm {p} does not divide {z}")
+            z = q
+        factors.append((f, e))
+
+    if z not in (ONE, MINUS_ONE):
+        raise ArithmeticError(f"remainder {z} after all prime factors is not a unit")
+    unit = 1 if z == ONE else -1
+    return RingFactorization(content=g, unit=unit, factors=tuple(factors))

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from latticecubes import census
 from latticecubes.census import (
     CacheMismatch,
     CubeRecord,
+    _accept,
     _build_one,
     _candidate_stream,
-    _record_from_json,
+    _source_item,
     build_irreducible_list,
     box_sums,
     build_multiples,
@@ -23,7 +25,8 @@ from latticecubes.census import (
     save_registry,
     sequence,
 )
-from latticecubes.lattice_geometry import Cube, Frame, build_cube
+from latticecubes.diophantine import dedekind_psi
+from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.reference import COUNTS_LISTED
 from latticecubes.symmetry import InvariantSet, invariants
 
@@ -139,6 +142,13 @@ def test_accept_guards_are_raises(monkeypatch):
     monkeypatch.setattr(Frame, "is_primitive", lambda self: False)
     with pytest.raises(ArithmeticError):
         build_irreducible_list(3)
+
+
+def test_census_checks_each_side_against_psi(monkeypatch):
+    # one class count off at side 19 stops the census, naming the side
+    monkeypatch.setattr(census, "dedekind_psi", lambda s: dedekind_psi(s) + (s == 19))
+    with pytest.raises(ArithmeticError, match="side 19: 20 translation classes claimed, expected 21"):
+        build_irreducible_list(19)
 
 
 def test_placement_count():
@@ -259,10 +269,22 @@ def test_threads_give_identical_records(registry19):
 
 
 def test_k1_pass_reaches_everything(registry50):
-    # empirically every irreducible cube in range has 1 among its k-values,
-    # so the k > 1 sweeps only ever rediscover known orbits
+    # mod an odd prime p | side a primitive frame is x y^T with y isotropic,
+    # so p divides at most one of the four diagonal gcds (the k-values); a
+    # cube without k-value 1 needs four distinct primes = 1 mod 3 in its
+    # side, so the k > 1 sweeps only rediscover known orbits below 53599
     for rec in registry50.records:
         assert 1 in rec.k_values
+
+
+def test_first_cube_without_k_value_1():
+    # the bound above is reached: side 7 * 13 * 19 * 31, one prime per diagonal
+    frame = Frame.of(
+        Vec3(16699, 50490, -6690), Vec3(-47790, 13099, -20430), Vec3(-17610, 12330, 49099)
+    )
+    assert frame.side == 53599 == 7 * 13 * 19 * 31
+    assert frame.is_primitive()
+    assert frame.k_values() == {7, 13, 19, 31}
 
 
 def test_candidate_stream_order():
@@ -278,8 +300,11 @@ def test_candidate_stream_order():
 
 
 def test_record_json_roundtrip(registry19):
-    for rec in registry19.records:
-        assert _record_from_json(record_to_json(rec)) == rec
+    # a listed record's source is all the cache keeps of it: the printed
+    # sources, replayed through the accept pass, give back the records
+    sources = [record_to_json(r)["source"] for r in registry19.records]
+    items = [_source_item([src[x] for x in "abcdmn"]) for src in sources]
+    assert _accept(19, items, [_build_one(it) for it in items]).records == registry19.records
 
 
 def test_cache_roundtrip(tmp_path, registry19):
@@ -288,9 +313,8 @@ def test_cache_roundtrip(tmp_path, registry19):
     loaded = load_registry(p, 19)
     assert loaded is not None
     assert loaded.n_built == 19
-    assert sorted(loaded.records, key=lambda r: (r.side, r.bound_dim)) == sorted(
-        registry19.records, key=lambda r: (r.side, r.bound_dim)
-    )
+    assert loaded.records == registry19.records
+    assert loaded.by_side == registry19.by_side
     assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
 
 
@@ -301,16 +325,16 @@ def test_cache_rejects_stale_or_broken(tmp_path, registry19):
     assert load_registry(p, 25) is None  # built for smaller N than requested
     doc = json.loads(p.read_text())
     p.write_text(json.dumps(dict(doc, version=999)))
-    with pytest.raises(CacheMismatch, match="version 999, expected 1"):
+    with pytest.raises(CacheMismatch, match="version 999, expected 2"):
         load_registry(p, 19)
-    for key in ("N", "records"):
+    for key in ("N", "sources"):
         p.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
         with pytest.raises(CacheMismatch, match=f"missing key '{key}'"):
             load_registry(p, 19)
-    del doc["records"][2]["source"]
-    p.write_text(json.dumps(doc))
-    with pytest.raises(CacheMismatch, match="missing key 'source'"):
-        load_registry(p, 19)
+    for bad in ({"N": "19"}, {"N": 0}, {"sources": {}}):
+        p.write_text(json.dumps(dict(doc, **bad)))
+        with pytest.raises(CacheMismatch, match="malformed document"):
+            load_registry(p, 19)
     p.write_text("[]")
     with pytest.raises(CacheMismatch, match="not a JSON object"):
         load_registry(p, 19)
@@ -338,35 +362,35 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch, registry19):
     assert set(load_registry(p, 19).records) == set(registry19.records)
 
 
-def _shift(rec):
-    rec["cube"] = [[x + 1, y, z] for x, y, z in rec["cube"]]
+def _add_reducible(doc):
+    # n = 2 turns the side-7 source into the side-7 cube dilated by 2
+    doc["sources"].append(doc["sources"][3][:5] + [2])
 
 
-def _add_reducible(recs):
-    cube = UNIT.dilate(3)
-    source = _record_from_json(recs[0]).source
-    kv = frozenset(cube.corner_edges().k_values())
-    recs.append(record_to_json(CubeRecord(3, 3, cube, kv, invariants(cube.corner_edges()), source)))
+def _version_1(doc):
+    # the previous format: one object per record, its source among the fields
+    doc.update(version=1, records=[{"source": dict(zip("abcdmn", s))} for s in doc.pop("sources")])
 
 
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (lambda recs: recs[3].update(side=recs[3]["side"] + 2), "stored side"),
-        (lambda recs: recs[3].update(bound_dim=recs[3]["bound_dim"] + 1), "stored bound_dim"),
-        (lambda recs: recs[3]["k_values"].append(999), "stored k_values"),
-        (lambda recs: recs[3]["invariants"].__setitem__(3, 1), "stored invariants"),
-        (lambda recs: _shift(recs[3]), "not octant-normalized"),
-        (lambda recs: recs[3]["cube"][7].__setitem__(2, 1.5), "not a lattice point"),
+        (lambda doc: doc["sources"].pop(3), "side 7: 0 translation classes claimed, expected 8"),
+        (lambda doc: doc["sources"].append(list(doc["sources"][3])), "orbit already claimed"),
+        (lambda doc: doc["sources"][3].__setitem__(0, 3), "2q must divide"),
+        (lambda doc: doc["sources"][3].__setitem__(2, 1.5), "1.5 is not an integer"),
+        (lambda doc: doc["sources"][3].__setitem__(4, True), "True is not an integer"),
+        (lambda doc: doc["sources"][3].pop(), "is not a list of six integers"),
         (_add_reducible, "reducible"),
-        (lambda recs: recs.append(dict(recs[3])), "orbit already claimed"),
+        (lambda doc: doc.update(N=21), "side 21: 0 translation classes claimed, expected 32"),
+        (_version_1, "version 1, expected 2"),
     ],
 )
 def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, message):
     p = tmp_path / "reg.json"
     save_registry(registry19, p)
     doc = json.loads(p.read_text())
-    tamper(doc["records"])
+    tamper(doc)
     p.write_text(json.dumps(doc))
     with pytest.raises(CacheMismatch, match=message):
         load_registry(p, 19)

@@ -11,6 +11,7 @@ import sympy
 from latticecubes.diophantine import (
     NormFormSolution,
     PlaneSolution,
+    dedekind_psi,
     gamma2,
     k_values,
     lambda_d,
@@ -20,6 +21,17 @@ from latticecubes.diophantine import (
     solve_norm_form,
     solve_three_squares,
 )
+
+
+def test_dedekind_psi():
+    assert [dedekind_psi(n) for n in range(1, 10)] == [1, 3, 4, 6, 6, 12, 8, 12, 12]
+    for n in range(1, 2000):
+        want = Fraction(n)
+        for p in sympy.primefactors(n):
+            want *= Fraction(p + 1, p)
+        assert dedekind_psi(n) == want, n
+    with pytest.raises(ValueError):
+        dedekind_psi(0)
 
 
 def test_legendre_minus3_values():

@@ -1,9 +1,11 @@
 """The brute-force frame-enumeration referee."""
 
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 
+from latticecubes.diophantine import dedekind_psi
 from latticecubes.lattice_geometry import Cube, Vec3
 from latticecubes.oracle import (
     _vectors_of_norm,
@@ -29,6 +31,14 @@ def test_vectors_of_norm():
     vs = _vectors_of_norm(9)
     assert len(set(vs)) == 30
     assert all(v.norm2() == 9 for v in vs)
+
+
+def test_primitive_classes_number_dedekind_psi():
+    # the census checks each side's claimed classes against psi(s); here the
+    # oracle's one-frame-per-class listing referees that count
+    for s in range(1, 101):
+        primitive = [f for f in enumerate_frames(s) if gcd(*(abs(t) for e in f for t in e)) == 1]
+        assert len(primitive) == (dedekind_psi(s) if s % 2 else 0), s
 
 
 def _signed_orderings(frame):
