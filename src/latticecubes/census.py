@@ -6,7 +6,8 @@ cube, as its Frame (the three edges at one corner).  A cube is accepted
 when it is genuinely new - not in the generalized orbit of anything
 already recorded at the same side length - and when the k = 1 pass could
 not have produced it (the "exception" guard: for k > 1 the cube must not
-have 1 among its k-values).  Only an accepted cube gets its 8 vertices.
+have 1 among its k-values).  A record keeps its frame; 8 vertices are
+built only for output (CubeRecord.cube).
 
 The k > 1 sweeps stay, though they yield no record below side
 7*13*19*31 = 53599: for an odd prime p dividing the side, a primitive
@@ -59,10 +60,15 @@ Candidate = tuple[int, NormFormSolution, int, PlaneSolution]  # (k, mn, d, sol)
 class CubeRecord:
     side: int
     bound_dim: int
-    cube: Cube
+    frame: Frame
     k_values: frozenset[int]
     invariants: InvariantSet
     source: tuple[PlaneSolution, NormFormSolution]
+
+    @property
+    def cube(self) -> Cube:
+        """The octant-normalized 8 vertices, for output."""
+        return self.frame.cube()
 
 
 @dataclass
@@ -80,7 +86,7 @@ class CubeRegistry:
 
     def claim(self, record: CubeRecord) -> None:
         self.records.append(record)
-        self.by_side.setdefault(record.side, set()).update(orbit_classes(record.cube.corner_edges()))
+        self.by_side.setdefault(record.side, set()).update(orbit_classes(record.frame))
 
     def is_claimed(self, side: int, frame: Frame) -> bool:
         return class_key(frame) in self.by_side.get(side, ())
@@ -117,7 +123,9 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
 
     Candidate construction is pure and may be farmed out to worker
     processes; acceptance always runs serially in the canonical order,
-    so the result is independent of the thread count.
+    so the result is independent of the thread count.  The pool does not
+    pay (README, Performance) and the CLI does not use it; it stays for
+    the benchmark's pool check until ROADMAP item 2 removes both.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -144,12 +152,11 @@ def _accept(N: int, items: list[Candidate], built: list[Frame]) -> CubeRegistry:
             raise ArithmeticError(f"pipeline cube side {frame.side} != d*k = {side}")
         if not frame.is_primitive():
             raise ArithmeticError(f"pipeline cube with frame {frame} is reducible")
-        cube = frame.cube()
         reg.claim(
             CubeRecord(
                 side=side,
-                bound_dim=cube.bounding_dim(),
-                cube=cube,
+                bound_dim=max(frame.extents()),
+                frame=frame,
                 k_values=frozenset(frame.k_values()),
                 invariants=invariants(frame),
                 source=(sol, mn),
@@ -166,29 +173,23 @@ def _accept(N: int, items: list[Candidate], built: list[Frame]) -> CubeRegistry:
 def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
     """Dilations j >= 2 of registry records with j * bound_dim <= N.
 
-    A dilate's k-values are its parent's times j.  Its invariants come
-    from the parent's orbit table with every slack scaled by j
-    (symmetry.invariants), which are not the parent's invariants: the
+    A dilate's frame and k-values are its parent's times j.  Its
+    invariants come from the parent's orbit table with every slack scaled
+    by j (symmetry.invariants), which are not the parent's invariants: the
     placement polynomials are not linear in the slack.  The frame kernel
     runs once per parent that has a multiple, not once per dilate.
     """
     out = []
     for rec in reg.records:
-        if 2 * rec.bound_dim > N:
-            continue
-        frame = rec.cube.corner_edges()
         j = 2
         while j * rec.bound_dim <= N:
-            dil = rec.cube.dilate(j)
-            if dil.bounding_dim() != j * rec.bound_dim:
-                raise ArithmeticError(f"dilation by {j} moved the box of {rec.cube.as_lists()}")
             out.append(
                 CubeRecord(
                     side=rec.side * j,
                     bound_dim=j * rec.bound_dim,
-                    cube=dil,
+                    frame=rec.frame.scale(j),
                     k_values=frozenset(j * k for k in rec.k_values),
-                    invariants=invariants(frame, j),
+                    invariants=invariants(rec.frame, j),
                     source=rec.source,
                 )
             )
@@ -233,14 +234,12 @@ def count_cubes(N: int, reg: CubeRegistry, multiples: list[CubeRecord]) -> int:
     return count_from_boxes(N, box_sums(chain(reg.records, multiples)))
 
 
-def sequence(
-    N: int, threads: int = 1, registry: Optional[CubeRegistry] = None
-) -> list[int]:
+def sequence(N: int, registry: Optional[CubeRegistry] = None) -> list[int]:
     """[NC(1), ..., NC(N)] from a single registry build."""
     if N < 1:
         raise ValueError("N must be positive")
     if registry is None:
-        registry = build_irreducible_list(N, threads=threads)
+        registry = build_irreducible_list(N)
     elif registry.n_built < N:
         raise ValueError("cached registry was built for a smaller N")
     boxes = box_sums(chain(registry.records, build_multiples(N, registry)))
@@ -311,8 +310,10 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     Each source is rebuilt and replayed through the census's accept pass,
     so the registry ends with the census's completeness check.  A file
     that is not this version's JSON document, lacks a key, holds a source
-    that is not six integers or does not become a record, or fails the
-    accept pass, raises CacheMismatch with the reason.
+    that is not six integers, not a solution of a^2 + b^2 + c^2 = 3d^2,
+    of a side d*k outside 1..N or that does not become a record, or fails
+    the accept pass, raises CacheMismatch with the reason.  The sources
+    are checked before any is rebuilt, so a rebuild's cost is bounded by N.
     """
     p = Path(path)
     if not p.is_file():
@@ -334,6 +335,11 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     if n_built < N:
         return None
     items = [_source_item(src) for src in sources]
+    for src, (k, _, d, (a, b, c, _)) in zip(sources, items):
+        if a * a + b * b + c * c != 3 * d * d:
+            raise CacheMismatch(f"cached source {src}: not a solution of a^2 + b^2 + c^2 = 3d^2")
+        if not 1 <= d * k <= n_built:
+            raise CacheMismatch(f"cached source {src}: side d*k = {d * k} is not in 1..{n_built}")
     try:
         reg = _accept(n_built, items, [_build_one(it) for it in items])
     except (ValueError, ArithmeticError) as exc:

@@ -9,9 +9,9 @@ Subcommands:
   verify           census vs brute-force oracle vs the two published lists
   representations  solutions of a^2+b^2+c^2 = 3d^2 and the count formula
 
-count, sequence, list and verify build the census and take --n, --cache
-and --threads; --format is offered by the subcommands with more than one
-output form.  Results go to stdout, diagnostics to stderr.  Exit codes:
+count, sequence, list and verify build the census and take --n and
+--cache; --format is offered by the subcommands with more than one output
+form.  Results go to stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 verification or validation failure, 2 usage error.
 """
 
@@ -61,7 +61,7 @@ def _get_registry(args: argparse.Namespace) -> CubeRegistry:
         if reg is not None:
             print(f"loaded registry cache (N={reg.n_built})", file=sys.stderr)
             return reg
-    reg = build_irreducible_list(args.n, threads=args.threads)
+    reg = build_irreducible_list(args.n)
     if args.cache_path:
         save_registry(reg, args.cache_path)
         print(f"saved registry cache to {args.cache_path}", file=sys.stderr)
@@ -76,7 +76,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
-    values = sequence(args.n, threads=args.threads, registry=_get_registry(args))
+    values = sequence(args.n, registry=_get_registry(args))
     if args.format == "json":
         print(json.dumps(values))
     elif args.format == "csv":
@@ -139,7 +139,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     reg = _get_registry(args)
-    census_vals = sequence(args.n, threads=args.threads, registry=reg)
+    census_vals = sequence(args.n, registry=reg)
     oracle_cap = min(args.n, args.oracle_max) if args.oracle_max else args.n
     oracle_vals = brute_force_sequence(oracle_cap)
     failures = 0
@@ -213,12 +213,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, summary, formats=("table", "json"), census=True):
         """A subcommand with the flags its function reads: the census
-        flags (--n, --cache, --threads) and --format with `formats`."""
+        flags (--n, --cache) and --format with `formats`."""
         p = sub.add_parser(name, help=summary)
         if census:
             p.add_argument("--n", type=_positive_int, default=1, help="grid size n")
             p.add_argument("--cache", dest="cache_path", help="registry cache file")
-            p.add_argument("--threads", type=_positive_int, default=1)
         if formats:
             p.add_argument(
                 "--format", choices=formats, default="table", help="output format (default: table)"

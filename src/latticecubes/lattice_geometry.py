@@ -125,6 +125,10 @@ class Frame(NamedTuple):
         """True when the cube is no dilation of a smaller lattice cube."""
         return gcd(*(abs(t) for e in self for t in e)) == 1
 
+    def scale(self, j: int) -> "Frame":
+        """The frame of the cube dilated by j."""
+        return Frame(*(e.scale(j) for e in self))
+
     def orthogonal_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """The edges as columns, divided by the side: an orthogonal matrix."""
         s = self.side
@@ -171,11 +175,6 @@ class Cube:
     def translate(self, t: Vec3) -> "Cube":
         # translation preserves lexicographic order, no re-sort needed
         return Cube(tuple(v + t for v in self.vertices))
-
-    def dilate(self, t: int) -> "Cube":
-        if t < 1:
-            raise ValueError("dilation factor must be positive")
-        return Cube(tuple(v.scale(t) for v in self.vertices))
 
     def translate_to_octant(self) -> "Cube":
         mx = min(v.x for v in self.vertices)

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -134,7 +135,7 @@ def test_claim_membership_trick(registry19):
     assert class_key(img.translate_to_octant().corner_edges()) in orbit_classes(rec.cube.corner_edges())
     assert registry19.is_claimed(5, img.translate_to_octant().corner_edges())
     # a reducible cube of the same side was never claimed
-    assert not registry19.is_claimed(13, UNIT.dilate(13).corner_edges())
+    assert not registry19.is_claimed(13, UNIT.corner_edges().scale(13))
 
 
 def test_accept_guards_are_raises(monkeypatch):
@@ -168,7 +169,7 @@ def test_build_multiples_small():
     assert len(mult) == 1
     rec = mult[0]
     assert (rec.side, rec.bound_dim) == (2, 2)
-    assert rec.cube == UNIT.dilate(2)
+    assert rec.cube == UNIT.corner_edges().scale(2).cube()
     assert rec.k_values == frozenset({2})
     assert rec.invariants == InvariantSet(1, 1, 0, 0)
 
@@ -252,7 +253,7 @@ def test_acceptance_is_schedule_independent(registry19):
             CubeRecord(
                 side=d * k,
                 bound_dim=cube.bounding_dim(),
-                cube=cube,
+                frame=frame,
                 k_values=frozenset(fkv),
                 invariants=invariants(frame),
                 source=(sol, mn),
@@ -377,7 +378,7 @@ def _version_1(doc):
     [
         (lambda doc: doc["sources"].pop(3), "side 7: 0 translation classes claimed, expected 8"),
         (lambda doc: doc["sources"].append(list(doc["sources"][3])), "orbit already claimed"),
-        (lambda doc: doc["sources"][3].__setitem__(0, 3), "2q must divide"),
+        (lambda doc: doc["sources"][3].__setitem__(0, 3), "not a solution"),
         (lambda doc: doc["sources"][3].__setitem__(2, 1.5), "1.5 is not an integer"),
         (lambda doc: doc["sources"][3].__setitem__(4, True), "True is not an integer"),
         (lambda doc: doc["sources"][3].pop(), "is not a list of six integers"),
@@ -394,6 +395,47 @@ def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, message):
     p.write_text(json.dumps(doc))
     with pytest.raises(CacheMismatch, match=message):
         load_registry(p, 19)
+
+
+def test_cache_rejects_a_huge_source_before_building_it(tmp_path, monkeypatch, registry19):
+    # a genuine primitive solution of a^2 + b^2 + c^2 = 3d^2 with a 25-digit d,
+    # from the rational sphere through (1, 1, 1): rebuilding it would leave
+    # find_rs trial-dividing a 2q of about 50 digits
+    p, q, r = 10**12 + 39, 7 * 10**11 + 3, 3 * 10**11 + 11
+    s, t = p * p + q * q + r * r, p + q + r
+    a, b, c = sorted(abs(s - 2 * t * x) for x in (p, q, r))
+    g = gcd(a, b, c, s)
+    a, b, c, d = a // g, b // g, c // g, s // g
+    assert a * a + b * b + c * c == 3 * d * d and len(str(d)) == 25
+    path = tmp_path / "reg.json"
+    save_registry(registry19, path)
+    doc = json.loads(path.read_text())
+    doc["sources"].append([a, b, c, d, 0, 1])
+    path.write_text(json.dumps(doc))
+    build = census._build_one
+
+    def bounded_build(item):
+        k, _, d, _ = item
+        if d * k > 19:
+            pytest.fail(f"rebuilt a cached source of side {d * k} > N = 19")
+        return build(item)
+
+    monkeypatch.setattr(census, "_build_one", bounded_build)
+    with pytest.raises(CacheMismatch, match=rf"side d\*k = {d} is not in 1\.\.19"):
+        load_registry(path, 19)
+
+
+def test_census_builds_no_vertices(tmp_path, monkeypatch):
+    # a record keeps its frame: the census and a cache load never build the
+    # 8 vertices, which exist only for output
+    def no_vertices(frame):
+        raise AssertionError(f"vertices built for {frame}")
+
+    monkeypatch.setattr(Frame, "cube", no_vertices)
+    assert sequence(60) == COUNTS_LISTED[:60]
+    p = tmp_path / "reg.json"
+    save_registry(build_irreducible_list(60), p)
+    assert sequence(60, registry=load_registry(p, 60)) == COUNTS_LISTED[:60]
 
 
 def test_cache_save_is_deterministic(tmp_path, registry19):

@@ -162,14 +162,14 @@ def test_four_k_values():
     assert Cube.from_points(UNIT).corner_edges().k_values() == {1}
     assert Cube.from_points(ROW3).corner_edges().k_values() == {1, 3}
     assert Cube.from_points(TABLE1[7][2]).corner_edges().k_values() == {1}  # side 13, bound 17
-    assert Cube.from_points(UNIT).dilate(2).corner_edges().k_values() == {2}
+    assert Cube.from_points(UNIT).corner_edges().scale(2).k_values() == {2}
     for side, _, verts, kv, _ in TABLE1:
         assert Cube.from_points(verts).corner_edges().k_values() == kv, side
 
 
 def test_is_irreducible():
     assert Cube.from_points(UNIT).corner_edges().is_primitive()
-    assert not Cube.from_points(UNIT).dilate(3).corner_edges().is_primitive()
+    assert not Cube.from_points(UNIT).corner_edges().scale(3).is_primitive()
     for _, _, verts, _, _ in TABLE1:
         assert Cube.from_points(verts).corner_edges().is_primitive()
     assert Cube.from_points(EXAMPLE_CUBE).corner_edges().is_primitive()

@@ -192,7 +192,7 @@ def test_kernel_matches_referee_on_box_images(registry50, data):
     j = data.draw(st.integers(1, 3), label="dilation")
     perm, flips = data.draw(st.sampled_from(BOX_MAPS), label="box map")
     shift = Vec3(*data.draw(st.tuples(*[st.integers(-40, 40)] * 3), label="translation"))
-    base = rec.cube.dilate(j)
+    base = rec.frame.scale(j).cube()
     moved = apply_box_map(base, base.bounding_dim(), perm, flips).translate(shift)
     c = moved.translate_to_octant()
     _assert_kernel_matches_referee(c.corner_edges(), c)
