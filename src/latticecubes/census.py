@@ -26,19 +26,21 @@ NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
 inclusion-exclusion of its generalized orbit sliding inside {0..n}^3.
 The polynomial is linear in (a, b, g), so records sharing a bound_dim
-are summed first and each (n, bound_dim) pair is evaluated once.
+are summed first (box_sums).  count_cubes evaluates each box once;
+sequence takes NC(1..N) from prefix sums of each box's forward
+differences (sequence_from_boxes), so its cost grows as N + boxes, not
+N * boxes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from math import isqrt
-from multiprocessing import Pool
+from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .diophantine import (
     NormFormSolution,
@@ -56,8 +58,7 @@ CACHE_VERSION = 2
 Candidate = tuple[int, NormFormSolution, int, PlaneSolution]  # (k, mn, d, sol)
 
 
-@dataclass(frozen=True)
-class CubeRecord:
+class CubeRecord(NamedTuple):
     side: int
     bound_dim: int
     frame: Frame
@@ -71,7 +72,6 @@ class CubeRecord:
         return self.frame.cube()
 
 
-@dataclass
 class CubeRegistry:
     """Accepted irreducible cubes plus the claimed-orbit index.
 
@@ -80,9 +80,10 @@ class CubeRegistry:
     candidate is a duplicate iff its class key is already present.
     """
 
-    n_built: int
-    records: list[CubeRecord] = field(default_factory=list)
-    by_side: dict[int, set[ClassKey]] = field(default_factory=dict)
+    def __init__(self, n_built: int) -> None:
+        self.n_built = n_built
+        self.records: list[CubeRecord] = []
+        self.by_side: dict[int, set[ClassKey]] = {}
 
     def claim(self, record: CubeRecord) -> None:
         self.records.append(record)
@@ -131,6 +132,8 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
         raise ValueError("N must be positive")
     items = list(_candidate_stream(N))
     if threads > 1 and len(items) > 1:
+        from multiprocessing import Pool  # kept off the package's import path
+
         with Pool(threads) as pool:
             built = pool.map(_build_one, items, chunksize=max(1, len(items) // (threads * 8)))
     else:
@@ -229,6 +232,28 @@ def count_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> int:
     return sum(placement_count(N, d, inv) for d, inv in boxes.items() if d <= N)
 
 
+def sequence_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> list[int]:
+    """[NC(1), ..., NC(N)] from box_sums, by prefix sums.
+
+    A box's placement_count is a cubic in t = n - d, so it equals
+    sum over i <= 3 of C(t, i) times its i-th forward difference at
+    t = 0.  C(n - d, i) is the (i+1)-fold prefix sum of a 1 at position
+    d + i, so difference i goes into array A_i at d + i, and NC is
+    P(A0 + P(A1 + P(A2 + P(A3)))) with P the prefix sum: four passes
+    of exact integer sums, whatever the number of boxes.
+    """
+    diffs = [[0] * (N + 1) for _ in range(4)]
+    for d, inv in boxes.items():
+        f0, f1, f2, f3 = [placement_count(d + t, d, inv) for t in range(4)]
+        for i, delta in enumerate((f0, f1 - f0, f2 - 2 * f1 + f0, f3 - 3 * f2 + 3 * f1 - f0)):
+            if d + i <= N:
+                diffs[i][d + i] += delta
+    acc = [0] * (N + 1)
+    for row in reversed(diffs):
+        acc = list(accumulate(map(add, row, acc)))
+    return acc[1:]
+
+
 def count_cubes(N: int, reg: CubeRegistry, multiples: list[CubeRecord]) -> int:
     """NC(N): lattice cubes with all 8 vertices in {0..N}^3."""
     return count_from_boxes(N, box_sums(chain(reg.records, multiples)))
@@ -243,15 +268,16 @@ def sequence(N: int, registry: Optional[CubeRegistry] = None) -> list[int]:
     elif registry.n_built < N:
         raise ValueError("cached registry was built for a smaller N")
     boxes = box_sums(chain(registry.records, build_multiples(N, registry)))
-    return [count_from_boxes(n, boxes) for n in range(1, N + 1)]
+    return sequence_from_boxes(N, boxes)
 
 
-def record_to_json(rec: CubeRecord) -> dict:
+def record_to_json(rec: CubeRecord, cube: Optional[Cube] = None) -> dict:
+    """The record as JSON; `cube` is rec.cube, for a caller that has built it."""
     sol, mn = rec.source
     return {
         "side": rec.side,
         "bound_dim": rec.bound_dim,
-        "cube": rec.cube.as_lists(),
+        "cube": (rec.cube if cube is None else cube).as_lists(),
         "k_values": sorted(rec.k_values),
         "invariants": list(rec.invariants),
         "source": {

@@ -97,14 +97,15 @@ def cmd_list(args: argparse.Namespace) -> int:
     records = [r for r in reg.records if r.side <= args.n]
     if args.multiples:
         records += [r for r in build_multiples(args.n, reg) if r.side <= args.n]
-    records.sort(key=lambda r: (r.side, -r.bound_dim, r.cube.vertices))
+    rows = [(r, r.cube) for r in records]  # each record's vertices, built once
+    rows.sort(key=lambda rc: (rc[0].side, -rc[0].bound_dim, rc[1].vertices))
     if args.format == "json":
-        print(json.dumps([record_to_json(r) for r in records], indent=1))
+        print(json.dumps([record_to_json(r, cube) for r, cube in rows], indent=1))
     else:
-        for r in records:
-            cube = ", ".join(str(v) for v in r.cube.as_lists())
+        for r, cube in rows:
+            points = ", ".join(str(v) for v in cube.as_lists())
             kvals = ",".join(str(k) for k in sorted(r.k_values))
-            print(f"{r.side} | {r.bound_dim} | {cube} | {kvals} | {list(r.invariants)}")
+            print(f"{r.side} | {r.bound_dim} | {points} | {kvals} | {list(r.invariants)}")
     return 0
 
 

@@ -17,7 +17,6 @@ ring_arith uses it too.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -85,15 +84,19 @@ def legendre_minus3(p: int) -> int:
 
 
 def lambda_d(d: int) -> int:
-    """Lambda(d) = 8 d * prod over primes p|d of (1 - chi(p)/p), exactly."""
+    """Lambda(d) = 8 d * prod over primes p|d of (1 - chi(p)/p), exactly.
+
+    Dividing by one prime of d leaves the others, so each division is
+    exact; a remainder raises ArithmeticError.
+    """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")
-    acc = Fraction(8 * d)
+    acc = 8 * d
     for p, _ in prime_powers(d):
-        acc *= Fraction(p - legendre_minus3(p), p)
-    if acc.denominator != 1:
-        raise ArithmeticError(f"Lambda({d}) = {acc} is not an integer")
-    return int(acc)
+        if acc % p:
+            raise ArithmeticError(f"Lambda({d}): {p} does not divide the partial product {acc}")
+        acc = acc // p * (p - legendre_minus3(p))
+    return acc
 
 
 def gamma2(d: int) -> int:

@@ -9,19 +9,20 @@ The construction chain is
         -> the circumscribing cube, as its frame: the three integral
            edge vectors at the tetrahedron's origin corner.
 
-Everything is exact integer or Fraction arithmetic; any non-integrality
-is a typed error, never a rounding.
+Everything is exact integer arithmetic; any non-integrality is a typed
+error, never a rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .diophantine import NormFormSolution, PlaneSolution
 from .ring_arith import find_rs
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NonIntegralError(ValueError):
@@ -131,6 +132,8 @@ class Frame(NamedTuple):
 
     def orthogonal_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """The edges as columns, divided by the side: an orthogonal matrix."""
+        from fractions import Fraction  # kept off the package's import path
+
         s = self.side
         return tuple(tuple(Fraction(e[i], s) for e in self) for i in range(3))
 
@@ -149,8 +152,7 @@ def _lattice_point(p: Sequence[int]) -> Vec3:
     return Vec3(*p)
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     """A lattice cube as its 8 vertices in canonical (sorted) order."""
 
     vertices: tuple[Vec3, ...]

@@ -6,6 +6,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticecubes import census
 from latticecubes.census import (
@@ -25,6 +27,7 @@ from latticecubes.census import (
     record_to_json,
     save_registry,
     sequence,
+    sequence_from_boxes,
 )
 from latticecubes.diophantine import dedekind_psi
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
@@ -465,6 +468,26 @@ def test_box_sums_count_matches_per_record_sum(registry50):
     boxes = box_sums(records)
     assert len(boxes) < len(records)
     assert [count_from_boxes(n, boxes) for n in range(1, 51)] == want
+
+
+def test_prefix_sums_match_per_box_counts():
+    # referee: count_from_boxes, one placement_count per (n, box) pair
+    reg = build_irreducible_list(200)
+    boxes = box_sums(reg.records + build_multiples(200, reg))
+    want = [count_from_boxes(n, boxes) for n in range(1, 201)]
+    assert want[:100] == COUNTS_LISTED
+    for N in (1, 2, 57, 200):
+        assert sequence_from_boxes(N, boxes) == want[:N]
+
+
+_ABG = st.tuples(*[st.integers(-(10**9), 10**9)] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.dictionaries(st.integers(1, 70), _ABG, max_size=25))
+def test_prefix_sums_match_per_box_counts_on_drawn_boxes(N, raw):
+    boxes = {d: InvariantSet(0, *abg) for d, abg in raw.items()}
+    assert sequence_from_boxes(N, boxes) == [count_from_boxes(n, boxes) for n in range(1, N + 1)]
 
 
 def test_build_one_returns_the_validated_octant_cube():

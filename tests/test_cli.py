@@ -315,6 +315,19 @@ def test_runtime_needs_no_sympy():
     assert proc.returncode == 0, proc.stderr
 
 
+_HEAVY_STDLIB = ("dataclasses", "multiprocessing", "fractions", "decimal")
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    # every CLI call is a fresh process, so the import is part of its start-up time
+    code = f"import sys, latticecubes.cli; print([m for m in {_HEAVY_STDLIB!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_sequence_under_python_O():
     # the pipeline's data guards are explicit raises, so -O (which strips
     # asserts) must leave the census running and its numbers unchanged
