@@ -39,8 +39,7 @@ import os
 from itertools import accumulate, chain
 from math import isqrt
 from operator import add
-from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .diophantine import (
     NormFormSolution,
@@ -52,6 +51,9 @@ from .diophantine import (
 )
 from .lattice_geometry import Cube, Frame, build_cube
 from .symmetry import ClassKey, InvariantSet, class_key, invariants, orbit_classes
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 CACHE_VERSION = 2
 
@@ -298,6 +300,8 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
     The document goes to a temp file beside `path` that then replaces it,
     so a crash or error mid-write leaves any previous cache intact.
     """
+    from pathlib import Path  # kept off the package's import path
+
     doc = {
         "version": CACHE_VERSION,
         "N": reg.n_built,
@@ -341,6 +345,8 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     the accept pass, raises CacheMismatch with the reason.  The sources
     are checked before any is rebuilt, so a rebuild's cost is bounded by N.
     """
+    from pathlib import Path  # kept off the package's import path
+
     p = Path(path)
     if not p.is_file():
         return None

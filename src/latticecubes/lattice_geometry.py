@@ -9,6 +9,11 @@ The construction chain is
         -> the circumscribing cube, as its frame: the three integral
            edge vectors at the tetrahedron's origin corner.
 
+build_cube runs the whole chain in one function on plain integer
+coordinates, since it runs once per census candidate.  The tests compare
+it with a referee that takes one function per step on Vec3s (zeta_eta,
+triangle_vertices, fourth_vertex, complete_cube in tests/referee.py).
+
 Everything is exact integer arithmetic; any non-integrality is a typed
 error, never a rounding.
 """
@@ -16,7 +21,7 @@ error, never a rounding.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .diophantine import NormFormSolution, PlaneSolution
 from .ring_arith import find_rs
@@ -184,9 +189,6 @@ class Cube(NamedTuple):
         mz = min(v.z for v in self.vertices)
         return self.translate(Vec3(-mx, -my, -mz))
 
-    def bounding_dim(self) -> int:
-        return max(max(v) for v in self.vertices)
-
     def corner_edges(self) -> Frame:
         """Edge vectors at the lexicographically smallest vertex, sorted.
 
@@ -206,76 +208,20 @@ class Cube(NamedTuple):
         return [[v.x, v.y, v.z] for v in self.vertices]
 
 
-def zeta_eta(sol: PlaneSolution, r: int, s: int) -> tuple[Vec3, Vec3]:
-    """Generating vectors of the equilateral-triangle lattice in the plane.
-
-    zeta.zeta = eta.eta = 2 d^2, zeta.eta = d^2, and both are orthogonal
-    to (a, b, c).  Raises NonIntegralError when the (r, s) orientation is
-    the wrong one for this solution; the caller retries with (-r, s).
-    """
-    a, b, c, d = sol
-    q = a * a + b * b
-    num_z = (-(r * a * c + d * b * s), d * a * s - b * c * r, r * q)
-    num_e = (
-        -(d * b * (s - 3 * r) + a * c * (r + s)),
-        d * a * (s - 3 * r) - b * c * (r + s),
-        q * (r + s),
-    )
-    if any(t % q for t in num_z):
-        raise NonIntegralError("zeta is not integral for this (r, s)")
-    if any(t % (2 * q) for t in num_e):
-        raise NonIntegralError("eta is not integral for this (r, s)")
-    zeta = Vec3(*(t // q for t in num_z))
-    eta = Vec3(*(t // (2 * q) for t in num_e))
-    return zeta, eta
-
-
-def triangle_vertices(
-    zeta: Vec3, eta: Vec3, m: int, n: int
-) -> tuple[Vec3, Vec3, Vec3]:
-    """Equilateral triangle O, P, Q with side d*sqrt(2(m^2-mn+n^2))."""
-    p = zeta.scale(m) - eta.scale(n)
-    q = zeta.scale(n) - eta.scale(n - m)
-    return ORIGIN, p, q
-
-
-def fourth_vertex(
-    tri: tuple[Vec3, Vec3, Vec3], sol: PlaneSolution, k: int, sign: int
-) -> Optional[Vec3]:
-    """Apex over the triangle making a regular tetrahedron, if integral.
-
-    The apex sits at (P + Q + sign*2k*(a,b,c)) / 3; only one sign gives
-    integer coordinates unless 3 | k.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be 1 or -1, not {sign}")
-    _, p, q = tri
-    normal = Vec3(sol.a, sol.b, sol.c).scale(2 * k * sign)
-    t = p + q + normal
-    if t.x % 3 or t.y % 3 or t.z % 3:
-        return None
-    return Vec3(t.x // 3, t.y // 3, t.z // 3)
-
-
-def complete_cube(tetra: tuple[Vec3, Vec3, Vec3, Vec3]) -> Frame:
-    """The frame at O of the unique cube circumscribing a regular lattice
-    tetrahedron O, U, V, W.
-
-    The cube's far corner is G = (U+V+W)/2 and O's edges are G-U, G-V and
-    G-W; the halving must be exact.  Frame.of checks that they span a cube.
-    """
-    o, u, v, w = tetra
-    if o != ORIGIN:
-        raise ValueError(f"tetrahedron must start at the origin, not {o}")
-    g = u + v + w
-    if g.x % 2 or g.y % 2 or g.z % 2:
-        raise NonIntegralError("tetrahedron midpoint sums are odd")
-    gh = Vec3(g.x // 2, g.y // 2, g.z // 2)
-    return Frame.of(gh - u, gh - v, gh - w)
-
-
 def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
-    """Full chain from a plane solution and a norm-form solution to a cube's frame."""
+    """The frame of the cube a plane solution and a norm-form solution build.
+
+    The construction chain, on coordinates: zeta and eta generate the
+    triangle lattice in the plane (zeta.zeta = eta.eta = 2 d^2,
+    zeta.eta = d^2, both orthogonal to (a, b, c)); the triangle O, P, Q
+    has P = m zeta - n eta and Q = n zeta - (n - m) eta; the apex is
+    R = (P + Q +- 2k (a, b, c)) / 3; and the circumscribing cube has far
+    corner G = (P + Q + R) / 2 and edges G - P, G - Q, G - R at O.
+    NonIntegralError when zeta and eta are integral for neither (r, s)
+    nor (-r, s), when neither apex sign is integral, or when the midpoint
+    sums are odd; ValueError when both apex signs are, which needs 3 | k
+    and so no census candidate; Frame.of checks the cube.
+    """
     a, b, c, d = sol
     m, n = mn
     kk = m * m - m * n + n * n
@@ -283,15 +229,35 @@ def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
     if k * k != kk:
         raise ValueError("m^2 - mn + n^2 must be a perfect square")
     q = a * a + b * b
-    r, s = find_rs(a * c, -b * d, q)
-    try:
-        zeta, eta = zeta_eta(sol, r, s)
-    except NonIntegralError:
-        zeta, eta = zeta_eta(sol, -r, s)
-    tri = triangle_vertices(zeta, eta, m, n)
-    apex = fourth_vertex(tri, sol, k, 1)
-    if apex is None:
-        apex = fourth_vertex(tri, sol, k, -1)
-    if apex is None:
+    q2 = 2 * q
+    r0, s = find_rs(a * c, -b * d, q)
+    for r in (r0, -r0):  # one orientation of (r, s) gives integral zeta, eta
+        zx, zy, zz = -(r * a * c + d * b * s), d * a * s - b * c * r, r * q
+        u, v = s - 3 * r, r + s
+        ex, ey, ez = -(d * b * u + a * c * v), d * a * u - b * c * v, q * v
+        if not (zx % q or zy % q or zz % q or ex % q2 or ey % q2 or ez % q2):
+            break
+    else:
+        raise NonIntegralError(f"zeta, eta are integral for neither (r, s) = ({r0}, {s}) nor (-r, s)")
+    zx, zy, zz, ex, ey, ez = zx // q, zy // q, zz // q, ex // q2, ey // q2, ez // q2
+    px, py, pz = m * zx - n * ex, m * zy - n * ey, m * zz - n * ez
+    h = n - m
+    qx, qy, qz = n * zx - h * ex, n * zy - h * ey, n * zz - h * ez
+    tx, ty, tz = px + qx, py + qy, pz + qz
+    nx, ny, nz = 2 * k * a, 2 * k * b, 2 * k * c
+    plus = not ((tx + nx) % 3 or (ty + ny) % 3 or (tz + nz) % 3)
+    minus = not ((tx - nx) % 3 or (ty - ny) % 3 or (tz - nz) % 3)
+    if plus and minus:
+        raise ValueError("both tetrahedron apex signs are integral (3 divides k)")
+    if not (plus or minus):
         raise NonIntegralError("no integral tetrahedron apex for either sign")
-    return complete_cube((ORIGIN, tri[1], tri[2], apex))
+    if minus:
+        nx, ny, nz = -nx, -ny, -nz
+    rx, ry, rz = (tx + nx) // 3, (ty + ny) // 3, (tz + nz) // 3
+    gx, gy, gz = tx + rx, ty + ry, tz + rz
+    if gx % 2 or gy % 2 or gz % 2:
+        raise NonIntegralError("tetrahedron midpoint sums are odd")
+    gx, gy, gz = gx // 2, gy // 2, gz // 2
+    return Frame.of(
+        Vec3(gx - px, gy - py, gz - pz), Vec3(gx - qx, gy - qy, gz - qz), Vec3(gx - rx, gy - ry, gz - rz)
+    )

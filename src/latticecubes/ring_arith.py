@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .diophantine import prime_powers
 
@@ -47,17 +47,6 @@ class RingElem(NamedTuple):
         return RingElem(-self.u, -self.v)
 
 
-def divide_exact(z: RingElem, w: RingElem) -> Optional[RingElem]:
-    """Return z / w if w divides z exactly in the ring, else None."""
-    n = w.norm()
-    if n == 0:
-        return None
-    t = z * w.conj()
-    if t.u % n or t.v % n:
-        return None
-    return RingElem(t.u // n, t.v // n)
-
-
 @lru_cache(maxsize=None)
 def unique_decomposition(p: int) -> RingElem:
     """Representation of the prime p as an element of norm p (norm 4 for p=2).
@@ -80,17 +69,6 @@ def unique_decomposition(p: int) -> RingElem:
     raise NotRepresentable(f"{p} has no representation x^2 + 3y^2")
 
 
-def _two_factor(z: RingElem) -> RingElem:
-    """The norm-4 element (1, +-1) dividing the primitive z of even norm."""
-    return RingElem(1, 1) if (z.u - z.v) % 4 == 0 else RingElem(1, -1)
-
-
-def _oriented_prime(z: RingElem, p: int) -> RingElem:
-    """The element of norm p (p = 1 mod 3) that divides the primitive z."""
-    f = unique_decomposition(p)
-    return f if divide_exact(z, f) is not None else f.conj()
-
-
 def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
     """Solve s^2 + 3*r^2 = 2*q given that 2*q divides A^2 + 3*B^2.
 
@@ -109,21 +87,26 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
     a norm far larger than 2q = 2(a^2 + b^2).  Only the primes of 2q are
     ever selected, and for each of them the reduced norm's valuation is a
     divisibility test, so factoring the whole norm would be wasted work.
+
+    find_rs runs once per census candidate, so it keeps z, the product
+    and each factor as plain (u, v) integer pairs rather than RingElems,
+    and tests a factor's orientation by the divisibility of z * conj(f).
     """
     if (A * A + 3 * B * B) % (2 * q) != 0:
         raise ValueError("2q must divide A^2 + 3B^2")
     if A == 0 and B == 0:
         raise ValueError("cannot factor 0")
-    g = gcd(abs(A), abs(B))
-    z = RingElem(A // g, B // g)
-    n = z.norm()
+    # z = zu + zv*i*sqrt(3) is A + B*i*sqrt(3) without its content g
+    g = gcd(A, B)
+    zu, zv = A // g, B // g
+    n = zu * zu + 3 * zv * zv
     common = gcd(g, 2 * q)
     qq = (2 * q) // (common * common)
     if qq * common * common != 2 * q:
         raise ValueError("content mismatch: 2q/content^2 not integral")
 
     # the shared integer content is part of the gcd, so the product starts there
-    acc = RingElem(common, 0)
+    au, av = common, 0
     for p, e in prime_powers(qq):
         if p == 2 and e != 2:
             # a norm-form value 2q has 2-adic valuation exactly 2, one ring factor
@@ -131,20 +114,25 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
         target = 4 if p == 2 else p
         if n % target:
             raise ValueError(f"required factor of norm {target} not present")
-        # a primitive norm holds 4 and 3 at most once, each as one ring factor
+        # a primitive norm holds 4 and 3 at most once, each as one ring factor;
+        # f = fu + fv*i*sqrt(3) is the factor of norm target that divides z
         if p == 2:
-            f, m = _two_factor(z), 1
+            fu, fv, m = 1, (1 if (zu - zv) % 4 == 0 else -1), 1
         elif p == 3:
-            f, m = RingElem(0, 1), 1
+            fu, fv, m = 0, 1, 1
         else:
-            f, m = _oriented_prime(z, p), 0
+            fu, fv = unique_decomposition(p)
+            # f divides z iff p divides both parts of z * conj(f)
+            if (zu * fu + 3 * zv * fv) % p or (zv * fu - zu * fv) % p:
+                fv = -fv
+            m = 0
             while n % p == 0:
                 n //= p
                 m += 1
         for _ in range(min(m, e)):
-            acc = acc * f
+            au, av = au * fu - 3 * av * fv, au * fv + av * fu
 
-    s, r = acc.u, acc.v
+    s, r = au, av
     if s * s + 3 * r * r != 2 * q:
         s, r = r, s
     if s * s + 3 * r * r != 2 * q:

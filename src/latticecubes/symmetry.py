@@ -23,7 +23,10 @@ sign-normalized to a positive first non-zero coordinate, sorted.  A box
 map acts on the edges as a signed permutation; the extents of a class are
 the per-axis sums of |e_i|; and a positioned image is its class key plus
 its offset from the origin, d - w on each axis the map flips and 0 on the
-others.  alpha0 counts the distinct (class key, offset) pairs.
+others.  alpha0 counts the distinct (class key, offset) pairs.  The
+kernel (_orbit_table) permutes the edges' coordinates once for each of
+the 6 permutations and then applies 4 sign pairs to them on plain
+integer tuples; the 24 maps that negate axis 0 give the same class keys.
 
 The tests check the kernel against a referee that moves all 8 vertices
 of a cube literally (tests/referee.py).
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .lattice_geometry import Frame
 
@@ -48,16 +51,9 @@ Edge = tuple[int, int, int]
 ClassKey = tuple[Edge, Edge, Edge]
 Slack = tuple[int, int, int]
 
-# The box maps as signed permutations of edge vectors: image edge i is
-# signs[i] * e[perm[i]], with sign -1 on each flipped axis.  Only the 24
-# maps that keep axis 0 are listed.  Negating all three signs negates
-# every edge, so the other 24 maps give the same class keys, with the
-# complementary flips.
-_HALF_MAPS = tuple(
-    (perm, tuple(-1 if f else 1 for f in flips))
-    for perm, flips in BOX_MAPS
-    if not flips[0]
-)
+# The sign pairs (g1, g2) of the box maps that keep axis 0: image edge i
+# is g_i * e[perm[i]], with g_i = -1 on each flipped axis and g_0 = +1.
+_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 class InvariantSet(NamedTuple):
@@ -80,24 +76,6 @@ def class_key(frame: Frame) -> ClassKey:
     return (e1, e2, e3)
 
 
-def _frame_orbit(
-    frame: Frame,
-) -> Iterator[tuple[ClassKey, Slack, tuple[int, int, int]]]:
-    """The frame kernel: (class key, slack, signs) of the cube under each half map.
-
-    slack[i] = d - w_i is the room the image class has along axis i of
-    [0, d]^3.  The map with these signs and the one with all signs
-    negated both produce the class key.
-    """
-    w = frame.extents()
-    d = max(w)
-    for (p0, p1, p2), signs in _HALF_MAPS:
-        s0, s1, s2 = signs
-        # class_key of the image, inlined: this loop is the census hot path
-        e1, e2, e3 = sorted([_line(s0 * e[p0], s1 * e[p1], s2 * e[p2]) for e in frame])
-        yield (e1, e2, e3), (d - w[p0], d - w[p1], d - w[p2]), signs
-
-
 @lru_cache(maxsize=1)
 def _orbit_table(key: ClassKey) -> tuple[frozenset[ClassKey], tuple[Slack, ...], int]:
     """One frame kernel pass over the cube of class `key`: the class keys
@@ -108,16 +86,30 @@ def _orbit_table(key: ClassKey) -> tuple[frozenset[ClassKey], tuple[Slack, ...],
     kept: the census asks for a cube's invariants and then for its orbit
     classes, and for the invariants of each dilate of one cube in a row.
     """
+    frame = Frame(*key)
+    w = frame.extents()
+    d = max(w)
     slack_of = {}
     positioned = set()
-    for image, slack, signs in _frame_orbit(Frame(*key)):
-        slack_of[image] = slack
-        r0, r1, r2 = slack
-        _, g1, g2 = signs  # g0 = +1: the half maps keep axis 0
-        # offsets of the map with these signs, which flips where g = -1,
-        # and of its negation, which flips where g = +1 and on axis 0
-        positioned.add((image, (0, r1 if g1 < 0 else 0, r2 if g2 < 0 else 0)))
-        positioned.add((image, (r0, r1 if g1 > 0 else 0, r2 if g2 > 0 else 0)))
+    for p0, p1, p2 in permutations((0, 1, 2)):
+        edges = [(e[p0], e[p1], e[p2]) for e in frame]
+        slack = r0, r1, r2 = d - w[p0], d - w[p1], d - w[p2]
+        for g1, g2 in _SIGNS:
+            # class_key of the image, with _line inlined: this loop is the census hot path
+            lines = []
+            for x, y, z in edges:
+                y *= g1
+                z *= g2
+                if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+                    x, y, z = -x, -y, -z
+                lines.append((x, y, z))
+            e1, e2, e3 = sorted(lines)
+            image = (e1, e2, e3)
+            slack_of[image] = slack
+            # offsets of the map with signs (1, g1, g2), which flips where g = -1,
+            # and of its negation, which flips where g = +1 and on axis 0
+            positioned.add((image, (0, r1 if g1 < 0 else 0, r2 if g2 < 0 else 0)))
+            positioned.add((image, (r0, r1 if g1 > 0 else 0, r2 if g2 > 0 else 0)))
     return frozenset(slack_of), tuple(slack_of.values()), len(positioned)
 
 

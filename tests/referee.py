@@ -2,18 +2,29 @@
 
 The vertex-level ones move all 8 vertices of a cube literally, under the
 48 box maps and in-box translations, where the package works on a cube's
-three corner edges (latticecubes.symmetry).  They are slow.  factor_ring
-factors a whole element of Z[i*sqrt(3)], where ring_arith.find_rs only
-factors 2q; it is the find_rs referee.
+three corner edges (latticecubes.symmetry).  They are slow.  The
+construction steps (zeta_eta, triangle_vertices, fourth_vertex,
+complete_cube) are lattice_geometry.build_cube's chain one step at a
+time, on Vec3s.  factor_ring factors a whole element of Z[i*sqrt(3)]
+with RingElem arithmetic, where ring_arith.find_rs only factors 2q, on
+integer pairs; it is the find_rs referee.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Optional
 
-from latticecubes.diophantine import prime_powers
-from latticecubes.lattice_geometry import Cube, Vec3
-from latticecubes.ring_arith import RingElem, _oriented_prime, _two_factor, divide_exact
+from latticecubes import ring_arith
+from latticecubes.diophantine import NormFormSolution, PlaneSolution, prime_powers
+from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, NonIntegralError, Vec3
+from latticecubes.ring_arith import RingElem, find_rs
 from latticecubes.symmetry import BOX_MAPS, InvariantSet
+
+
+def bounding_dim(c: Cube) -> int:
+    """The largest vertex coordinate: the side of the box [0, d]^3 of an
+    octant-normalized cube."""
+    return max(max(v) for v in c.vertices)
 
 
 def _assert_octant(c: Cube) -> None:
@@ -41,7 +52,7 @@ def apply_box_map(
 def symmetry_orbit(c: Cube) -> frozenset[Cube]:
     """All distinct positioned images of c under the 48 box maps."""
     _assert_octant(c)
-    d = c.bounding_dim()
+    d = bounding_dim(c)
     return frozenset(apply_box_map(c, d, perm, flips) for perm, flips in BOX_MAPS)
 
 
@@ -52,7 +63,7 @@ def _octant_images(c: Cube) -> set[Cube]:
 
 def generalized_orbit(c: Cube) -> frozenset[Cube]:
     """The symmetry orbit closed under all translations inside [0, d]^3."""
-    d = c.bounding_dim()
+    d = bounding_dim(c)
     out = set()
     for cls in _octant_images(c):
         w1, w2, w3 = _maxima(cls)
@@ -74,7 +85,7 @@ def canonical_form(c: Cube) -> Cube:
 
 def vertex_invariants(c: Cube) -> InvariantSet:
     """(alpha0, alpha, beta, gamma) from the 48 vertex images of the octant-normalized c."""
-    d = c.bounding_dim()
+    d = bounding_dim(c)
     positioned = symmetry_orbit(c)
     alpha = beta = gamma = 0
     for cls in {img.translate_to_octant() for img in positioned}:
@@ -116,6 +127,122 @@ def brute_force_orbit_fill(c: Cube, n: int) -> int:
                 for k in range(n - w3 + 1):
                     seen.add(member.translate(Vec3(i, j, k)).vertices)
     return len(seen)
+
+
+def zeta_eta(sol: PlaneSolution, r: int, s: int) -> tuple[Vec3, Vec3]:
+    """Generating vectors of the equilateral-triangle lattice in the plane.
+
+    zeta.zeta = eta.eta = 2 d^2, zeta.eta = d^2, and both are orthogonal
+    to (a, b, c).  Raises NonIntegralError when the (r, s) orientation is
+    the wrong one for this solution; the caller retries with (-r, s).
+    """
+    a, b, c, d = sol
+    q = a * a + b * b
+    num_z = (-(r * a * c + d * b * s), d * a * s - b * c * r, r * q)
+    num_e = (
+        -(d * b * (s - 3 * r) + a * c * (r + s)),
+        d * a * (s - 3 * r) - b * c * (r + s),
+        q * (r + s),
+    )
+    if any(t % q for t in num_z):
+        raise NonIntegralError("zeta is not integral for this (r, s)")
+    if any(t % (2 * q) for t in num_e):
+        raise NonIntegralError("eta is not integral for this (r, s)")
+    zeta = Vec3(*(t // q for t in num_z))
+    eta = Vec3(*(t // (2 * q) for t in num_e))
+    return zeta, eta
+
+
+def triangle_vertices(
+    zeta: Vec3, eta: Vec3, m: int, n: int
+) -> tuple[Vec3, Vec3, Vec3]:
+    """Equilateral triangle O, P, Q with side d*sqrt(2(m^2-mn+n^2))."""
+    p = zeta.scale(m) - eta.scale(n)
+    q = zeta.scale(n) - eta.scale(n - m)
+    return ORIGIN, p, q
+
+
+def fourth_vertex(
+    tri: tuple[Vec3, Vec3, Vec3], sol: PlaneSolution, k: int, sign: int
+) -> Optional[Vec3]:
+    """Apex over the triangle making a regular tetrahedron, if integral.
+
+    The apex sits at (P + Q + sign*2k*(a,b,c)) / 3; only one sign gives
+    integer coordinates unless 3 | k.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, not {sign}")
+    _, p, q = tri
+    normal = Vec3(sol.a, sol.b, sol.c).scale(2 * k * sign)
+    t = p + q + normal
+    if t.x % 3 or t.y % 3 or t.z % 3:
+        return None
+    return Vec3(t.x // 3, t.y // 3, t.z // 3)
+
+
+def complete_cube(tetra: tuple[Vec3, Vec3, Vec3, Vec3]) -> Frame:
+    """The frame at O of the unique cube circumscribing a regular lattice
+    tetrahedron O, U, V, W.
+
+    The cube's far corner is G = (U+V+W)/2 and O's edges are G-U, G-V and
+    G-W; the halving must be exact.  Frame.of checks that they span a cube.
+    """
+    o, u, v, w = tetra
+    if o != ORIGIN:
+        raise ValueError(f"tetrahedron must start at the origin, not {o}")
+    g = u + v + w
+    if g.x % 2 or g.y % 2 or g.z % 2:
+        raise NonIntegralError("tetrahedron midpoint sums are odd")
+    gh = Vec3(g.x // 2, g.y // 2, g.z // 2)
+    return Frame.of(gh - u, gh - v, gh - w)
+
+
+def pipeline_zeta_eta(sol: PlaneSolution) -> tuple[Vec3, Vec3]:
+    """zeta, eta for the census's (r, s): find_rs's orientation, else (-r, s)."""
+    a, b, c, d = sol
+    r, s = find_rs(a * c, -b * d, a * a + b * b)
+    try:
+        return zeta_eta(sol, r, s)
+    except NonIntegralError:
+        return zeta_eta(sol, -r, s)
+
+
+def build_cube_by_steps(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
+    """lattice_geometry.build_cube, one construction step at a time."""
+    m, n = mn
+    k = isqrt(m * m - m * n + n * n)
+    tri = triangle_vertices(*pipeline_zeta_eta(sol), m, n)
+    apex = fourth_vertex(tri, sol, k, 1)
+    if apex is None:
+        apex = fourth_vertex(tri, sol, k, -1)
+    if apex is None:
+        raise NonIntegralError("no integral tetrahedron apex for either sign")
+    return complete_cube((ORIGIN, tri[1], tri[2], apex))
+
+
+def divide_exact(z: RingElem, w: RingElem) -> Optional[RingElem]:
+    """Return z / w if w divides z exactly in the ring, else None."""
+    n = w.norm()
+    if n == 0:
+        return None
+    t = z * w.conj()
+    if t.u % n or t.v % n:
+        return None
+    return RingElem(t.u // n, t.v // n)
+
+
+def _two_factor(z: RingElem) -> RingElem:
+    """The norm-4 element (1, +-1) dividing the primitive z of even norm."""
+    return RingElem(1, 1) if (z.u - z.v) % 4 == 0 else RingElem(1, -1)
+
+
+def _oriented_prime(z: RingElem, p: int) -> RingElem:
+    """The element of norm p (p = 1 mod 3) that divides the primitive z.
+
+    The decomposition is looked up on the module, so a test that patches
+    ring_arith.unique_decomposition reaches it."""
+    f = ring_arith.unique_decomposition(p)
+    return f if divide_exact(z, f) is not None else f.conj()
 
 
 ONE = RingElem(1, 0)

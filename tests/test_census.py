@@ -35,7 +35,7 @@ from latticecubes.reference import COUNTS_LISTED
 from latticecubes.symmetry import InvariantSet, invariants
 
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
-from .referee import canonical_form, diagonal_k_values, vertex_invariants
+from .referee import bounding_dim, canonical_form, diagonal_k_values, vertex_invariants
 
 UNIT = Cube.from_points(TABLE1[0][2])
 
@@ -255,7 +255,7 @@ def test_acceptance_is_schedule_independent(registry19):
         reg.claim(
             CubeRecord(
                 side=d * k,
-                bound_dim=cube.bounding_dim(),
+                bound_dim=bounding_dim(cube),
                 frame=frame,
                 k_values=frozenset(fkv),
                 invariants=invariants(frame),

@@ -328,6 +328,17 @@ def test_import_loads_no_heavy_stdlib_module():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_no_pathlib():
+    # -S: site may import pathlib itself (a .pth file can), which would hide
+    # an import by the package
+    code = "import sys, latticecubes.cli; print('pathlib' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_src_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_sequence_under_python_O():
     # the pipeline's data guards are explicit raises, so -O (which strips
     # asserts) must leave the census running and its numbers unchanged

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecubes.census import build_irreducible_list
+from latticecubes import lattice_geometry
+from latticecubes.census import _candidate_stream
 from latticecubes.diophantine import NormFormSolution, PlaneSolution
 from latticecubes.lattice_geometry import (
     ORIGIN,
@@ -17,15 +18,21 @@ from latticecubes.lattice_geometry import (
     NonIntegralError,
     Vec3,
     build_cube,
+)
+from latticecubes.symmetry import BOX_MAPS
+from .published_data import EXAMPLE_CUBE, TABLE1
+from .referee import (
+    apply_box_map,
+    bounding_dim,
+    build_cube_by_steps,
+    canonical_form,
     complete_cube,
+    diagonal_k_values,
     fourth_vertex,
+    pipeline_zeta_eta,
     triangle_vertices,
     zeta_eta,
 )
-from latticecubes.ring_arith import find_rs
-from latticecubes.symmetry import BOX_MAPS
-from .published_data import EXAMPLE_CUBE, TABLE1
-from .referee import apply_box_map, canonical_form, diagonal_k_values
 
 UNIT = TABLE1[0][2]
 ROW3 = TABLE1[1][2]  # the side-3 cube, bound 5
@@ -151,10 +158,10 @@ def test_translate_to_octant():
 
 
 def test_bounding_dim_and_extents():
-    assert Cube.from_points(UNIT).bounding_dim() == 1
-    assert Cube.from_points(ROW3).bounding_dim() == 5
+    assert bounding_dim(Cube.from_points(UNIT)) == 1
+    assert bounding_dim(Cube.from_points(ROW3)) == 5
     c17 = Cube.from_points(TABLE1[10][2])
-    assert c17.bounding_dim() == 23
+    assert bounding_dim(c17) == 23
     assert c17.corner_edges().extents() == (23, 17, 23)
 
 
@@ -198,15 +205,6 @@ def test_zeta_eta_wrong_orientation_raises():
         zeta_eta(SOL2011, 2011, 139)
 
 
-def _pipeline_zeta_eta(sol):
-    a, b, c, d = sol
-    r, s = find_rs(a * c, -b * d, a * a + b * b)
-    try:
-        return zeta_eta(sol, r, s)
-    except NonIntegralError:
-        return zeta_eta(sol, -r, s)
-
-
 def test_zeta_eta_identities():
     from latticecubes.diophantine import solve_three_squares
 
@@ -214,7 +212,7 @@ def test_zeta_eta_identities():
     sols.append(SOL2011)
     for sol in sols:
         d = sol.d
-        zeta, eta = _pipeline_zeta_eta(sol)
+        zeta, eta = pipeline_zeta_eta(sol)
         normal = Vec3(sol.a, sol.b, sol.c)
         assert zeta.dot(zeta) == 2 * d * d
         assert eta.dot(eta) == 2 * d * d
@@ -235,7 +233,7 @@ def test_triangle_is_equilateral_for_pipeline_inputs():
 
     for d in (1, 3, 5):
         for sol in solve_three_squares(d):
-            zeta, eta = _pipeline_zeta_eta(sol)
+            zeta, eta = pipeline_zeta_eta(sol)
             for k in (1, 7):
                 for m, n in solve_norm_form(k):
                     _, p, q = triangle_vertices(zeta, eta, m, n)
@@ -249,7 +247,7 @@ def test_triangle_is_equilateral_for_pipeline_inputs():
 
 def test_fourth_vertex_unit_case():
     sol = PlaneSolution(1, 1, 1, 1)
-    zeta, eta = _pipeline_zeta_eta(sol)
+    zeta, eta = pipeline_zeta_eta(sol)
     tri = triangle_vertices(zeta, eta, 0, 1)
     assert fourth_vertex(tri, sol, 1, 1) is None
     apex = fourth_vertex(tri, sol, 1, -1)
@@ -264,7 +262,7 @@ def test_fourth_vertex_exactly_one_sign(registry30):
     # every census k is 1 mod 3, so exactly one sign can be integral
     for rec in registry30.records:
         sol, mn = rec.source
-        zeta, eta = _pipeline_zeta_eta(sol)
+        zeta, eta = pipeline_zeta_eta(sol)
         tri = triangle_vertices(zeta, eta, mn.m, mn.n)
         k = rec.side // sol.d
         hits = [s for s in (1, -1) if fourth_vertex(tri, sol, k, s) is not None]
@@ -273,7 +271,7 @@ def test_fourth_vertex_exactly_one_sign(registry30):
 
 def test_complete_cube_unit():
     sol = PlaneSolution(1, 1, 1, 1)
-    zeta, eta = _pipeline_zeta_eta(sol)
+    zeta, eta = pipeline_zeta_eta(sol)
     tri = triangle_vertices(zeta, eta, 0, 1)
     apex = fourth_vertex(tri, sol, 1, -1)
     frame = complete_cube((ORIGIN, tri[1], tri[2], apex))
@@ -302,6 +300,56 @@ def test_build_cube_examples():
 def test_build_cube_rejects_non_square_norm():
     with pytest.raises(ValueError):
         build_cube(PlaneSolution(1, 1, 1, 1), NormFormSolution(1, 3))
+
+
+def test_build_cube_matches_referee_chain():
+    # build_cube runs the chain inline on integers; the referee runs it on
+    # Vec3s one step at a time, and the frames must be the same tuples
+    items = list(_candidate_stream(200))
+    assert len(items) == 1830
+    for _, mn, _, sol in items:
+        assert build_cube(sol, mn) == build_cube_by_steps(sol, mn), (sol, mn)
+
+
+def test_build_cube_raises_when_neither_orientation_is_integral(monkeypatch):
+    # for (a, b, c, d) = (1, 1, 5, 3), zeta is integral for neither (1, 0) nor (-1, 0)
+    sol = PlaneSolution(1, 1, 5, 3)
+    for r in (1, -1):
+        with pytest.raises(NonIntegralError):
+            zeta_eta(sol, r, 0)
+    monkeypatch.setattr(lattice_geometry, "find_rs", lambda A, B, q: (1, 0))
+    with pytest.raises(NonIntegralError):
+        build_cube(sol, NormFormSolution(0, 1))
+
+
+def test_build_cube_retries_the_other_orientation(monkeypatch):
+    # find_rs orients (r, s) right for every census candidate, so the
+    # (-r, s) retry is checked by handing build_cube the other orientation
+    real = lattice_geometry.find_rs
+    cases = [(SOL2011, NormFormSolution(0, 1))] + [(sol, mn) for _, mn, _, sol in _candidate_stream(60)]
+    want = [build_cube(sol, mn) for sol, mn in cases]
+
+    def other_orientation(A, B, q):
+        r, s = real(A, B, q)
+        return -r, s
+
+    monkeypatch.setattr(lattice_geometry, "find_rs", other_orientation)
+    retried = 0
+    for (sol, mn), frame in zip(cases, want):
+        a, b, c, d = sol
+        r, s = real(a * c, -b * d, a * a + b * b)
+        try:
+            zeta_eta(sol, -r, s)
+        except NonIntegralError:
+            assert build_cube(sol, mn) == frame, (sol, mn)
+            retried += 1
+    assert retried > 100
+
+
+def test_build_cube_rejects_two_integral_apex_signs():
+    # k = 3 makes both apex signs integral; no census k is divisible by 3
+    with pytest.raises(ValueError, match="both tetrahedron apex signs"):
+        build_cube(PlaneSolution(1, 1, 1, 1), NormFormSolution(3, 0))
 
 
 def test_build_cube_matches_census_records(registry30):

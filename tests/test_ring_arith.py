@@ -15,12 +15,11 @@ from latticecubes.diophantine import solve_three_squares
 from latticecubes.ring_arith import (
     NotRepresentable,
     RingElem,
-    divide_exact,
     find_rs,
     unique_decomposition,
 )
 
-from .referee import MINUS_ONE, ONE, factor_ring
+from .referee import MINUS_ONE, ONE, divide_exact, factor_ring
 
 
 def test_norm_and_conj_basics():
