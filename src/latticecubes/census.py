@@ -16,11 +16,27 @@ four main-diagonal gcds, which are the k-values.  A cube without k-value
 1 therefore has four distinct primes = 1 mod 3 in its side; the tests
 pin one of side 53599.
 
-The accept pass ends with a per-side check: the translation classes
-claimed at side s are all those of the primitive cubes of side s, whose
-number is Dedekind's psi(s) for odd s, and there are none of even side.
-A registry cache stores only each record's source and replays it
-through the same pass, so a lost, altered or extra record fails loudly.
+Deduplication is keyed by main diagonals.  A main diagonal of a side-s
+cube has norm 3 s^2, so its k-value is the gcd of its coordinates, and
+each side keeps the sorted |coordinates| of the k = 1 diagonals of its
+records.  A box map permutes and negates coordinates, so these keys are
+the same for the whole orbit.  For k = 1 a key also fixes the orbit: in
+the triangle parametrization a cube with a primitive main diagonal comes
+from the plane solution along it and a solution of the norm form
+m^2 - mn + n^2 = 1, whose single solution is (0, 1).  So a candidate is
+a duplicate iff its k = 1 diagonal keys are claimed at its side
+(were two orbits to share a key, the second would be dropped and the
+per-side check below would find its side short).  A cube without
+k-value 1 falls back to the class keys of its orbit
+(symmetry.orbit_classes), kept in a second per-side set.  A key claimed
+twice raises ArithmeticError.
+
+The accept pass ends with a per-side check: the orbit sizes of the
+records of side s sum to the number of translation classes of primitive
+cubes of side s, which is Dedekind's psi(s) for odd s, and there are
+none of even side.  With the double-claim raise, a lost, duplicated or
+extra orbit fails loudly.  A registry cache stores only each record's
+source and replays it through the same pass.
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
@@ -37,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 from itertools import accumulate, chain
-from math import isqrt
+from math import gcd, isqrt
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
@@ -50,7 +66,7 @@ from .diophantine import (
     solve_three_squares,
 )
 from .lattice_geometry import Cube, Frame, build_cube
-from .symmetry import ClassKey, InvariantSet, class_key, invariants, orbit_classes
+from .symmetry import ClassKey, Edge, InvariantSet, class_key, invariants, orbit_classes, orbit_size
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -74,25 +90,65 @@ class CubeRecord(NamedTuple):
         return self.frame.cube()
 
 
+def _unit_diagonals(frame: Frame) -> Iterator[Edge]:
+    """Sorted |coordinates| of the cube's main diagonals of k-value 1.
+
+    A main diagonal has norm 3 side^2, so its k-value is the gcd of its
+    coordinates.  A box map permutes and negates coordinates, so the
+    keys are the same for every cube of the orbit.
+    """
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
+    for x, y, z in (
+        (x1 + x2 + x3, y1 + y2 + y3, z1 + z2 + z3),
+        (x1 + x2 - x3, y1 + y2 - y3, z1 + z2 - z3),
+        (x1 - x2 + x3, y1 - y2 + y3, z1 - z2 + z3),
+        (x2 + x3 - x1, y2 + y3 - y1, z2 + z3 - z1),
+    ):
+        if gcd(x, y, z) == 1:
+            a, b, c = sorted((abs(x), abs(y), abs(z)))
+            yield a, b, c
+
+
 class CubeRegistry:
     """Accepted irreducible cubes plus the claimed-orbit index.
 
-    by_side maps a side length to the class keys (symmetry.class_key) of
-    every translation class in the orbits claimed at that side; a
-    candidate is a duplicate iff its class key is already present.
+    diagonals maps a side length to the keys (_unit_diagonals) of the
+    records claimed at that side; a record without k-value 1 puts the
+    class keys of its orbit (symmetry.class_key) in classes_without_k1
+    instead.  classes counts the translation classes claimed per side,
+    the sum of the records' orbit sizes.
     """
 
     def __init__(self, n_built: int) -> None:
         self.n_built = n_built
         self.records: list[CubeRecord] = []
-        self.by_side: dict[int, set[ClassKey]] = {}
+        self.diagonals: dict[int, set[Edge]] = {}
+        self.classes_without_k1: dict[int, set[ClassKey]] = {}
+        self.classes: dict[int, int] = {}
 
     def claim(self, record: CubeRecord) -> None:
+        """Index the record's orbit at its side; ArithmeticError naming the
+        side if the orbit is claimed there already."""
+        side, frame = record.side, record.frame
+        keys = set(_unit_diagonals(frame))
+        index = self.diagonals
+        if not keys:
+            keys = orbit_classes(frame)
+            index = self.classes_without_k1
+        claimed = index.setdefault(side, set())
+        if not claimed.isdisjoint(keys):
+            raise ArithmeticError(f"side {side}: the orbit of frame {frame} is claimed twice")
+        claimed |= keys
         self.records.append(record)
-        self.by_side.setdefault(record.side, set()).update(orbit_classes(record.frame))
+        self.classes[side] = self.classes.get(side, 0) + orbit_size(frame)
 
     def is_claimed(self, side: int, frame: Frame) -> bool:
-        return class_key(frame) in self.by_side.get(side, ())
+        """True iff the cube's orbit is claimed at `side`.  A claim holds
+        every k = 1 key of its orbit, so the first key decides."""
+        key = next(_unit_diagonals(frame), None)
+        if key is not None:
+            return key in self.diagonals.get(side, ())
+        return class_key(frame) in self.classes_without_k1.get(side, ())
 
 
 def _candidate_stream(N: int) -> Iterator[Candidate]:
@@ -167,8 +223,8 @@ def _accept(N: int, items: list[Candidate], built: list[Frame]) -> CubeRegistry:
                 source=(sol, mn),
             )
         )
-    for s in sorted(reg.by_side.keys() | set(range(1, N + 1, 2))):
-        claimed = len(reg.by_side.get(s, ()))
+    for s in sorted(reg.classes.keys() | set(range(1, N + 1, 2))):
+        claimed = reg.classes.get(s, 0)
         expected = dedekind_psi(s) if s <= N and s % 2 else 0
         if claimed != expected:
             raise ArithmeticError(f"side {s}: {claimed} translation classes claimed, expected {expected}")
@@ -179,7 +235,7 @@ def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
     """Dilations j >= 2 of registry records with j * bound_dim <= N.
 
     A dilate's frame and k-values are its parent's times j.  Its
-    invariants come from the parent's orbit table with every slack scaled
+    invariants come from the parent's kernel table with every slack scaled
     by j (symmetry.invariants), which are not the parent's invariants: the
     placement polynomials are not linear in the slack.  The frame kernel
     runs once per parent that has a multiple, not once per dilate.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .diophantine import prime_powers
 
@@ -24,31 +23,8 @@ class NotRepresentable(ValueError):
     """Raised when a prime has no representation x^2 + 3*y^2."""
 
 
-class RingElem(NamedTuple):
-    """u + v*i*sqrt(3) with integer u, v."""
-
-    u: int
-    v: int
-
-    def norm(self) -> int:
-        return self.u * self.u + 3 * self.v * self.v
-
-    def conj(self) -> "RingElem":
-        return RingElem(self.u, -self.v)
-
-    def __mul__(self, other: "RingElem") -> "RingElem":  # type: ignore[override]
-        # (u1 + v1 w)(u2 + v2 w) with w^2 = -3
-        return RingElem(
-            self.u * other.u - 3 * self.v * other.v,
-            self.u * other.v + self.v * other.u,
-        )
-
-    def __neg__(self) -> "RingElem":
-        return RingElem(-self.u, -self.v)
-
-
 @lru_cache(maxsize=None)
-def unique_decomposition(p: int) -> RingElem:
+def unique_decomposition(p: int) -> tuple[int, int]:
     """Representation of the prime p as an element of norm p (norm 4 for p=2).
 
     For p = 1 mod 3 returns (x, y) with x^2 + 3y^2 = p, x > 0, y > 0;
@@ -58,14 +34,14 @@ def unique_decomposition(p: int) -> RingElem:
     census asks for each prime many times (about 10^4 calls at N = 400).
     """
     if p == 2:
-        return RingElem(1, 1)
+        return 1, 1
     if p == 3 or p % 3 != 1:
         raise NotRepresentable(f"{p} has no primitive representation x^2 + 3y^2")
     for y in range(1, isqrt(p // 3) + 1):
         r = p - 3 * y * y
         x = isqrt(r)
         if x * x == r:
-            return RingElem(x, y)
+            return x, y
     raise NotRepresentable(f"{p} has no representation x^2 + 3y^2")
 
 
@@ -89,7 +65,7 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
     divisibility test, so factoring the whole norm would be wasted work.
 
     find_rs runs once per census candidate, so it keeps z, the product
-    and each factor as plain (u, v) integer pairs rather than RingElems,
+    and each factor as plain (u, v) integer pairs,
     and tests a factor's orientation by the divisibility of z * conj(f).
     """
     if (A * A + 3 * B * B) % (2 * q) != 0:

@@ -23,13 +23,33 @@ sign-normalized to a positive first non-zero coordinate, sorted.  A box
 map acts on the edges as a signed permutation; the extents of a class are
 the per-axis sums of |e_i|; and a positioned image is its class key plus
 its offset from the origin, d - w on each axis the map flips and 0 on the
-others.  alpha0 counts the distinct (class key, offset) pairs.  The
-kernel (_orbit_table) permutes the edges' coordinates once for each of
-the 6 permutations and then applies 4 sign pairs to them on plain
-integer tuples; the 24 maps that negate axis 0 give the same class keys.
+others.
 
-The tests check the kernel against a referee that moves all 8 vertices
-of a cube literally (tests/referee.py).
+The kernel (_stabilizer) does not list the orbit; it counts the maps
+that fix the cube.  A map and its negation give the same class key, so
+the 24 maps that keep axis 0 move the classes as all 48 do.
+Let st be the number of them whose image of the edges, line-normalized
+and sorted, equals the class key.  Such a map must permute the extents w
+into themselves, so only those permutations are tried (just the
+identity's 4 sign pairs when the three extents differ).  By
+orbit-stabilizer:
+
+  orbit size  = 24 / st classes;
+  alpha, beta, gamma = (4 / st) * sum over the 6 permutations p of the
+          per-class polynomials in j * (d - w[p]): an image's slack depends
+          only on its permutation, and each class of the orbit is st of
+          the 24 images;
+  alpha0 = 48 / (maps of the 48 that fix the positioned cube).  With
+          r = d - w, a class-fixing map with signs (1, g1, g2) fixes the
+          cube iff r_i = 0 on each axis it flips (g_i = -1); its negation
+          fixes it iff r_0 = 0 and r_i = 0 on each axis with g_i = +1.
+
+orbit_classes lists the 24 images' class keys; the census needs it only
+for a cube without k-value 1 (census docstring).
+
+The tests check the kernel against the 24-image table it replaced and
+against a referee that moves all 8 vertices of a cube literally
+(tests/referee.py).
 """
 
 from __future__ import annotations
@@ -76,26 +96,33 @@ def class_key(frame: Frame) -> ClassKey:
     return (e1, e2, e3)
 
 
-@lru_cache(maxsize=1)
-def _orbit_table(key: ClassKey) -> tuple[frozenset[ClassKey], tuple[Slack, ...], int]:
-    """One frame kernel pass over the cube of class `key`: the class keys
-    of its orbit, the slack of each class, and alpha0.
+# the 6 axis permutations: image coordinate i is read from axis perm[i]
+_PERMS = tuple(permutations((0, 1, 2)))
 
+
+@lru_cache(maxsize=1)
+def _stabilizer(key: ClassKey) -> tuple[int, int, tuple[Slack, ...]]:
+    """One frame kernel pass over the cube of class `key`: st, alpha0 and
+    the slack d - w[p] of each of the 6 permutations p.
+
+    st counts the 24 maps that keep axis 0 and fix the class.  Only a
+    permutation that preserves the extents w can fix it, so when the
+    three extents differ only the identity's 4 sign pairs are tried.
     The table depends on the class key alone, so any frame of the cube
     (any corner, sign or order) reads the same entry.  The last table is
-    kept: the census asks for a cube's invariants and then for its orbit
-    classes, and for the invariants of each dilate of one cube in a row.
+    kept: the census asks for a record's invariants and then for its
+    orbit size, and for the invariants of each dilate of one cube in a row.
     """
-    frame = Frame(*key)
-    w = frame.extents()
+    w = Frame(*key).extents()
     d = max(w)
-    slack_of = {}
-    positioned = set()
-    for p0, p1, p2 in permutations((0, 1, 2)):
-        edges = [(e[p0], e[p1], e[p2]) for e in frame]
-        slack = r0, r1, r2 = d - w[p0], d - w[p1], d - w[p2]
+    r0, r1, r2 = d - w[0], d - w[1], d - w[2]
+    st = fixed = 0
+    for p0, p1, p2 in _PERMS:
+        if (w[p0], w[p1], w[p2]) != w:
+            continue
+        edges = [(e[p0], e[p1], e[p2]) for e in key]
         for g1, g2 in _SIGNS:
-            # class_key of the image, with _line inlined: this loop is the census hot path
+            # class_key of the image, with _line inlined
             lines = []
             for x, y, z in edges:
                 y *= g1
@@ -104,18 +131,31 @@ def _orbit_table(key: ClassKey) -> tuple[frozenset[ClassKey], tuple[Slack, ...],
                     x, y, z = -x, -y, -z
                 lines.append((x, y, z))
             e1, e2, e3 = sorted(lines)
-            image = (e1, e2, e3)
-            slack_of[image] = slack
-            # offsets of the map with signs (1, g1, g2), which flips where g = -1,
-            # and of its negation, which flips where g = +1 and on axis 0
-            positioned.add((image, (0, r1 if g1 < 0 else 0, r2 if g2 < 0 else 0)))
-            positioned.add((image, (r0, r1 if g1 > 0 else 0, r2 if g2 > 0 else 0)))
-    return frozenset(slack_of), tuple(slack_of.values()), len(positioned)
+            if (e1, e2, e3) != key:
+                continue
+            st += 1
+            # the map with signs (1, g1, g2) fixes the positioned cube iff its
+            # offset is 0 on each axis it flips (g = -1); its negation flips
+            # axis 0 and each axis with g = +1
+            fixed += (g1 > 0 or r1 == 0) and (g2 > 0 or r2 == 0)
+            fixed += r0 == 0 and (g1 < 0 or r1 == 0) and (g2 < 0 or r2 == 0)
+    slacks = tuple((d - w[p0], d - w[p1], d - w[p2]) for p0, p1, p2 in _PERMS)
+    return st, 48 // fixed, slacks
 
 
 def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
-    """Class keys of the translation classes in the symmetry orbit."""
-    return _orbit_table(class_key(frame))[0]
+    """Class keys of the translation classes in the symmetry orbit: the
+    images of the frame under the 24 box maps that keep axis 0."""
+    return frozenset(
+        class_key([(e[p0], g1 * e[p1], g2 * e[p2]) for e in frame])
+        for p0, p1, p2 in _PERMS
+        for g1, g2 in _SIGNS
+    )
+
+
+def orbit_size(frame: Frame) -> int:
+    """Number of translation classes in the cube's symmetry orbit, 24 / st."""
+    return 24 // _stabilizer(class_key(frame))[0]
 
 
 def invariants(frame: Frame, j: int = 1) -> InvariantSet:
@@ -127,13 +167,15 @@ def invariants(frame: Frame, j: int = 1) -> InvariantSet:
     """
     if j < 1:
         raise ValueError("dilation factor must be positive")
-    _, slacks, alpha0 = _orbit_table(class_key(frame))
+    st, alpha0, slacks = _stabilizer(class_key(frame))
     alpha = beta = gamma = 0
     for r1, r2, r3 in slacks:
         s1, s2, s3 = j * r1, j * r2, j * r3
         alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
         beta += (s1 + 1) * (s2 + 1) * s3
         gamma += (s1 + 1) * s2 * s3
+    # each class of the orbit is st of the 4 sign images of the 6 permutations
+    alpha, beta, gamma = 4 * alpha // st, 4 * beta // st, 4 * gamma // st
     if not (alpha0 <= alpha and gamma <= beta <= alpha and 48 % alpha0 == 0):
         raise ArithmeticError(
             f"inconsistent invariants {(alpha0, alpha, beta, gamma)} for frame {frame} dilated by {j}"

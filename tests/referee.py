@@ -2,23 +2,59 @@
 
 The vertex-level ones move all 8 vertices of a cube literally, under the
 48 box maps and in-box translations, where the package works on a cube's
-three corner edges (latticecubes.symmetry).  They are slow.  The
-construction steps (zeta_eta, triangle_vertices, fourth_vertex,
-complete_cube) are lattice_geometry.build_cube's chain one step at a
-time, on Vec3s.  factor_ring factors a whole element of Z[i*sqrt(3)]
-with RingElem arithmetic, where ring_arith.find_rs only factors 2q, on
-integer pairs; it is the find_rs referee.
+three corner edges (latticecubes.symmetry).  They are slow.
+_orbit_table is the frame kernel the census used before it counted
+stabilizers: it lists the class key, slack and offset of all 24 images
+that keep axis 0.  The construction steps (zeta_eta, triangle_vertices,
+fourth_vertex, complete_cube) are lattice_geometry.build_cube's chain
+one step at a time, on Vec3s.  factor_ring factors a whole element of
+Z[i*sqrt(3)] with RingElem arithmetic, where ring_arith.find_rs only
+factors 2q, on integer pairs; it is the find_rs referee.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd, isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from latticecubes import ring_arith
 from latticecubes.diophantine import NormFormSolution, PlaneSolution, prime_powers
 from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, NonIntegralError, Vec3
-from latticecubes.ring_arith import RingElem, find_rs
-from latticecubes.symmetry import BOX_MAPS, InvariantSet
+from latticecubes.ring_arith import find_rs
+from latticecubes.symmetry import BOX_MAPS, ClassKey, InvariantSet, Slack, class_key
+
+
+def _orbit_table(key: ClassKey) -> tuple[frozenset[ClassKey], tuple[Slack, ...], int]:
+    """The class keys of the orbit of the cube of class `key`, the slack
+    of each class, and alpha0, from its 24 images that keep axis 0."""
+    frame = Frame(*key)
+    w = frame.extents()
+    d = max(w)
+    slack_of = {}
+    positioned = set()
+    for p0, p1, p2 in permutations((0, 1, 2)):
+        slack = r0, r1, r2 = d - w[p0], d - w[p1], d - w[p2]
+        for g1, g2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            image = class_key([(e[p0], g1 * e[p1], g2 * e[p2]) for e in frame])
+            slack_of[image] = slack
+            # offsets of the map with signs (1, g1, g2), which flips where g = -1,
+            # and of its negation, which flips where g = +1 and on axis 0
+            positioned.add((image, (0, r1 if g1 < 0 else 0, r2 if g2 < 0 else 0)))
+            positioned.add((image, (r0, r1 if g1 > 0 else 0, r2 if g2 > 0 else 0)))
+    return frozenset(slack_of), tuple(slack_of.values()), len(positioned)
+
+
+def table_invariants(frame: Frame, j: int = 1) -> tuple[int, InvariantSet]:
+    """Orbit size and (alpha0, alpha, beta, gamma) of j * frame, summed
+    over the classes _orbit_table lists."""
+    classes, slacks, alpha0 = _orbit_table(class_key(frame))
+    alpha = beta = gamma = 0
+    for r1, r2, r3 in slacks:
+        s1, s2, s3 = j * r1, j * r2, j * r3
+        alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
+        beta += (s1 + 1) * (s2 + 1) * s3
+        gamma += (s1 + 1) * s2 * s3
+    return len(classes), InvariantSet(alpha0, alpha, beta, gamma)
 
 
 def bounding_dim(c: Cube) -> int:
@@ -220,6 +256,29 @@ def build_cube_by_steps(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
     return complete_cube((ORIGIN, tri[1], tri[2], apex))
 
 
+class RingElem(NamedTuple):
+    """u + v*i*sqrt(3) with integer u, v."""
+
+    u: int
+    v: int
+
+    def norm(self) -> int:
+        return self.u * self.u + 3 * self.v * self.v
+
+    def conj(self) -> "RingElem":
+        return RingElem(self.u, -self.v)
+
+    def __mul__(self, other: "RingElem") -> "RingElem":  # type: ignore[override]
+        # (u1 + v1 w)(u2 + v2 w) with w^2 = -3
+        return RingElem(
+            self.u * other.u - 3 * self.v * other.v,
+            self.u * other.v + self.v * other.u,
+        )
+
+    def __neg__(self) -> "RingElem":
+        return RingElem(-self.u, -self.v)
+
+
 def divide_exact(z: RingElem, w: RingElem) -> Optional[RingElem]:
     """Return z / w if w divides z exactly in the ring, else None."""
     n = w.norm()
@@ -241,7 +300,7 @@ def _oriented_prime(z: RingElem, p: int) -> RingElem:
 
     The decomposition is looked up on the module, so a test that patches
     ring_arith.unique_decomposition reaches it."""
-    f = ring_arith.unique_decomposition(p)
+    f = RingElem(*ring_arith.unique_decomposition(p))
     return f if divide_exact(z, f) is not None else f.conj()
 
 

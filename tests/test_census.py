@@ -13,6 +13,7 @@ from latticecubes import census
 from latticecubes.census import (
     CacheMismatch,
     CubeRecord,
+    CubeRegistry,
     _accept,
     _build_one,
     _candidate_stream,
@@ -32,12 +33,16 @@ from latticecubes.census import (
 from latticecubes.diophantine import dedekind_psi
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.reference import COUNTS_LISTED
-from latticecubes.symmetry import InvariantSet, invariants
+from latticecubes.symmetry import InvariantSet, class_key, invariants
 
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
 from .referee import bounding_dim, canonical_form, diagonal_k_values, vertex_invariants
 
 UNIT = Cube.from_points(TABLE1[0][2])
+# the first cube without k-value 1 (test_first_cube_without_k_value_1)
+FRAME_53599 = Frame.of(
+    Vec3(16699, 50490, -6690), Vec3(-47790, 13099, -20430), Vec3(-17610, 12330, 49099)
+)
 
 
 def test_smallest_registry():
@@ -123,22 +128,109 @@ def test_no_duplicate_orbits(registry19):
 
 
 def test_claim_membership_trick(registry19):
+    from latticecubes.census import _unit_diagonals
     from latticecubes.symmetry import class_key, orbit_classes
 
     from .referee import apply_box_map, symmetry_orbit
 
     rec = next(r for r in registry19.records if r.side == 5)
-    # claiming indexes the class keys of the whole orbit at that side
-    assert orbit_classes(rec.cube.corner_edges()) <= registry19.by_side[5]
-    # the octant form of every image of a claimed orbit tests as claimed
+    # claiming indexes the record's k = 1 diagonal keys at that side and
+    # counts the classes of its orbit
+    keys = set(_unit_diagonals(rec.frame))
+    assert keys and keys <= registry19.diagonals[5]
+    assert registry19.classes[5] == len(orbit_classes(rec.frame)) == dedekind_psi(5)
+    # the octant form of every image of a claimed orbit tests as claimed,
+    # through the same diagonal keys
     for img in symmetry_orbit(rec.cube):
         assert registry19.is_claimed(5, img.translate_to_octant().corner_edges())
+        assert set(_unit_diagonals(img.corner_edges())) == keys
     # a box image, octant-normalized, is one of the claimed classes
     img = apply_box_map(rec.cube, rec.bound_dim, (2, 0, 1), (True, False, True))
     assert class_key(img.translate_to_octant().corner_edges()) in orbit_classes(rec.cube.corner_edges())
     assert registry19.is_claimed(5, img.translate_to_octant().corner_edges())
+    # a claim holds at its own side only
+    assert not registry19.is_claimed(7, rec.frame)
     # a reducible cube of the same side was never claimed
     assert not registry19.is_claimed(13, UNIT.corner_edges().scale(13))
+
+
+def test_diagonal_claims_match_class_key_claims(monkeypatch):
+    # the rule the diagonal index replaced: a candidate is claimed iff its
+    # class key is among the orbit classes of the records claimed at its
+    # side; both are asked at each point of the accept pass at N = 200
+    from .referee import _orbit_table
+
+    by_side = {}
+    answers = []
+    is_claimed, claim = CubeRegistry.is_claimed, CubeRegistry.claim
+
+    def checked_is_claimed(reg, side, frame):
+        got = is_claimed(reg, side, frame)
+        assert got == (class_key(frame) in by_side.get(side, ())), (side, frame)
+        answers.append(got)
+        return got
+
+    def indexed_claim(reg, record):
+        claim(reg, record)
+        by_side.setdefault(record.side, set()).update(_orbit_table(class_key(record.frame))[0])
+
+    monkeypatch.setattr(CubeRegistry, "is_claimed", checked_is_claimed)
+    monkeypatch.setattr(CubeRegistry, "claim", indexed_claim)
+    reg = build_irreducible_list(200)
+    k1_rejections = sum(
+        1 for k, mn, d, sol in _candidate_stream(200) if k != 1 and 1 in build_cube(sol, mn).k_values()
+    )
+    assert len(answers) == sum(1 for _ in _candidate_stream(200)) - k1_rejections
+    assert answers.count(False) == len(reg.records) == 576
+    assert answers.count(True) > 0
+    assert {s: len(keys) for s, keys in by_side.items()} == reg.classes
+
+
+def test_claiming_an_orbit_twice_raises(registry19):
+    from .referee import apply_box_map
+
+    reg = CubeRegistry(n_built=19)
+    for rec in registry19.records:
+        reg.claim(rec)
+    rec = next(r for r in registry19.records if r.side == 13)
+    with pytest.raises(ArithmeticError, match="side 13: the orbit of frame .* is claimed twice"):
+        reg.claim(rec)
+    # another frame of the same orbit is the same claim
+    img = apply_box_map(rec.cube, rec.bound_dim, (1, 2, 0), (False, True, True)).translate_to_octant()
+    with pytest.raises(ArithmeticError, match="side 13:"):
+        reg.claim(rec._replace(frame=img.corner_edges()))
+    assert reg.records == registry19.records
+
+
+def test_cube_without_k_value_1_claims_by_class_keys():
+    # the first such cube has no k = 1 diagonal key: it is claimed and
+    # found through the class keys of its orbit
+    from latticecubes.symmetry import BOX_MAPS, orbit_classes, orbit_size
+
+    frame = FRAME_53599
+    rec = CubeRecord(
+        side=53599,
+        bound_dim=max(frame.extents()),
+        frame=frame,
+        k_values=frozenset(frame.k_values()),
+        invariants=invariants(frame),
+        source=None,  # not built from a candidate here; claims do not read it
+    )
+    reg = CubeRegistry(n_built=53599)
+    assert not reg.is_claimed(53599, frame)
+    reg.claim(rec)
+    images = [
+        Frame(*(Vec3(*(-e[p] if f else e[p] for p, f in zip(perm, flips))) for e in frame))
+        for perm, flips in BOX_MAPS
+    ]
+    assert len({class_key(img) for img in images}) == len(orbit_classes(frame)) == orbit_size(frame) == 24
+    for img in images:
+        assert reg.is_claimed(53599, img)
+    assert reg.diagonals == {}
+    assert reg.classes_without_k1 == {53599: orbit_classes(frame)}
+    assert reg.classes == {53599: orbit_size(frame)}
+    with pytest.raises(ArithmeticError, match="side 53599:"):
+        reg.claim(rec)
 
 
 def test_accept_guards_are_raises(monkeypatch):
@@ -283,9 +375,7 @@ def test_k1_pass_reaches_everything(registry50):
 
 def test_first_cube_without_k_value_1():
     # the bound above is reached: side 7 * 13 * 19 * 31, one prime per diagonal
-    frame = Frame.of(
-        Vec3(16699, 50490, -6690), Vec3(-47790, 13099, -20430), Vec3(-17610, 12330, 49099)
-    )
+    frame = FRAME_53599
     assert frame.side == 53599 == 7 * 13 * 19 * 31
     assert frame.is_primitive()
     assert frame.k_values() == {7, 13, 19, 31}
@@ -318,7 +408,9 @@ def test_cache_roundtrip(tmp_path, registry19):
     assert loaded is not None
     assert loaded.n_built == 19
     assert loaded.records == registry19.records
-    assert loaded.by_side == registry19.by_side
+    assert loaded.diagonals == registry19.diagonals
+    assert loaded.classes_without_k1 == registry19.classes_without_k1
+    assert loaded.classes == registry19.classes
     assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
 
 

@@ -12,14 +12,9 @@ from hypothesis import strategies as st
 
 from latticecubes import ring_arith
 from latticecubes.diophantine import solve_three_squares
-from latticecubes.ring_arith import (
-    NotRepresentable,
-    RingElem,
-    find_rs,
-    unique_decomposition,
-)
+from latticecubes.ring_arith import NotRepresentable, find_rs, unique_decomposition
 
-from .referee import MINUS_ONE, ONE, divide_exact, factor_ring
+from .referee import MINUS_ONE, ONE, RingElem, divide_exact, factor_ring
 
 
 def test_norm_and_conj_basics():
@@ -66,9 +61,9 @@ def test_unique_decomposition_sieve():
     for p in sympy.primerange(3, 100_000):
         if p % 3 != 1:
             continue
-        z = unique_decomposition(p)
-        assert z.u > 0 and z.v > 0
-        assert z.u * z.u + 3 * z.v * z.v == p
+        x, y = unique_decomposition(p)
+        assert x > 0 and y > 0
+        assert x * x + 3 * y * y == p
 
 
 def test_unique_decomposition_rejects():

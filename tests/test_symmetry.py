@@ -3,15 +3,16 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecubes.census import build_multiples
+from latticecubes.census import build_irreducible_list, build_multiples
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.symmetry import (
     BOX_MAPS,
     InvariantSet,
-    _orbit_table,
+    _stabilizer,
     class_key,
     invariants,
     orbit_classes,
+    orbit_size,
 )
 
 from .published_data import TABLE1, PUBLISHED_MAPS_24
@@ -22,6 +23,7 @@ from .referee import (
     canonical_form,
     generalized_orbit,
     symmetry_orbit,
+    table_invariants,
     vertex_invariants,
 )
 
@@ -170,12 +172,26 @@ def test_orbit_classes_are_octant_forms():
         assert class_key(f.translate(Vec3(3, -2, 7)).corner_edges()) == class_key(f.corner_edges())
 
 
+def test_stabilizer_kernel_matches_the_24_image_table():
+    # the stabilizer counts against the table that lists all 24 images, on
+    # every record to side 400 and its dilates by 2 and 3
+    reg = build_irreducible_list(400)
+    assert len(reg.records) == 2171
+    for rec in reg.records:
+        for j in (1, 2, 3):
+            assert (orbit_size(rec.frame), invariants(rec.frame, j)) == table_invariants(rec.frame, j), (
+                rec.frame,
+                j,
+            )
+
+
 def _assert_kernel_matches_referee(frame, c):
     """The kernel on `frame` against the vertex referee on `c`, its cube."""
     inv = invariants(frame)
     orbit = symmetry_orbit(c)
     assert inv == vertex_invariants(c)
     assert inv.alpha0 == len(orbit)
+    assert orbit_size(frame) == len(orbit_classes(frame))
     assert orbit_classes(frame) == {class_key(img.translate_to_octant().corner_edges()) for img in orbit}
 
 
@@ -233,11 +249,11 @@ def test_orbit_memo_matches_uncached_passes(registry50, data):
         perm = data.draw(st.permutations(range(3)), label="edge order")
         signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * 3), label="edge signs")
         frame = Frame(*(edges[p].scale(g) for p, g in zip(perm, signs)))
-        fn = data.draw(st.sampled_from((invariants, orbit_classes, _dilated_invariants)))
+        fn = data.draw(st.sampled_from((invariants, orbit_classes, orbit_size, _dilated_invariants)))
         calls.append((fn, frame))
     got = [fn(frame) for fn, frame in calls]
     want = []
     for fn, frame in calls:
-        _orbit_table.cache_clear()
+        _stabilizer.cache_clear()
         want.append(fn(frame))
     assert got == want
