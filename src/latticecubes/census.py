@@ -16,14 +16,15 @@ four main-diagonal gcds, which are the k-values.  A cube without k-value
 1 therefore has four distinct primes = 1 mod 3 in its side; the tests
 pin one of side 53599.
 
-Deduplication is keyed by main diagonals.  A main diagonal of a side-s
-cube has norm 3 s^2, so its k-value is the gcd of its coordinates, and
-each side keeps the sorted |coordinates| of the k = 1 diagonals of its
-records.  A box map permutes and negates coordinates, so these keys are
-the same for the whole orbit.  For k = 1 a key also fixes the orbit: in
-the triangle parametrization a cube with a primitive main diagonal comes
-from the plane solution along it and a solution of the norm form
-m^2 - mn + n^2 = 1, whose single solution is (0, 1).  So a candidate is
+Deduplication is keyed by main diagonals (Frame.diagonals).  A main
+diagonal of a side-s cube has norm 3 s^2, so its k-value is the gcd of
+its coordinates (Frame.k_values), and each side keeps the sorted
+|coordinates| of the k = 1 diagonals of its records.  A box map permutes
+and negates coordinates, so these keys are the same for the whole orbit.
+For k = 1 a key also fixes the orbit: in the triangle parametrization a
+cube with a primitive main diagonal comes from the plane solution along
+it and a solution of the norm form m^2 - mn + n^2 = 1, whose single
+solution is (0, 1).  So a candidate is
 a duplicate iff its k = 1 diagonal keys are claimed at its side
 (were two orbits to share a key, the second would be dropped and the
 per-side check below would find its side short).  A cube without
@@ -93,17 +94,11 @@ class CubeRecord(NamedTuple):
 def _unit_diagonals(frame: Frame) -> Iterator[Edge]:
     """Sorted |coordinates| of the cube's main diagonals of k-value 1.
 
-    A main diagonal has norm 3 side^2, so its k-value is the gcd of its
-    coordinates.  A box map permutes and negates coordinates, so the
-    keys are the same for every cube of the orbit.
+    A diagonal's k-value is the gcd of its coordinates (Frame.k_values).
+    A box map permutes and negates coordinates, so the keys are the same
+    for every cube of the orbit.
     """
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
-    for x, y, z in (
-        (x1 + x2 + x3, y1 + y2 + y3, z1 + z2 + z3),
-        (x1 + x2 - x3, y1 + y2 - y3, z1 + z2 - z3),
-        (x1 - x2 + x3, y1 - y2 + y3, z1 - z2 + z3),
-        (x2 + x3 - x1, y2 + y3 - y1, z2 + z3 - z1),
-    ):
+    for x, y, z in frame.diagonals():
         if gcd(x, y, z) == 1:
             a, b, c = sorted((abs(x), abs(y), abs(z)))
             yield a, b, c

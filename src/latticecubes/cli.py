@@ -12,7 +12,8 @@ Subcommands:
 count, sequence, list and verify build the census and take --n and
 --cache; --format is offered by the subcommands with more than one output
 form.  Results go to stdout, diagnostics to stderr.  Exit codes:
-0 success, 1 verification or validation failure, 2 usage error.
+0 success, 1 verification or validation failure or a cache that cannot
+be written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -63,7 +64,11 @@ def _get_registry(args: argparse.Namespace) -> CubeRegistry:
             return reg
     reg = build_irreducible_list(args.n)
     if args.cache_path:
-        save_registry(reg, args.cache_path)
+        try:
+            save_registry(reg, args.cache_path)
+        except OSError as exc:
+            # a string exit code is printed on stderr and exits with status 1
+            raise SystemExit(f"cannot write registry cache {args.cache_path}: {exc.strerror or exc}") from exc
         print(f"saved registry cache to {args.cache_path}", file=sys.stderr)
     return reg
 
@@ -114,7 +119,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     try:
         pts = json.loads(text)
         frame = Cube.from_points(pts).corner_edges()
-    except (json.JSONDecodeError, TypeError, IndexError, ValueError) as exc:
+    except (json.JSONDecodeError, TypeError, IndexError, ValueError, RecursionError) as exc:
         print(f"not a lattice cube: {exc}", file=sys.stderr)
         return 1
     inv = invariants(frame)

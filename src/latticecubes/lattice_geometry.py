@@ -10,9 +10,13 @@ The construction chain is
            edge vectors at the tetrahedron's origin corner.
 
 build_cube runs the whole chain in one function on plain integer
-coordinates, since it runs once per census candidate.  The tests compare
-it with a referee that takes one function per step on Vec3s (zeta_eta,
-triangle_vertices, fourth_vertex, complete_cube in tests/referee.py).
+coordinates, since it runs once per census candidate.  It uses the one
+(r, s) that ring_arith.find_rs returns: s + r*i*sqrt(3) divides
+ac - bd*i*sqrt(3), and that makes zeta and eta integral (the argument is
+in build_cube's docstring), so no other orientation is ever tried.  The
+tests compare it with a referee that takes one function per step on
+Vec3s (zeta_eta, triangle_vertices, fourth_vertex, complete_cube in
+tests/referee.py).
 
 Everything is exact integer arithmetic; any non-integrality is a typed
 error, never a rounding.
@@ -21,13 +25,10 @@ error, never a rounding.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .diophantine import NormFormSolution, PlaneSolution
 from .ring_arith import find_rs
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class NonIntegralError(ValueError):
@@ -53,13 +54,6 @@ class Vec3(NamedTuple):
 
     def dot(self, other: "Vec3") -> int:
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
 
     def norm2(self) -> int:
         return self.dot(self)
@@ -102,30 +96,26 @@ class Frame(NamedTuple):
         """Per-axis widths of the cube: sums of the edges' |coordinates|."""
         return tuple(sum(map(abs, col)) for col in zip(*self))
 
-    def k_values(self) -> set[int]:
-        """k-values of the cube, one per main diagonal direction.
+    def diagonals(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+        """The four main diagonals e1+e2+e3, e1+e2-e3, e1-e2+e3 and
+        e2+e3-e1, one per direction."""
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = self
+        return (
+            Vec3(x1 + x2 + x3, y1 + y2 + y3, z1 + z2 + z3),
+            Vec3(x1 + x2 - x3, y1 + y2 - y3, z1 + z2 - z3),
+            Vec3(x1 - x2 + x3, y1 - y2 + y3, z1 - z2 + z3),
+            Vec3(x2 + x3 - x1, y2 + y3 - y1, z2 + z3 - z1),
+        )
 
-        For a diagonal D with component gcd l, D.D/(3 l^2) is a perfect
-        square N^2 and side/N is the k-value.  Duplicates collapse.  The
-        four diagonal directions are e1+e2+e3, e1+e2-e3, e1-e2+e3 and
-        -e1+e2+e3.
+    def k_values(self) -> set[int]:
+        """k-values of the cube, one per main diagonal; duplicates collapse.
+
+        A diagonal's k-value is the gcd l of its coordinates.  The k-value
+        is defined as side/N with N^2 = D.D/(3 l^2); a frame of side s
+        (Frame.of) has D.D = 3 s^2, and l^2 | 3 s^2 gives l | s, so
+        N = s/l and the k-value is l.
         """
-        e1, e2, e3 = self
-        s = self.side
-        out = set()
-        for dd in (e1 + e2 + e3, e1 + e2 - e3, e1 - e2 + e3, e2 + e3 - e1):
-            l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
-            nn, rem = divmod(dd.norm2(), 3 * l * l)
-            if rem:
-                raise ArithmeticError(f"main diagonal {dd}: norm not divisible by 3 l^2")
-            n = isqrt(nn)
-            if n * n != nn:
-                raise ArithmeticError(f"main diagonal {dd}: ratio {nn} is not a perfect square")
-            k, rem = divmod(s, n)
-            if rem:
-                raise ArithmeticError(f"side {s} not divisible by diagonal ratio {n}")
-            out.add(k)
-        return out
+        return {gcd(*dd) for dd in self.diagonals()}
 
     def is_primitive(self) -> bool:
         """True when the cube is no dilation of a smaller lattice cube."""
@@ -134,13 +124,6 @@ class Frame(NamedTuple):
     def scale(self, j: int) -> "Frame":
         """The frame of the cube dilated by j."""
         return Frame(*(e.scale(j) for e in self))
-
-    def orthogonal_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The edges as columns, divided by the side: an orthogonal matrix."""
-        from fractions import Fraction  # kept off the package's import path
-
-        s = self.side
-        return tuple(tuple(Fraction(e[i], s) for e in self) for i in range(3))
 
     def cube(self) -> "Cube":
         """The cube the frame spans, octant-normalized."""
@@ -217,10 +200,23 @@ def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
     has P = m zeta - n eta and Q = n zeta - (n - m) eta; the apex is
     R = (P + Q +- 2k (a, b, c)) / 3; and the circumscribing cube has far
     corner G = (P + Q + R) / 2 and edges G - P, G - Q, G - R at O.
-    NonIntegralError when zeta and eta are integral for neither (r, s)
-    nor (-r, s), when neither apex sign is integral, or when the midpoint
-    sums are odd; ValueError when both apex signs are, which needs 3 | k
-    and so no census candidate; Frame.of checks the cube.
+
+    zeta and eta are integral for the (r, s) of find_rs.  Its
+    f = s + r*i*sqrt(3) has norm 2q and divides z = ac - bd*i*sqrt(3), so
+    both parts of z * conj(f) = (acs - 3bdr) - (acr + bds)*i*sqrt(3) are
+    divisible by 2q.  With X = -(acr + bds) and Y = das - bcr, the
+    numerators of zeta_x and zeta_y, a*Y - b*X = q*d*s and
+    b*Y + a*X = -q*c*r; once h = gcd(a, b) is divided out (h divides
+    find_rs's content factor, so it divides r and s), q | X gives q | Y;
+    zeta_z is r.  eta is the same argument with the multiple
+    f*(1 + i*sqrt(3)) = (s - 3r) + (r + s)*i*sqrt(3) of f, modulo 2q:
+    s^2 + 3r^2 = 2q is even, so s - 3r and r + s are both even.
+
+    NonIntegralError when zeta or eta is not integral (which the argument
+    rules out for find_rs's (r, s)), when neither apex sign is integral,
+    or when the midpoint sums are odd; ValueError when both apex signs
+    are, which needs 3 | k and so no census candidate; Frame.of checks
+    the cube.
     """
     a, b, c, d = sol
     m, n = mn
@@ -230,16 +226,14 @@ def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
         raise ValueError("m^2 - mn + n^2 must be a perfect square")
     q = a * a + b * b
     q2 = 2 * q
-    r0, s = find_rs(a * c, -b * d, q)
-    for r in (r0, -r0):  # one orientation of (r, s) gives integral zeta, eta
-        zx, zy, zz = -(r * a * c + d * b * s), d * a * s - b * c * r, r * q
-        u, v = s - 3 * r, r + s
-        ex, ey, ez = -(d * b * u + a * c * v), d * a * u - b * c * v, q * v
-        if not (zx % q or zy % q or zz % q or ex % q2 or ey % q2 or ez % q2):
-            break
-    else:
-        raise NonIntegralError(f"zeta, eta are integral for neither (r, s) = ({r0}, {s}) nor (-r, s)")
-    zx, zy, zz, ex, ey, ez = zx // q, zy // q, zz // q, ex // q2, ey // q2, ez // q2
+    r, s = find_rs(a * c, -b * d, q)
+    u, v = s - 3 * r, r + s
+    # zeta = (zx, zy, r q) / q and eta = (ex, ey, q v) / 2q
+    zx, zy = -(r * a * c + d * b * s), d * a * s - b * c * r
+    ex, ey = -(d * b * u + a * c * v), d * a * u - b * c * v
+    if zx % q or zy % q or ex % q2 or ey % q2 or v % 2:
+        raise NonIntegralError(f"zeta, eta are not integral for (r, s) = ({r}, {s})")
+    zx, zy, zz, ex, ey, ez = zx // q, zy // q, r, ex // q2, ey // q2, v // 2
     px, py, pz = m * zx - n * ex, m * zy - n * ey, m * zz - n * ez
     h = n - m
     qx, qy, qz = n * zx - h * ex, n * zy - h * ey, n * zz - h * ez

@@ -53,7 +53,7 @@ def enumerate_frames(s: int) -> list[tuple[Vec3, Vec3, Vec3]]:
     lines = sorted(v for v in _vectors_of_norm(s * s) if v > -v)
     frames = []
     # dot and cross product spelled out on the coordinates: this pair loop
-    # is the oracle's hot spot, and Vec3.dot/cross calls make it ~1.5x slower
+    # is the oracle's hot spot, and method calls for them make it ~1.5x slower
     for i, e1 in enumerate(lines):
         x1, y1, z1 = e1
         for e2 in lines[i + 1 :]:

@@ -5,8 +5,8 @@ u^2 + 3*v^2.  The ring is not a UFD (4 = 2*2 = (1+i*sqrt(3))(1-i*sqrt(3)))
 but factorization of *primitive* elements (gcd(u, v) = 1 times a content)
 is controlled enough for our purposes: every odd prime p = 1 mod 3 that
 divides the norm splits as p = x^2 + 3y^2 with a unique orientation
-dividing the element, 3 enters through i*sqrt(3) itself, and 2 only ever
-enters through a single factor of norm 4.
+dividing the element, and 2 only ever enters through a single factor of
+norm 4.  The census never meets the prime 3 (see find_rs).
 
 The only units are +-1.
 """
@@ -46,13 +46,25 @@ def unique_decomposition(p: int) -> tuple[int, int]:
 
 
 def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
-    """Solve s^2 + 3*r^2 = 2*q given that 2*q divides A^2 + 3*B^2.
+    """The (r, s) with s^2 + 3*r^2 = 2*q and s + r*i*sqrt(3) dividing
+    A + B*i*sqrt(3), given that 2*q divides A^2 + 3*B^2.
 
-    Builds s + r*i*sqrt(3) from A + B*i*sqrt(3) by picking, for each
+    Builds f = s + r*i*sqrt(3) from A + B*i*sqrt(3) by picking, for each
     prime power in 2*q, the prime-norm factor with the right orientation.
     This is the congruence-compatible square root needed by the triangle
-    parametrization: the returned (r, s) satisfies 2*q | (A*s - 3*B*r)
-    and 2*q | (A*r + B*s) up to the sign choices the caller iterates over.
+    parametrization: f divides z = A + B*i*sqrt(3), so both parts of
+    z * conj(f) = (A*s + 3*B*r) + (B*s - A*r)*i*sqrt(3) are divisible by 2*q.
+
+    Domain: 2q over the square of the content gcd(A, B, 2q) has 2-adic
+    valuation 0 or 2 (ArithmeticError otherwise) and no odd prime but
+    primes p = 1 mod 3 (NotRepresentable, a ValueError, otherwise; 3
+    included).  Every census input is in it: a plane solution has a, b,
+    c odd and prime to 3, so q = a^2 + b^2 is 2 mod 8 and 2 mod 3.  On
+    the domain the product's norm is exactly 2q: an odd prime p of that
+    quotient divides the content as often as it divides gcd(A, B), so
+    the reduced element holds p at least e times, e its exponent in the
+    quotient, and each factor is taken e times.  The final norm test
+    stays as a ValueError.
 
     Only 2*q is factored, never the norm of A + B*i*sqrt(3).  For the
     census input A + B*i*sqrt(3) = ac - bd*i*sqrt(3) the plane equation
@@ -90,27 +102,19 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
         target = 4 if p == 2 else p
         if n % target:
             raise ValueError(f"required factor of norm {target} not present")
-        # a primitive norm holds 4 and 3 at most once, each as one ring factor;
+        # a primitive norm holds 4 at most once, as one ring factor;
         # f = fu + fv*i*sqrt(3) is the factor of norm target that divides z
         if p == 2:
-            fu, fv, m = 1, (1 if (zu - zv) % 4 == 0 else -1), 1
-        elif p == 3:
-            fu, fv, m = 0, 1, 1
+            fu, fv, e = 1, (1 if (zu - zv) % 4 == 0 else -1), 1
         else:
             fu, fv = unique_decomposition(p)
             # f divides z iff p divides both parts of z * conj(f)
             if (zu * fu + 3 * zv * fv) % p or (zv * fu - zu * fv) % p:
                 fv = -fv
-            m = 0
-            while n % p == 0:
-                n //= p
-                m += 1
-        for _ in range(min(m, e)):
+        for _ in range(e):
             au, av = au * fu - 3 * av * fv, au * fv + av * fu
 
     s, r = au, av
-    if s * s + 3 * r * r != 2 * q:
-        s, r = r, s
     if s * s + 3 * r * r != 2 * q:
         raise ValueError("factor selection does not multiply to norm 2q")
     return r, s

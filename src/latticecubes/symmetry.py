@@ -55,17 +55,10 @@ against a referee that moves all 8 vertices of a cube literally
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from typing import NamedTuple
 
 from .lattice_geometry import Frame
-
-# all 48 (permutation, per-axis flip) pairs
-BOX_MAPS: tuple[tuple[tuple[int, int, int], tuple[bool, bool, bool]], ...] = tuple(
-    (perm, flips)
-    for perm in permutations((0, 1, 2))
-    for flips in product((False, True), repeat=3)
-)
 
 Edge = tuple[int, int, int]
 ClassKey = tuple[Edge, Edge, Edge]

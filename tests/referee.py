@@ -9,11 +9,14 @@ that keep axis 0.  The construction steps (zeta_eta, triangle_vertices,
 fourth_vertex, complete_cube) are lattice_geometry.build_cube's chain
 one step at a time, on Vec3s.  factor_ring factors a whole element of
 Z[i*sqrt(3)] with RingElem arithmetic, where ring_arith.find_rs only
-factors 2q, on integer pairs; it is the find_rs referee.
+factors 2q, on integer pairs; it is the find_rs referee.  BOX_MAPS,
+cross and orthogonal_matrix are the plain geometry the tests state
+facts with.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from fractions import Fraction
+from itertools import permutations, product
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
@@ -21,7 +24,26 @@ from latticecubes import ring_arith
 from latticecubes.diophantine import NormFormSolution, PlaneSolution, prime_powers
 from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, NonIntegralError, Vec3
 from latticecubes.ring_arith import find_rs
-from latticecubes.symmetry import BOX_MAPS, ClassKey, InvariantSet, Slack, class_key
+from latticecubes.symmetry import ClassKey, InvariantSet, Slack, class_key
+
+# all 48 (permutation, per-axis flip) pairs: the signed coordinate
+# permutations of a box
+BOX_MAPS: tuple[tuple[tuple[int, int, int], tuple[bool, bool, bool]], ...] = tuple(
+    (perm, flips)
+    for perm in permutations((0, 1, 2))
+    for flips in product((False, True), repeat=3)
+)
+
+
+def cross(u: Vec3, v: Vec3) -> Vec3:
+    """The cross product u x v."""
+    return Vec3(u.y * v.z - u.z * v.y, u.z * v.x - u.x * v.z, u.x * v.y - u.y * v.x)
+
+
+def orthogonal_matrix(frame: Frame) -> tuple[tuple[Fraction, ...], ...]:
+    """The frame's edges as columns, divided by the side: an orthogonal matrix."""
+    s = frame.side
+    return tuple(tuple(Fraction(e[i], s) for e in frame) for i in range(3))
 
 
 def _orbit_table(key: ClassKey) -> tuple[frozenset[ClassKey], tuple[Slack, ...], int]:
@@ -169,8 +191,8 @@ def zeta_eta(sol: PlaneSolution, r: int, s: int) -> tuple[Vec3, Vec3]:
     """Generating vectors of the equilateral-triangle lattice in the plane.
 
     zeta.zeta = eta.eta = 2 d^2, zeta.eta = d^2, and both are orthogonal
-    to (a, b, c).  Raises NonIntegralError when the (r, s) orientation is
-    the wrong one for this solution; the caller retries with (-r, s).
+    to (a, b, c).  Raises NonIntegralError when zeta or eta is not
+    integral for this (r, s).
     """
     a, b, c, d = sol
     q = a * a + b * b
@@ -234,13 +256,9 @@ def complete_cube(tetra: tuple[Vec3, Vec3, Vec3, Vec3]) -> Frame:
 
 
 def pipeline_zeta_eta(sol: PlaneSolution) -> tuple[Vec3, Vec3]:
-    """zeta, eta for the census's (r, s): find_rs's orientation, else (-r, s)."""
+    """zeta, eta for the census's (r, s), the one find_rs returns."""
     a, b, c, d = sol
-    r, s = find_rs(a * c, -b * d, a * a + b * b)
-    try:
-        return zeta_eta(sol, r, s)
-    except NonIntegralError:
-        return zeta_eta(sol, -r, s)
+    return zeta_eta(sol, *find_rs(a * c, -b * d, a * a + b * b))
 
 
 def build_cube_by_steps(sol: PlaneSolution, mn: NormFormSolution) -> Frame:

@@ -29,7 +29,7 @@ from latticecubes.reference import COUNTS_LISTED, COUNTS_LOG
 from latticecubes.symmetry import InvariantSet
 
 from .published_data import TABLE1
-from .referee import brute_force_orbit_fill, canonical_form, symmetry_orbit
+from .referee import brute_force_orbit_fill, canonical_form, orthogonal_matrix, symmetry_orbit
 from .test_lattice_geometry import _is_cube_by_distances
 
 GOLDEN_14 = [1, 9, 36, 100, 229, 473, 910, 1648, 2795, 4469, 6818, 10032, 14315, 19907]
@@ -145,7 +145,7 @@ def test_geometry_invariant_suite():
         octant = cube.cube()
         assert 48 % len(symmetry_orbit(octant)) == 0
         assert cube.is_primitive(), f"reducible pipeline cube from {sol}, {mn}"
-        m = cube.orthogonal_matrix()
+        m = orthogonal_matrix(cube)
         for i in range(3):
             for j in range(3):
                 dot = sum(m[i][t] * m[j][t] for t in range(3))

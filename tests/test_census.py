@@ -205,7 +205,9 @@ def test_claiming_an_orbit_twice_raises(registry19):
 def test_cube_without_k_value_1_claims_by_class_keys():
     # the first such cube has no k = 1 diagonal key: it is claimed and
     # found through the class keys of its orbit
-    from latticecubes.symmetry import BOX_MAPS, orbit_classes, orbit_size
+    from latticecubes.symmetry import orbit_classes, orbit_size
+
+    from .referee import BOX_MAPS
 
     frame = FRAME_53599
     rec = CubeRecord(

@@ -172,6 +172,14 @@ def test_invariants_rejects_garbage(capsys):
     assert "not a lattice cube" in err
 
 
+def test_invariants_rejects_deeply_nested_json(capsys, monkeypatch):
+    # json.loads raises RecursionError past the interpreter's depth limit
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    rc, out, err = run(capsys, "invariants")
+    assert (rc, out) == (1, "")
+    assert err.startswith("not a lattice cube: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("coordinate", ["1.5", '"1"', "true", "1, 1"])
 def test_invariants_rejects_non_integer_points(capsys, coordinate):
     # the unit cube with its last coordinate made a float, a string, a
@@ -269,6 +277,27 @@ def test_cache_corruption_falls_back(tmp_path, capsys):
     assert out == "36\n"
     assert f"rejected registry cache {cache}: unreadable JSON" in err
     assert "saved registry cache" in err  # rebuilt and overwrote the bad file
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        pytest.param("existing_dir", "Is a directory", id="directory"),
+        pytest.param("missing_dir/reg.json", "No such file or directory", id="missing_parent"),
+    ],
+)
+def test_unwritable_cache_fails_on_one_line(tmp_path, name, reason):
+    (tmp_path / "existing_dir").mkdir()
+    cache = tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticecubes.cli", "count", "--n", "5", "--cache", str(cache)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"cannot write registry cache {cache}: {reason}\n"
+    # the temp file written beside the cache is gone
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing_dir"]
+    assert list((tmp_path / "existing_dir").iterdir()) == []
 
 
 def test_tampered_cache_is_rebuilt(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 from math import isqrt
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from latticecubes import lattice_geometry
 from latticecubes.census import _candidate_stream
-from latticecubes.diophantine import NormFormSolution, PlaneSolution
+from latticecubes.diophantine import NormFormSolution, PlaneSolution, solve_three_squares
 from latticecubes.lattice_geometry import (
     ORIGIN,
     Cube,
@@ -19,16 +20,19 @@ from latticecubes.lattice_geometry import (
     Vec3,
     build_cube,
 )
-from latticecubes.symmetry import BOX_MAPS
+from latticecubes.ring_arith import find_rs
 from .published_data import EXAMPLE_CUBE, TABLE1
 from .referee import (
+    BOX_MAPS,
     apply_box_map,
     bounding_dim,
     build_cube_by_steps,
     canonical_form,
     complete_cube,
+    cross,
     diagonal_k_values,
     fourth_vertex,
+    orthogonal_matrix,
     pipeline_zeta_eta,
     triangle_vertices,
     zeta_eta,
@@ -45,8 +49,8 @@ def test_vec3_ops():
     assert -a == Vec3(-1, -2, -3)
     assert a.scale(3) == Vec3(3, 6, 9)
     assert a.dot(b) == 4 - 10 + 18
-    assert a.cross(b) == Vec3(27, 6, -13)
-    assert a.cross(b).dot(a) == 0
+    assert cross(a, b) == Vec3(27, 6, -13)
+    assert cross(a, b).dot(a) == 0
     assert b.norm2() == 16 + 25 + 36
 
 
@@ -184,7 +188,7 @@ def test_is_irreducible():
 
 def test_orthogonal_matrix_exact():
     for _, _, verts, _, _ in TABLE1:
-        m = Cube.from_points(verts).corner_edges().orthogonal_matrix()
+        m = orthogonal_matrix(Cube.from_points(verts).corner_edges())
         for i in range(3):
             for j in range(3):
                 want = Fraction(1) if i == j else Fraction(0)
@@ -206,8 +210,6 @@ def test_zeta_eta_wrong_orientation_raises():
 
 
 def test_zeta_eta_identities():
-    from latticecubes.diophantine import solve_three_squares
-
     sols = [sol for d in (1, 3, 5, 9, 11, 15) for sol in solve_three_squares(d)]
     sols.append(SOL2011)
     for sol in sols:
@@ -311,39 +313,33 @@ def test_build_cube_matches_referee_chain():
         assert build_cube(sol, mn) == build_cube_by_steps(sol, mn), (sol, mn)
 
 
-def test_build_cube_raises_when_neither_orientation_is_integral(monkeypatch):
-    # for (a, b, c, d) = (1, 1, 5, 3), zeta is integral for neither (1, 0) nor (-1, 0)
+def test_find_rs_orientation_makes_zeta_eta_integral():
+    # build_cube's one-orientation argument, on every order and sign of the
+    # plane solutions with d <= 151: f = s + r i sqrt(3) from find_rs
+    # divides z = ac - bd i sqrt(3), and zeta, eta are integral for (r, s)
+    seen = 0
+    for d in range(1, 152, 2):
+        for sol in solve_three_squares(d):
+            for abc in permutations(sol[:3]):
+                for signs in product((1, -1), repeat=3):
+                    a, b, c = (g * t for g, t in zip(signs, abc))
+                    q, A, B = a * a + b * b, a * c, -b * d
+                    r, s = find_rs(A, B, q)
+                    # z * conj(f) = (A s + 3 B r) + (B s - A r) i sqrt(3)
+                    assert (A * s + 3 * B * r) % (2 * q) == (B * s - A * r) % (2 * q) == 0, (a, b, c, d)
+                    zeta_eta(PlaneSolution(a, b, c, d), r, s)
+                    seen += 1
+    assert seen == 48480
+
+
+def test_build_cube_raises_when_its_orientation_is_not_integral(monkeypatch):
+    # for (a, b, c, d) = (1, 1, 5, 3), zeta is not integral for (r, s) = (1, 0)
     sol = PlaneSolution(1, 1, 5, 3)
-    for r in (1, -1):
-        with pytest.raises(NonIntegralError):
-            zeta_eta(sol, r, 0)
+    with pytest.raises(NonIntegralError):
+        zeta_eta(sol, 1, 0)
     monkeypatch.setattr(lattice_geometry, "find_rs", lambda A, B, q: (1, 0))
     with pytest.raises(NonIntegralError):
         build_cube(sol, NormFormSolution(0, 1))
-
-
-def test_build_cube_retries_the_other_orientation(monkeypatch):
-    # find_rs orients (r, s) right for every census candidate, so the
-    # (-r, s) retry is checked by handing build_cube the other orientation
-    real = lattice_geometry.find_rs
-    cases = [(SOL2011, NormFormSolution(0, 1))] + [(sol, mn) for _, mn, _, sol in _candidate_stream(60)]
-    want = [build_cube(sol, mn) for sol, mn in cases]
-
-    def other_orientation(A, B, q):
-        r, s = real(A, B, q)
-        return -r, s
-
-    monkeypatch.setattr(lattice_geometry, "find_rs", other_orientation)
-    retried = 0
-    for (sol, mn), frame in zip(cases, want):
-        a, b, c, d = sol
-        r, s = real(a * c, -b * d, a * a + b * b)
-        try:
-            zeta_eta(sol, -r, s)
-        except NonIntegralError:
-            assert build_cube(sol, mn) == frame, (sol, mn)
-            retried += 1
-    assert retried > 100
 
 
 def test_build_cube_rejects_two_integral_apex_signs():
@@ -359,14 +355,18 @@ def test_build_cube_matches_census_records(registry30):
         assert again == rec.cube
 
 
-def test_four_k_values_matches_diagonal_search(registry50):
-    from latticecubes.census import build_multiples
+def test_four_k_values_matches_diagonal_search():
+    # Frame.k_values takes each diagonal's gcd; the referee takes
+    # side / sqrt(D.D / (3 l^2))
+    from latticecubes.census import build_irreducible_list, build_multiples
 
-    multiples = build_multiples(50, registry50)
-    cubes = [r.cube for r in registry50.records] + [r.cube for r in multiples]
-    assert len(multiples) > 0
-    for cube in cubes:
-        assert cube.corner_edges().k_values() == diagonal_k_values(cube), cube.as_lists()
+    reg = build_irreducible_list(200)
+    multiples = build_multiples(200, reg)
+    records = reg.records + multiples
+    assert len(reg.records) == 576 and len(multiples) > 0
+    for rec in records:
+        cube = rec.cube
+        assert cube.corner_edges().k_values() == set(rec.k_values) == diagonal_k_values(cube), cube.as_lists()
 
 
 def test_frame_path_matches_vertex_path(registry50):
@@ -395,11 +395,25 @@ _CUBOID = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 2)]
 
 
 @pytest.mark.parametrize(
+    "points",
+    [
+        pytest.param(_RHOMBOHEDRON, id="rhombohedron"),
+        pytest.param(_RATIO_NOT_SQUARE, id="ratio_not_square"),
+        pytest.param(_SIDE_NOT_DIVISIBLE, id="side_not_divisible"),
+    ],
+)
+def test_non_cubes_are_rejected_before_k_values(points):
+    # Frame.k_values reads each diagonal's gcd, the k-value of a checked
+    # frame; these shapes have no integral side, so no checked frame
+    with pytest.raises(ValueError, match="side is not a positive integer"):
+        Frame.of(*_raw_cube(points).corner_edges())
+    with pytest.raises(ValueError, match="side is not a positive integer"):
+        Cube.from_points(points)
+
+
+@pytest.mark.parametrize(
     "call, exc",
     [
-        (lambda: _raw_cube(_RHOMBOHEDRON).corner_edges().k_values(), ArithmeticError),
-        (lambda: _raw_cube(_RATIO_NOT_SQUARE).corner_edges().k_values(), ArithmeticError),
-        (lambda: _raw_cube(_SIDE_NOT_DIVISIBLE).corner_edges().k_values(), ArithmeticError),
         (lambda: _raw_cube(_CUBOID).corner_edges(), ValueError),
         (lambda: fourth_vertex((ORIGIN, Vec3(1, 0, 0), Vec3(0, 1, 0)), PlaneSolution(1, 1, 1, 1), 1, 0), ValueError),
         (lambda: complete_cube((Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 1), Vec3(0, 0, 0))), ValueError),

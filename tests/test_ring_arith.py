@@ -164,6 +164,13 @@ def test_find_rs_output_identity(registry50):
         assert s * s + 3 * r * r == 2 * q
 
 
+def test_find_rs_rejects_the_prime_3():
+    # 2q = 12 = 4 * 3.  No census input has 3 | 2q (q = a^2 + b^2 = 2 mod 3),
+    # so find_rs has no factor of norm 3 and the decomposition raises
+    with pytest.raises(NotRepresentable):
+        find_rs(3, 1, 6)
+
+
 def test_find_rs_rejects_incompatible():
     with pytest.raises(ValueError):
         find_rs(25, 0, 10)  # 2q does not divide A^2 + 3B^2

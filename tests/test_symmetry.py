@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from latticecubes.census import build_irreducible_list, build_multiples
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.symmetry import (
-    BOX_MAPS,
     InvariantSet,
     _stabilizer,
     class_key,
@@ -17,6 +16,7 @@ from latticecubes.symmetry import (
 
 from .published_data import TABLE1, PUBLISHED_MAPS_24
 from .referee import (
+    BOX_MAPS,
     apply_box_map,
     bounding_dim,
     brute_force_orbit_fill,
