@@ -1,13 +1,14 @@
 """The census: every irreducible cube up to grid size N, then NC(n).
 
 Generation sweeps k (triangle scale), (m, n) (norm-form solution), odd d
-(plane scale) and the plane solutions (a, b, c); each tuple yields one
-cube, as its Frame (the three edges at one corner).  A cube is accepted
-when it is genuinely new - not in the generalized orbit of anything
-already recorded at the same side length - and when the k = 1 pass could
-not have produced it (the "exception" guard: for k > 1 the cube must not
-have 1 among its k-values).  A record keeps its frame; 8 vertices are
-built only for output (CubeRecord.cube).
+(plane scale) and the plane solutions (a, b, c); each tuple stands for
+one cube, built as its Frame (the three edges at one corner) only when
+the accept pass needs it; candidates stream through that pass.  A cube
+is accepted when it is genuinely new - not in the generalized orbit of
+anything already recorded at the same side length - and when the k = 1
+pass could not have produced it (the "exception" guard: for k > 1 the
+cube must not have 1 among its k-values).  A record keeps its frame; 8
+vertices are built only for output (CubeRecord.cube).
 
 The k > 1 sweeps stay, though they yield no record below side
 7*13*19*31 = 53599: for an odd prime p dividing the side, a primitive
@@ -18,19 +19,23 @@ pin one of side 53599.
 
 Deduplication is keyed by main diagonals (Frame.diagonals).  A main
 diagonal of a side-s cube has norm 3 s^2, so its k-value is the gcd of
-its coordinates (Frame.k_values), and each side keeps the sorted
-|coordinates| of the k = 1 diagonals of its records.  A box map permutes
+its coordinates (Frame.k_values), and a claim keeps the sorted
+|coordinates| of the k = 1 diagonals of its record.  A box map permutes
 and negates coordinates, so these keys are the same for the whole orbit.
 For k = 1 a key also fixes the orbit: in the triangle parametrization a
 cube with a primitive main diagonal comes from the plane solution along
 it and a solution of the norm form m^2 - mn + n^2 = 1, whose single
-solution is (0, 1).  So a candidate is
-a duplicate iff its k = 1 diagonal keys are claimed at its side
-(were two orbits to share a key, the second would be dropped and the
-per-side check below would find its side short).  A cube without
-k-value 1 falls back to the class keys of its orbit
-(symmetry.orbit_classes), kept in a second per-side set.  A key claimed
-twice raises ArithmeticError.
+solution is (0, 1).  The plane solution (a, b, c) of a k = 1 candidate
+is such a diagonal of the cube it builds (a primitive solution, sorted
+and positive, so already a key), so the candidate is decided by that
+key before its cube is built, and only the candidates that become
+records are built (were two orbits to share a key, the second would be
+dropped and the per-side check below would find its side short).  A
+k > 1 candidate is built for the k = 1 guard; a cube without k-value 1
+is claimed and looked up by the class keys of its orbit
+(symmetry.orbit_classes).  Both kinds of key go into one set per side:
+a diagonal key is 3 ints and a class key 3 edges, so they cannot
+collide.  A key claimed twice raises ArithmeticError.
 
 The accept pass ends with a per-side check: the orbit sizes of the
 records of side s sum to the number of translation classes of primitive
@@ -56,7 +61,7 @@ import os
 from itertools import accumulate, chain
 from math import gcd, isqrt
 from operator import add
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .diophantine import (
     NormFormSolution,
@@ -107,43 +112,37 @@ def _unit_diagonals(frame: Frame) -> Iterator[Edge]:
 class CubeRegistry:
     """Accepted irreducible cubes plus the claimed-orbit index.
 
-    diagonals maps a side length to the keys (_unit_diagonals) of the
-    records claimed at that side; a record without k-value 1 puts the
-    class keys of its orbit (symmetry.class_key) in classes_without_k1
-    instead.  classes counts the translation classes claimed per side,
-    the sum of the records' orbit sizes.
+    claimed maps a side length to the keys of the records claimed at
+    that side: the k = 1 diagonal keys of each record (_unit_diagonals),
+    or the class keys of its orbit (symmetry.class_key) for a record
+    without k-value 1.  classes counts the translation classes claimed
+    per side, the sum of the records' orbit sizes.
     """
 
     def __init__(self, n_built: int) -> None:
         self.n_built = n_built
         self.records: list[CubeRecord] = []
-        self.diagonals: dict[int, set[Edge]] = {}
-        self.classes_without_k1: dict[int, set[ClassKey]] = {}
+        self.claimed: dict[int, set[Edge | ClassKey]] = {}
         self.classes: dict[int, int] = {}
 
     def claim(self, record: CubeRecord) -> None:
         """Index the record's orbit at its side; ArithmeticError naming the
         side if the orbit is claimed there already."""
         side, frame = record.side, record.frame
-        keys = set(_unit_diagonals(frame))
-        index = self.diagonals
-        if not keys:
-            keys = orbit_classes(frame)
-            index = self.classes_without_k1
-        claimed = index.setdefault(side, set())
+        keys = set(_unit_diagonals(frame)) or orbit_classes(frame)
+        claimed = self.claimed.setdefault(side, set())
         if not claimed.isdisjoint(keys):
             raise ArithmeticError(f"side {side}: the orbit of frame {frame} is claimed twice")
         claimed |= keys
         self.records.append(record)
         self.classes[side] = self.classes.get(side, 0) + orbit_size(frame)
 
-    def is_claimed(self, side: int, frame: Frame) -> bool:
-        """True iff the cube's orbit is claimed at `side`.  A claim holds
-        every k = 1 key of its orbit, so the first key decides."""
-        key = next(_unit_diagonals(frame), None)
-        if key is not None:
-            return key in self.diagonals.get(side, ())
-        return class_key(frame) in self.classes_without_k1.get(side, ())
+    def is_claimed(self, side: int, key: Edge | ClassKey) -> bool:
+        """True iff `key` is claimed at `side`.  A claim holds its orbit's
+        every key of one kind, so one key decides: a k = 1 diagonal key
+        (a k = 1 candidate's plane solution), or the class key of a cube
+        without k-value 1."""
+        return key in self.claimed.get(side, ())
 
 
 def _candidate_stream(N: int) -> Iterator[Candidate]:
@@ -175,35 +174,42 @@ def _build_one(item: Candidate) -> Frame:
 def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
     """Registry of all irreducible cubes with side <= N.
 
-    Candidate construction is pure and may be farmed out to worker
-    processes; acceptance always runs serially in the canonical order,
-    so the result is independent of the thread count.  The pool does not
-    pay (README, Performance) and the CLI does not use it; it stays for
-    the benchmark's pool check until ROADMAP item 2 removes both.
+    Candidates stream through the accept pass, which builds a frame only
+    when it needs one.  threads > 1 builds every candidate's frame in
+    worker processes first; acceptance always runs serially in the
+    canonical order, so the result is independent of the thread count.
+    The pool does not pay (README, Performance) and the CLI does not use
+    it; it stays for the benchmark's pool check until ROADMAP item 1
+    removes both.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    items = list(_candidate_stream(N))
-    if threads > 1 and len(items) > 1:
+    if threads > 1:
         from multiprocessing import Pool  # kept off the package's import path
 
+        items = list(_candidate_stream(N))
         with Pool(threads) as pool:
             built = pool.map(_build_one, items, chunksize=max(1, len(items) // (threads * 8)))
-    else:
-        built = [_build_one(it) for it in items]
-    return _accept(N, items, built)
+        return _accept(N, items, dict(zip(items, built)).__getitem__)
+    return _accept(N, _candidate_stream(N), _build_one)
 
 
-def _accept(N: int, items: list[Candidate], built: list[Frame]) -> CubeRegistry:
-    """The accept pass over candidates and their frames, in order, then
-    the per-side completeness check (ArithmeticError naming the side)."""
+def _accept(N: int, candidates: Iterable[Candidate], build: Callable[[Candidate], Frame]) -> CubeRegistry:
+    """The accept pass over candidates in order, building a candidate's
+    frame with `build` only when it is needed, then the per-side
+    completeness check (ArithmeticError naming the side)."""
     reg = CubeRegistry(n_built=N)
-    for (k, mn, d, sol), frame in zip(items, built):
+    for item in candidates:
+        k, mn, d, sol = item
         side = d * k
-        if k != 1 and 1 in frame.k_values():
-            continue  # already reachable by the k=1 pass
-        if reg.is_claimed(side, frame):
-            continue
+        if k == 1 and reg.is_claimed(side, (sol.a, sol.b, sol.c)):
+            continue  # the plane solution is a k = 1 diagonal key of its cube
+        frame = build(item)
+        if k != 1:
+            if 1 in frame.k_values():
+                continue  # already reachable by the k=1 pass
+            if reg.is_claimed(side, class_key(frame)):
+                continue
         if frame.side != side:
             raise ArithmeticError(f"pipeline cube side {frame.side} != d*k = {side}")
         if not frame.is_primitive():
@@ -349,8 +355,13 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
     order, as JSON to `path`, atomically.
 
     The document goes to a temp file beside `path` that then replaces it,
-    so a crash or error mid-write leaves any previous cache intact.
+    so a crash or error mid-write leaves any previous cache intact.  Only
+    a regular file is replaced: a directory raises IsADirectoryError and
+    anything else, a symlink, FIFO or device included, FileExistsError,
+    before any temp file is written.
     """
+    import errno
+    import stat
     from pathlib import Path  # kept off the package's import path
 
     doc = {
@@ -359,6 +370,14 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
         "sources": [[*sol, *mn] for sol, mn in (r.source for r in reg.records)],
     }
     p = Path(path)
+    try:
+        mode = os.lstat(p).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a new cache
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(p))
+    if not stat.S_ISREG(mode):
+        raise FileExistsError(errno.EEXIST, "exists and is not a regular file", str(p))
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
@@ -388,13 +407,14 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     """Registry from the cache at `path`, or None if there is no file or it
     was built for a smaller N.
 
-    Each source is rebuilt and replayed through the census's accept pass,
-    so the registry ends with the census's completeness check.  A file
-    that is not this version's JSON document, lacks a key, holds a source
-    that is not six integers, not a solution of a^2 + b^2 + c^2 = 3d^2,
-    of a side d*k outside 1..N or that does not become a record, or fails
-    the accept pass, raises CacheMismatch with the reason.  The sources
-    are checked before any is rebuilt, so a rebuild's cost is bounded by N.
+    The sources are replayed through the census's accept pass, which
+    rebuilds each record's frame, so the registry ends with the census's
+    completeness check.  A file that is not this version's JSON document,
+    lacks a key, holds a source that is not six integers, not a solution
+    of a^2 + b^2 + c^2 = 3d^2, of a side d*k outside 1..N or that does not
+    become a record, or fails the accept pass, raises CacheMismatch with
+    the reason.  The sources are checked before any is rebuilt, so a
+    rebuild's cost is bounded by N.
     """
     from pathlib import Path  # kept off the package's import path
 
@@ -424,7 +444,7 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
         if not 1 <= d * k <= n_built:
             raise CacheMismatch(f"cached source {src}: side d*k = {d * k} is not in 1..{n_built}")
     try:
-        reg = _accept(n_built, items, [_build_one(it) for it in items])
+        reg = _accept(n_built, items, _build_one)
     except (ValueError, ArithmeticError) as exc:
         raise CacheMismatch(f"replay of the cached sources: {exc}") from exc
     if len(reg.records) != len(items):

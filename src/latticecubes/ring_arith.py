@@ -63,8 +63,12 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
     the domain the product's norm is exactly 2q: an odd prime p of that
     quotient divides the content as often as it divides gcd(A, B), so
     the reduced element holds p at least e times, e its exponent in the
-    quotient, and each factor is taken e times.  The final norm test
-    stays as a ValueError.
+    quotient, and each factor is taken e times.  The same valuations
+    show that each factor is present, so no test looks for it: with
+    g = gcd(A, B) and h = gcd(g, 2q) the content, 2q divides g^2 N(z);
+    a prime p of the quotient has v_p(h) < v_p(2q), so v_p(h) = v_p(g)
+    and v_p(N(z)) >= v_p(2q) - 2 v_p(g) = e >= 1 (4 divides N(z) at
+    p = 2).  The final norm test stays as a ValueError.
 
     Only 2*q is factored, never the norm of A + B*i*sqrt(3).  For the
     census input A + B*i*sqrt(3) = ac - bd*i*sqrt(3) the plane equation
@@ -87,7 +91,6 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
     # z = zu + zv*i*sqrt(3) is A + B*i*sqrt(3) without its content g
     g = gcd(A, B)
     zu, zv = A // g, B // g
-    n = zu * zu + 3 * zv * zv
     common = gcd(g, 2 * q)
     qq = (2 * q) // (common * common)
     if qq * common * common != 2 * q:
@@ -99,11 +102,8 @@ def find_rs(A: int, B: int, q: int) -> tuple[int, int]:
         if p == 2 and e != 2:
             # a norm-form value 2q has 2-adic valuation exactly 2, one ring factor
             raise ArithmeticError("2 enters a norm-form value as 4 exactly")
-        target = 4 if p == 2 else p
-        if n % target:
-            raise ValueError(f"required factor of norm {target} not present")
         # a primitive norm holds 4 at most once, as one ring factor;
-        # f = fu + fv*i*sqrt(3) is the factor of norm target that divides z
+        # f = fu + fv*i*sqrt(3) is the factor of norm p (4 at p = 2) that divides z
         if p == 2:
             fu, fv, e = 1, (1 if (zu - zv) % 4 == 0 else -1), 1
         else:

@@ -137,35 +137,50 @@ def test_claim_membership_trick(registry19):
     # claiming indexes the record's k = 1 diagonal keys at that side and
     # counts the classes of its orbit
     keys = set(_unit_diagonals(rec.frame))
-    assert keys and keys <= registry19.diagonals[5]
+    assert keys and keys <= registry19.claimed[5]
     assert registry19.classes[5] == len(orbit_classes(rec.frame)) == dedekind_psi(5)
     # the octant form of every image of a claimed orbit tests as claimed,
     # through the same diagonal keys
     for img in symmetry_orbit(rec.cube):
-        assert registry19.is_claimed(5, img.translate_to_octant().corner_edges())
-        assert set(_unit_diagonals(img.corner_edges())) == keys
+        img_keys = set(_unit_diagonals(img.translate_to_octant().corner_edges()))
+        assert img_keys == keys
+        assert all(registry19.is_claimed(5, key) for key in img_keys)
     # a box image, octant-normalized, is one of the claimed classes
     img = apply_box_map(rec.cube, rec.bound_dim, (2, 0, 1), (True, False, True))
     assert class_key(img.translate_to_octant().corner_edges()) in orbit_classes(rec.cube.corner_edges())
-    assert registry19.is_claimed(5, img.translate_to_octant().corner_edges())
+    assert registry19.is_claimed(5, next(_unit_diagonals(img.translate_to_octant().corner_edges())))
     # a claim holds at its own side only
-    assert not registry19.is_claimed(7, rec.frame)
-    # a reducible cube of the same side was never claimed
-    assert not registry19.is_claimed(13, UNIT.corner_edges().scale(13))
+    assert not any(registry19.is_claimed(7, key) for key in keys)
+    # a reducible cube of the same side was never claimed: it has no k = 1
+    # diagonal, and its class key is not among the side's keys
+    reducible = UNIT.corner_edges().scale(13)
+    assert list(_unit_diagonals(reducible)) == []
+    assert not registry19.is_claimed(13, class_key(reducible))
 
 
 def test_diagonal_claims_match_class_key_claims(monkeypatch):
-    # the rule the diagonal index replaced: a candidate is claimed iff its
-    # class key is among the orbit classes of the records claimed at its
-    # side; both are asked at each point of the accept pass at N = 200
+    # the rule the key index replaced: a candidate is claimed iff the class
+    # key of its cube is among the orbit classes of the records claimed at
+    # its side; both are asked at each point of the accept pass at N = 200,
+    # the old rule on a frame this test builds from the current candidate
     from .referee import _orbit_table
 
     by_side = {}
     answers = []
+    current = []
     is_claimed, claim = CubeRegistry.is_claimed, CubeRegistry.claim
+    stream = census._candidate_stream
 
-    def checked_is_claimed(reg, side, frame):
-        got = is_claimed(reg, side, frame)
+    def tracked_stream(N):
+        for item in stream(N):
+            current[:] = [item]
+            yield item
+
+    def checked_is_claimed(reg, side, key):
+        got = is_claimed(reg, side, key)
+        k, mn, d, sol = current[0]
+        frame = build_cube(sol, mn)
+        assert side == d * k
         assert got == (class_key(frame) in by_side.get(side, ())), (side, frame)
         answers.append(got)
         return got
@@ -174,6 +189,7 @@ def test_diagonal_claims_match_class_key_claims(monkeypatch):
         claim(reg, record)
         by_side.setdefault(record.side, set()).update(_orbit_table(class_key(record.frame))[0])
 
+    monkeypatch.setattr(census, "_candidate_stream", tracked_stream)
     monkeypatch.setattr(CubeRegistry, "is_claimed", checked_is_claimed)
     monkeypatch.setattr(CubeRegistry, "claim", indexed_claim)
     reg = build_irreducible_list(200)
@@ -205,6 +221,7 @@ def test_claiming_an_orbit_twice_raises(registry19):
 def test_cube_without_k_value_1_claims_by_class_keys():
     # the first such cube has no k = 1 diagonal key: it is claimed and
     # found through the class keys of its orbit
+    from latticecubes.census import _unit_diagonals
     from latticecubes.symmetry import orbit_classes, orbit_size
 
     from .referee import BOX_MAPS
@@ -219,7 +236,7 @@ def test_cube_without_k_value_1_claims_by_class_keys():
         source=None,  # not built from a candidate here; claims do not read it
     )
     reg = CubeRegistry(n_built=53599)
-    assert not reg.is_claimed(53599, frame)
+    assert not reg.is_claimed(53599, class_key(frame))
     reg.claim(rec)
     images = [
         Frame(*(Vec3(*(-e[p] if f else e[p] for p, f in zip(perm, flips))) for e in frame))
@@ -227,9 +244,9 @@ def test_cube_without_k_value_1_claims_by_class_keys():
     ]
     assert len({class_key(img) for img in images}) == len(orbit_classes(frame)) == orbit_size(frame) == 24
     for img in images:
-        assert reg.is_claimed(53599, img)
-    assert reg.diagonals == {}
-    assert reg.classes_without_k1 == {53599: orbit_classes(frame)}
+        assert list(_unit_diagonals(img)) == []
+        assert reg.is_claimed(53599, class_key(img))
+    assert reg.claimed == {53599: orbit_classes(frame)}
     assert reg.classes == {53599: orbit_size(frame)}
     with pytest.raises(ArithmeticError, match="side 53599:"):
         reg.claim(rec)
@@ -332,31 +349,13 @@ def test_sequence_validation(registry19):
 
 
 def test_acceptance_is_schedule_independent(registry19):
-    # replay the candidate stream in reverse; the set of claimed orbits
-    # (and hence the counts) must not depend on processing order
-    from latticecubes.census import CubeRegistry
-    from latticecubes.symmetry import invariants
-
-    reg = CubeRegistry(n_built=19)
-    for k, mn, d, sol in reversed(list(_candidate_stream(19))):
-        frame = build_cube(sol, mn)
-        cube = frame.cube()
-        fkv = frame.k_values()
-        if k != 1 and 1 in fkv:
-            continue
-        if reg.is_claimed(d * k, frame):
-            continue
-        reg.claim(
-            CubeRecord(
-                side=d * k,
-                bound_dim=bounding_dim(cube),
-                frame=frame,
-                k_values=frozenset(fkv),
-                invariants=invariants(frame),
-                source=(sol, mn),
-            )
-        )
+    # replay the candidate stream in reverse through the accept pass, its
+    # per-side check included; the set of claimed orbits (and hence the
+    # counts) must not depend on processing order
+    reg = _accept(19, reversed(list(_candidate_stream(19))), _build_one)
     assert len(reg.records) == len(registry19.records)
+    assert reg.classes == registry19.classes
+    assert all(r.bound_dim == bounding_dim(r.cube) for r in reg.records)
     key = lambda r: (r.side, canonical_form(r.cube).vertices)
     assert sorted(map(key, reg.records)) == sorted(map(key, registry19.records))
 
@@ -373,6 +372,37 @@ def test_k1_pass_reaches_everything(registry50):
     # side, so the k > 1 sweeps only rediscover known orbits below 53599
     for rec in registry50.records:
         assert 1 in rec.k_values
+
+
+def test_plane_solution_is_a_unit_diagonal_key_of_its_cube():
+    # the accept pass decides a k = 1 candidate by its plane solution before
+    # building it: (a, b, c) must be a k = 1 diagonal key of the cube it builds
+    from latticecubes.census import _unit_diagonals
+    from latticecubes.diophantine import NormFormSolution, solve_three_squares
+
+    checked = 0
+    for d in range(1, 602, 2):
+        for sol in solve_three_squares(d):
+            keys = set(_unit_diagonals(build_cube(sol, NormFormSolution(0, 1))))
+            assert (sol.a, sol.b, sol.c) in keys, sol
+            checked += 1
+    assert checked > 10000
+
+
+def test_census_builds_only_records_and_k_above_1(monkeypatch):
+    # a k = 1 duplicate is never built: at N = 400 the frames built are the
+    # 2171 records and the 311 candidates with k > 1 (the k = 1 guard's)
+    build = census._build_one
+    calls = []
+
+    def counted_build(item):
+        calls.append(item[0])
+        return build(item)
+
+    monkeypatch.setattr(census, "_build_one", counted_build)
+    reg = build_irreducible_list(400)
+    assert len(calls) == 2482
+    assert len(reg.records) == 2171 and sum(k != 1 for k in calls) == 311
 
 
 def test_first_cube_without_k_value_1():
@@ -400,7 +430,7 @@ def test_record_json_roundtrip(registry19):
     # sources, replayed through the accept pass, give back the records
     sources = [record_to_json(r)["source"] for r in registry19.records]
     items = [_source_item([src[x] for x in "abcdmn"]) for src in sources]
-    assert _accept(19, items, [_build_one(it) for it in items]).records == registry19.records
+    assert _accept(19, items, _build_one).records == registry19.records
 
 
 def test_cache_roundtrip(tmp_path, registry19):
@@ -410,8 +440,7 @@ def test_cache_roundtrip(tmp_path, registry19):
     assert loaded is not None
     assert loaded.n_built == 19
     assert loaded.records == registry19.records
-    assert loaded.diagonals == registry19.diagonals
-    assert loaded.classes_without_k1 == registry19.classes_without_k1
+    assert loaded.claimed == registry19.claimed
     assert loaded.classes == registry19.classes
     assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
 

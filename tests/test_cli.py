@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -298,6 +299,34 @@ def test_unwritable_cache_fails_on_one_line(tmp_path, name, reason):
     # the temp file written beside the cache is gone
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing_dir"]
     assert list((tmp_path / "existing_dir").iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_cache_refuses_a_target_that_is_not_a_regular_file(tmp_path, kind):
+    # the cache replaces only a regular file: a FIFO, or a symlink to a
+    # cache of a smaller N, stays as it is and no temp file is left
+    cache = tmp_path / kind
+    smaller = tmp_path / "reg3.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticecubes.cli", "count", "--n", "3", "--cache", str(smaller)],
+        capture_output=True, text=True, env=_src_env(),
+    )
+    assert proc.returncode == 0
+    saved = smaller.read_text()
+    if kind == "fifo":
+        os.mkfifo(cache)
+    else:
+        cache.symlink_to(smaller)
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticecubes.cli", "count", "--n", "5", "--cache", str(cache)],
+        capture_output=True, text=True, env=_src_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"cannot write registry cache {cache}: exists and is not a regular file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([kind, "reg3.json"])
+    mode = os.lstat(cache).st_mode
+    assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISLNK(mode)
+    assert smaller.read_text() == saved
 
 
 def test_tampered_cache_is_rebuilt(tmp_path, capsys):
