@@ -1,14 +1,16 @@
 """The census: every irreducible cube up to grid size N, then NC(n).
 
-Generation sweeps k (triangle scale), (m, n) (norm-form solution), odd d
-(plane scale) and the plane solutions (a, b, c); each tuple stands for
-one cube, built as its Frame (the three edges at one corner) only when
-the accept pass needs it; candidates stream through that pass.  A cube
-is accepted when it is genuinely new - not in the generalized orbit of
-anything already recorded at the same side length - and when the k = 1
-pass could not have produced it (the "exception" guard: for k > 1 the
-cube must not have 1 among its k-values).  A record keeps its frame; 8
-vertices are built only for output (CubeRecord.cube).
+Generation runs side by side: for each odd side s <= N ascending, each
+k (triangle scale) dividing s ascending, each (m, n) (norm-form
+solution) and each plane solution (a, b, c) of d = s/k (plane scale);
+each tuple stands for one cube, built as its Frame (the three edges at
+one corner) only when the accept pass needs it; candidates stream
+through that pass.  A cube is accepted when it is genuinely new - not
+in the generalized orbit of anything already recorded at the same side
+length - and when the k = 1 pass could not have produced it (the
+"exception" guard: for k > 1 the cube must not have 1 among its
+k-values).  A record keeps its frame; 8 vertices are built only for
+output (CubeRecord.cube).
 
 The k > 1 sweeps stay, though they yield no record below side
 7*13*19*31 = 53599: for an odd prime p dividing the side, a primitive
@@ -33,32 +35,35 @@ records are built (were two orbits to share a key, the second would be
 dropped and the per-side check below would find its side short).  A
 k > 1 candidate is built for the k = 1 guard; a cube without k-value 1
 is claimed and looked up by the class keys of its orbit
-(symmetry.orbit_classes).  Both kinds of key go into one set per side:
-a diagonal key is 3 ints and a class key 3 edges, so they cannot
-collide.  A key claimed twice raises ArithmeticError.
+(symmetry.orbit_classes).  Both kinds of key go into one set, which
+holds the claims of one side only: a key cannot cross sides (a diagonal
+key has norm 3 s^2, a class key edges of length s), so the set starts
+empty at each side.  A diagonal key is 3 ints and a class key 3 edges,
+so they cannot collide.  A key claimed twice raises ArithmeticError.
 
-The accept pass ends with a per-side check: the orbit sizes of the
-records of side s sum to the number of translation classes of primitive
-cubes of side s, which is Dedekind's psi(s) for odd s, and there are
-none of even side.  With the double-claim raise, a lost, duplicated or
-extra orbit fails loudly.  A registry cache stores only each record's
-source and replays it through the same pass.
+Each side ends with its own check, before the next side's candidates
+are built: the orbit sizes of the records of side s sum to the number
+of translation classes of primitive cubes of side s, which is Dedekind's
+psi(s) for odd s, and there are none of even side.  After the last side
+no odd side <= N may be missing.  With the double-claim raise, a lost,
+duplicated or extra orbit fails loudly.  A registry cache stores only
+each record's source and replays it, sorted by side, through the same
+pass.
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
 inclusion-exclusion of its generalized orbit sliding inside {0..n}^3.
 The polynomial is linear in (a, b, g), so records sharing a bound_dim
-are summed first (box_sums).  count_cubes evaluates each box once;
-sequence takes NC(1..N) from prefix sums of each box's forward
-differences (sequence_from_boxes), so its cost grows as N + boxes, not
-N * boxes.
+are summed first (box_sums).  NC(1..N) comes from prefix sums of each
+box's forward differences (sequence_from_boxes), so its cost grows as
+N + boxes, not N * boxes; count_cubes takes its last term.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from math import gcd, isqrt
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
@@ -110,55 +115,58 @@ def _unit_diagonals(frame: Frame) -> Iterator[Edge]:
 
 
 class CubeRegistry:
-    """Accepted irreducible cubes plus the claimed-orbit index.
+    """Accepted irreducible cubes plus the claims of the side being accepted.
 
-    claimed maps a side length to the keys of the records claimed at
-    that side: the k = 1 diagonal keys of each record (_unit_diagonals),
-    or the class keys of its orbit (symmetry.class_key) for a record
-    without k-value 1.  classes counts the translation classes claimed
-    per side, the sum of the records' orbit sizes.
+    claimed holds the keys of the records claimed at one side: the k = 1
+    diagonal keys of each record (_unit_diagonals), or the class keys of
+    its orbit (symmetry.class_key) for a record without k-value 1.  The
+    accept pass empties it at the start of each side.  classes counts the
+    translation classes claimed per side, the sum of the records' orbit
+    sizes.
     """
 
     def __init__(self, n_built: int) -> None:
         self.n_built = n_built
         self.records: list[CubeRecord] = []
-        self.claimed: dict[int, set[Edge | ClassKey]] = {}
+        self.claimed: set[Edge | ClassKey] = set()
         self.classes: dict[int, int] = {}
 
     def claim(self, record: CubeRecord) -> None:
-        """Index the record's orbit at its side; ArithmeticError naming the
-        side if the orbit is claimed there already."""
+        """Index the record's orbit; ArithmeticError naming its side if the
+        orbit is claimed already."""
         side, frame = record.side, record.frame
         keys = set(_unit_diagonals(frame)) or orbit_classes(frame)
-        claimed = self.claimed.setdefault(side, set())
-        if not claimed.isdisjoint(keys):
+        if not self.claimed.isdisjoint(keys):
             raise ArithmeticError(f"side {side}: the orbit of frame {frame} is claimed twice")
-        claimed |= keys
+        self.claimed |= keys
         self.records.append(record)
         self.classes[side] = self.classes.get(side, 0) + orbit_size(frame)
 
-    def is_claimed(self, side: int, key: Edge | ClassKey) -> bool:
-        """True iff `key` is claimed at `side`.  A claim holds its orbit's
-        every key of one kind, so one key decides: a k = 1 diagonal key
-        (a k = 1 candidate's plane solution), or the class key of a cube
-        without k-value 1."""
-        return key in self.claimed.get(side, ())
+    def is_claimed(self, key: Edge | ClassKey) -> bool:
+        """True iff `key` is claimed.  A claim holds its orbit's every key
+        of one kind, so one key decides: a k = 1 diagonal key (a k = 1
+        candidate's plane solution), or the class key of a cube without
+        k-value 1."""
+        return key in self.claimed
+
+
+def _side_candidates(s: int, norm_forms: dict[int, list[NormFormSolution]]) -> Iterator[Candidate]:
+    """The (k, mn, d, sol) tuples of side s in generation order: each k of
+    norm_forms (k -> solve_norm_form(k), k ascending) that divides s, then
+    each (m, n), then each plane solution of d = s/k."""
+    for k, mns in norm_forms.items():
+        if s % k == 0:
+            sols = solve_three_squares(s // k)
+            for mn in mns:
+                for sol in sols:
+                    yield k, mn, s // k, sol
 
 
 def _candidate_stream(N: int) -> Iterator[Candidate]:
-    """(k, mn, d, sol) tuples in the canonical generation order."""
-    planes: dict[int, list[PlaneSolution]] = {}  # plane solutions per d
-    for k in k_values(N):
-        mns = solve_norm_form(k)
-        for mn in mns:
-            d = 1
-            while d * k <= N:
-                sols = planes.get(d)
-                if sols is None:
-                    sols = planes[d] = solve_three_squares(d)
-                for sol in sols:
-                    yield k, mn, d, sol
-                d += 2
+    """The candidates of every odd side s <= N, s ascending."""
+    norm_forms = {k: solve_norm_form(k) for k in k_values(N)}
+    for s in range(1, N + 1, 2):
+        yield from _side_candidates(s, norm_forms)
 
 
 def _build_one(item: Candidate) -> Frame:
@@ -194,22 +202,22 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
     return _accept(N, _candidate_stream(N), _build_one)
 
 
-def _accept(N: int, candidates: Iterable[Candidate], build: Callable[[Candidate], Frame]) -> CubeRegistry:
-    """The accept pass over candidates in order, building a candidate's
-    frame with `build` only when it is needed, then the per-side
-    completeness check (ArithmeticError naming the side)."""
-    reg = CubeRegistry(n_built=N)
+def _accept_side(
+    reg: CubeRegistry, side: int, candidates: Iterable[Candidate], build: Callable[[Candidate], Frame]
+) -> None:
+    """The accept pass over the candidates of one side, in order, with the
+    claims of that side alone, building a candidate's frame with `build`
+    only when it is needed; then the side's check of its translation
+    classes against psi(side), 0 for an even side or a side above
+    reg.n_built (ArithmeticError naming the side)."""
+    reg.claimed = set()
     for item in candidates:
         k, mn, d, sol = item
-        side = d * k
-        if k == 1 and reg.is_claimed(side, (sol.a, sol.b, sol.c)):
+        if k == 1 and reg.is_claimed((sol.a, sol.b, sol.c)):
             continue  # the plane solution is a k = 1 diagonal key of its cube
         frame = build(item)
-        if k != 1:
-            if 1 in frame.k_values():
-                continue  # already reachable by the k=1 pass
-            if reg.is_claimed(side, class_key(frame)):
-                continue
+        if k != 1 and (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
+            continue  # reachable by the k = 1 pass, or an orbit claimed by its class keys
         if frame.side != side:
             raise ArithmeticError(f"pipeline cube side {frame.side} != d*k = {side}")
         if not frame.is_primitive():
@@ -224,11 +232,23 @@ def _accept(N: int, candidates: Iterable[Candidate], build: Callable[[Candidate]
                 source=(sol, mn),
             )
         )
-    for s in sorted(reg.classes.keys() | set(range(1, N + 1, 2))):
-        claimed = reg.classes.get(s, 0)
-        expected = dedekind_psi(s) if s <= N and s % 2 else 0
-        if claimed != expected:
-            raise ArithmeticError(f"side {s}: {claimed} translation classes claimed, expected {expected}")
+    claimed = reg.classes.get(side, 0)
+    expected = dedekind_psi(side) if side <= reg.n_built and side % 2 else 0
+    if claimed != expected:
+        raise ArithmeticError(f"side {side}: {claimed} translation classes claimed, expected {expected}")
+
+
+def _accept(N: int, candidates: Iterable[Candidate], build: Callable[[Candidate], Frame]) -> CubeRegistry:
+    """The accept pass: each run of candidates of one side (d*k) through
+    _accept_side, then ArithmeticError for the first odd side <= N that
+    had no candidates.  A side met twice is counted twice and fails its
+    check."""
+    reg = CubeRegistry(n_built=N)
+    for side, items in groupby(candidates, lambda item: item[0] * item[2]):
+        _accept_side(reg, side, items, build)
+    for s in range(1, N + 1, 2):
+        if s not in reg.classes:
+            raise ArithmeticError(f"side {s}: 0 translation classes claimed, expected {dedekind_psi(s)}")
     return reg
 
 
@@ -286,11 +306,6 @@ def box_sums(records: Iterable[CubeRecord]) -> dict[int, InvariantSet]:
     return {d: InvariantSet(0, *abg) for d, abg in sums.items()}
 
 
-def count_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> int:
-    """NC(N) from per-bounding-dimension invariant sums (see box_sums)."""
-    return sum(placement_count(N, d, inv) for d, inv in boxes.items() if d <= N)
-
-
 def sequence_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> list[int]:
     """[NC(1), ..., NC(N)] from box_sums, by prefix sums.
 
@@ -314,8 +329,9 @@ def sequence_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> list[int]:
 
 
 def count_cubes(N: int, reg: CubeRegistry, multiples: list[CubeRecord]) -> int:
-    """NC(N): lattice cubes with all 8 vertices in {0..N}^3."""
-    return count_from_boxes(N, box_sums(chain(reg.records, multiples)))
+    """NC(N): lattice cubes with all 8 vertices in {0..N}^3, the last term
+    of sequence_from_boxes (0 for N < 1: no cube fits)."""
+    return sequence_from_boxes(N, box_sums(chain(reg.records, multiples)))[-1] if N >= 1 else 0
 
 
 def sequence(N: int, registry: Optional[CubeRegistry] = None) -> list[int]:
@@ -407,9 +423,9 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     """Registry from the cache at `path`, or None if there is no file or it
     was built for a smaller N.
 
-    The sources are replayed through the census's accept pass, which
-    rebuilds each record's frame, so the registry ends with the census's
-    completeness check.  A file that is not this version's JSON document,
+    The sources are replayed, stably sorted by side, through the
+    census's accept pass, which rebuilds each record's frame, so each
+    side ends with the census's check of its classes against psi.  A file that is not this version's JSON document,
     lacks a key, holds a source that is not six integers, not a solution
     of a^2 + b^2 + c^2 = 3d^2, of a side d*k outside 1..N or that does not
     become a record, or fails the accept pass, raises CacheMismatch with
@@ -443,6 +459,7 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
             raise CacheMismatch(f"cached source {src}: not a solution of a^2 + b^2 + c^2 = 3d^2")
         if not 1 <= d * k <= n_built:
             raise CacheMismatch(f"cached source {src}: side d*k = {d * k} is not in 1..{n_built}")
+    items.sort(key=lambda item: item[0] * item[2])  # stable: one run per side, cached order within
     try:
         reg = _accept(n_built, items, _build_one)
     except (ValueError, ArithmeticError) as exc:

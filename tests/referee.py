@@ -9,9 +9,10 @@ that keep axis 0.  The construction steps (zeta_eta, triangle_vertices,
 fourth_vertex, complete_cube) are lattice_geometry.build_cube's chain
 one step at a time, on Vec3s.  factor_ring factors a whole element of
 Z[i*sqrt(3)] with RingElem arithmetic, where ring_arith.find_rs only
-factors 2q, on integer pairs; it is the find_rs referee.  BOX_MAPS,
-cross and orthogonal_matrix are the plain geometry the tests state
-facts with.
+factors 2q, on integer pairs; it is the find_rs referee.
+count_from_boxes evaluates NC(N) box by box, the referee of the prefix
+sums of census.sequence_from_boxes.  BOX_MAPS, cross and
+orthogonal_matrix are the plain geometry the tests state facts with.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
 from latticecubes import ring_arith
+from latticecubes.census import placement_count
 from latticecubes.diophantine import NormFormSolution, PlaneSolution, prime_powers
 from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, NonIntegralError, Vec3
 from latticecubes.ring_arith import find_rs
@@ -77,6 +79,12 @@ def table_invariants(frame: Frame, j: int = 1) -> tuple[int, InvariantSet]:
         beta += (s1 + 1) * (s2 + 1) * s3
         gamma += (s1 + 1) * s2 * s3
     return len(classes), InvariantSet(alpha0, alpha, beta, gamma)
+
+
+def count_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> int:
+    """NC(N) from per-bounding-dimension invariant sums (census.box_sums),
+    one placement_count per box."""
+    return sum(placement_count(N, d, inv) for d, inv in boxes.items() if d <= N)
 
 
 def bounding_dim(c: Cube) -> int:

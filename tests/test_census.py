@@ -15,14 +15,15 @@ from latticecubes.census import (
     CubeRecord,
     CubeRegistry,
     _accept,
+    _accept_side,
     _build_one,
     _candidate_stream,
+    _side_candidates,
     _source_item,
     build_irreducible_list,
     box_sums,
     build_multiples,
     count_cubes,
-    count_from_boxes,
     load_registry,
     placement_count,
     record_to_json,
@@ -30,13 +31,13 @@ from latticecubes.census import (
     sequence,
     sequence_from_boxes,
 )
-from latticecubes.diophantine import dedekind_psi
+from latticecubes.diophantine import dedekind_psi, k_values, solve_norm_form, solve_three_squares
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.reference import COUNTS_LISTED
 from latticecubes.symmetry import InvariantSet, class_key, invariants
 
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
-from .referee import bounding_dim, canonical_form, diagonal_k_values, vertex_invariants
+from .referee import bounding_dim, canonical_form, count_from_boxes, diagonal_k_values, vertex_invariants
 
 UNIT = Cube.from_points(TABLE1[0][2])
 # the first cube without k-value 1 (test_first_cube_without_k_value_1)
@@ -127,6 +128,26 @@ def test_no_duplicate_orbits(registry19):
     assert len(forms) == len(registry19.records)
 
 
+def _accept_sides(*sides, N=19):
+    """A registry after the accept pass of `sides` alone, in turn; its
+    claims are those of the last side."""
+    reg = CubeRegistry(n_built=N)
+    norm_forms = {k: solve_norm_form(k) for k in k_values(N)}
+    for side in sides:
+        _accept_side(reg, side, _side_candidates(side, norm_forms), _build_one)
+    return reg
+
+
+def test_each_side_alone_gives_the_census_records():
+    # the registry is a concatenation of per-side passes: the accept pass
+    # of one side alone yields the census's records of that side
+    reg = build_irreducible_list(201)
+    for side in range(1, 202, 2):
+        alone = _accept_sides(side, N=201)
+        assert alone.records == [r for r in reg.records if r.side == side], side
+        assert alone.classes == {side: dedekind_psi(side)}
+
+
 def test_claim_membership_trick(registry19):
     from latticecubes.census import _unit_diagonals
     from latticecubes.symmetry import class_key, orbit_classes
@@ -134,28 +155,35 @@ def test_claim_membership_trick(registry19):
     from .referee import apply_box_map, symmetry_orbit
 
     rec = next(r for r in registry19.records if r.side == 5)
-    # claiming indexes the record's k = 1 diagonal keys at that side and
-    # counts the classes of its orbit
+    reg = _accept_sides(5)
+    # claiming indexes the record's k = 1 diagonal keys and counts the
+    # classes of its orbit at its side
     keys = set(_unit_diagonals(rec.frame))
-    assert keys and keys <= registry19.claimed[5]
+    assert reg.records == [rec]
+    assert keys and keys <= reg.claimed
+    assert reg.classes == {5: registry19.classes[5]}
     assert registry19.classes[5] == len(orbit_classes(rec.frame)) == dedekind_psi(5)
     # the octant form of every image of a claimed orbit tests as claimed,
     # through the same diagonal keys
     for img in symmetry_orbit(rec.cube):
         img_keys = set(_unit_diagonals(img.translate_to_octant().corner_edges()))
         assert img_keys == keys
-        assert all(registry19.is_claimed(5, key) for key in img_keys)
+        assert all(reg.is_claimed(key) for key in img_keys)
     # a box image, octant-normalized, is one of the claimed classes
     img = apply_box_map(rec.cube, rec.bound_dim, (2, 0, 1), (True, False, True))
     assert class_key(img.translate_to_octant().corner_edges()) in orbit_classes(rec.cube.corner_edges())
-    assert registry19.is_claimed(5, next(_unit_diagonals(img.translate_to_octant().corner_edges())))
-    # a claim holds at its own side only
-    assert not any(registry19.is_claimed(7, key) for key in keys)
+    assert reg.is_claimed(next(_unit_diagonals(img.translate_to_octant().corner_edges())))
+    # a claim holds at its own side only: side 7 starts with none of them
+    reg = _accept_sides(5, 7)
+    assert reg.classes == {5: dedekind_psi(5), 7: dedekind_psi(7)}
+    assert reg.claimed and not any(reg.is_claimed(key) for key in keys)
+    # the census ends holding the claims of its last side alone
+    assert registry19.claimed == _accept_sides(19).claimed
     # a reducible cube of the same side was never claimed: it has no k = 1
     # diagonal, and its class key is not among the side's keys
     reducible = UNIT.corner_edges().scale(13)
     assert list(_unit_diagonals(reducible)) == []
-    assert not registry19.is_claimed(13, class_key(reducible))
+    assert not _accept_sides(13).is_claimed(class_key(reducible))
 
 
 def test_diagonal_claims_match_class_key_claims(monkeypatch):
@@ -176,11 +204,11 @@ def test_diagonal_claims_match_class_key_claims(monkeypatch):
             current[:] = [item]
             yield item
 
-    def checked_is_claimed(reg, side, key):
-        got = is_claimed(reg, side, key)
+    def checked_is_claimed(reg, key):
+        got = is_claimed(reg, key)
         k, mn, d, sol = current[0]
         frame = build_cube(sol, mn)
-        assert side == d * k
+        side = d * k
         assert got == (class_key(frame) in by_side.get(side, ())), (side, frame)
         answers.append(got)
         return got
@@ -236,7 +264,7 @@ def test_cube_without_k_value_1_claims_by_class_keys():
         source=None,  # not built from a candidate here; claims do not read it
     )
     reg = CubeRegistry(n_built=53599)
-    assert not reg.is_claimed(53599, class_key(frame))
+    assert not reg.is_claimed(class_key(frame))
     reg.claim(rec)
     images = [
         Frame(*(Vec3(*(-e[p] if f else e[p] for p, f in zip(perm, flips))) for e in frame))
@@ -245,8 +273,8 @@ def test_cube_without_k_value_1_claims_by_class_keys():
     assert len({class_key(img) for img in images}) == len(orbit_classes(frame)) == orbit_size(frame) == 24
     for img in images:
         assert list(_unit_diagonals(img)) == []
-        assert reg.is_claimed(53599, class_key(img))
-    assert reg.claimed == {53599: orbit_classes(frame)}
+        assert reg.is_claimed(class_key(img))
+    assert reg.claimed == orbit_classes(frame)
     assert reg.classes == {53599: orbit_size(frame)}
     with pytest.raises(ArithmeticError, match="side 53599:"):
         reg.claim(rec)
@@ -264,6 +292,23 @@ def test_census_checks_each_side_against_psi(monkeypatch):
     monkeypatch.setattr(census, "dedekind_psi", lambda s: dedekind_psi(s) + (s == 19))
     with pytest.raises(ArithmeticError, match="side 19: 20 translation classes claimed, expected 21"):
         build_irreducible_list(19)
+
+
+def test_a_short_side_stops_the_census_before_the_next_side(monkeypatch):
+    # side 5's one record claims a class too few: the census raises at the
+    # end of side 5, and no candidate of side 7 or above is ever built
+    orbit_size, build = census.orbit_size, census._build_one
+    built = []
+
+    def counted_build(item):
+        built.append(item[0] * item[2])
+        return build(item)
+
+    monkeypatch.setattr(census, "orbit_size", lambda frame: orbit_size(frame) - (frame.side == 5))
+    monkeypatch.setattr(census, "_build_one", counted_build)
+    with pytest.raises(ArithmeticError, match="side 5: 5 translation classes claimed, expected 6"):
+        build_irreducible_list(19)
+    assert built == [1, 3, 5]
 
 
 def test_placement_count():
@@ -414,15 +459,23 @@ def test_first_cube_without_k_value_1():
 
 
 def test_candidate_stream_order():
-    items = list(_candidate_stream(7))
-    # k major, then (m, n), then odd d ascending, then plane solutions
-    assert items[0][0] == 1
-    ks = [k for k, *_ in items]
-    assert ks == sorted(ks)
-    d_for_k1 = [d for k, _, d, _ in items if k == 1]
-    assert d_for_k1 == sorted(d_for_k1)
-    assert all(d % 2 == 1 for d in d_for_k1)
-    assert all(d * k <= 7 for k, _, d, _ in items)
+    items = list(_candidate_stream(91))
+    # side major (odd sides ascending), then k ascending within a side
+    sides = [d * k for k, _, d, _ in items]
+    assert sides == sorted(sides)
+    assert sorted(set(sides)) == list(range(1, 92, 2))
+    for side in (7, 13, 91):
+        ks = [k for k, _, d, _ in items if d * k == side]
+        assert ks == sorted(ks) and ks[0] == 1 and ks[-1] == side
+    # within a side, the k-major order: (m, n), then plane solutions
+    k_major = [
+        (k, mn, d, sol)
+        for k in k_values(91)
+        for mn in solve_norm_form(k)
+        for d in range(1, 91 // k + 1, 2)
+        for sol in solve_three_squares(d)
+    ]
+    assert items == sorted(k_major, key=lambda item: item[0] * item[2])
 
 
 def test_record_json_roundtrip(registry19):
@@ -441,6 +494,24 @@ def test_cache_roundtrip(tmp_path, registry19):
     assert loaded.n_built == 19
     assert loaded.records == registry19.records
     assert loaded.claimed == registry19.claimed
+    assert loaded.classes == registry19.classes
+    assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
+
+
+def test_cache_in_any_source_order_loads_the_same_records(tmp_path, registry19):
+    # a load replays the sources sorted by side, so a cache whose sources
+    # are shuffled (one written before the census went side by side was
+    # k-major) gives the same registry
+    import random
+
+    p = tmp_path / "reg.json"
+    save_registry(registry19, p)
+    doc = json.loads(p.read_text())
+    random.Random(19).shuffle(doc["sources"])
+    assert [s[3] for s in doc["sources"]] != sorted(s[3] for s in doc["sources"])
+    p.write_text(json.dumps(doc))
+    loaded = load_registry(p, 19)
+    assert set(loaded.records) == set(registry19.records)
     assert loaded.classes == registry19.classes
     assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
 
@@ -574,6 +645,7 @@ def test_cache_save_is_deterministic(tmp_path, registry19):
 
 def test_count_cubes_filters_by_bound(registry19):
     multiples = build_multiples(19, registry19)
+    assert count_cubes(0, registry19, multiples) == 0
     assert count_cubes(1, registry19, multiples) == 1
     assert count_cubes(4, registry19, multiples) == 100
 

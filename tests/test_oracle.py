@@ -13,10 +13,9 @@ from latticecubes.oracle import (
     brute_force_sequence,
     enumerate_frames,
 )
-from latticecubes.reference import ORACLE_FROZEN
 from latticecubes.symmetry import invariants
 
-from .published_data import TABLE1
+from .published_data import ORACLE_FROZEN, TABLE1
 from .referee import brute_force_orbit_fill, cross
 
 UNIT = Cube.from_points(TABLE1[0][2])
