@@ -12,12 +12,16 @@ length - and when the k = 1 pass could not have produced it (the
 k-values).  A record keeps its frame; 8 vertices are built only for
 output (CubeRecord.cube).
 
-The k > 1 sweeps stay, though they yield no record below side
-7*13*19*31 = 53599: for an odd prime p dividing the side, a primitive
-frame is x*y^T mod p with y isotropic, so p divides at most one of the
-four main-diagonal gcds, which are the k-values.  A cube without k-value
-1 therefore has four distinct primes = 1 mod 3 in its side; the tests
-pin one of side 53599.
+A side is done at psi(s), its number of translation classes (below):
+its k > 1 candidates are built only while the side is short of psi(s),
+and passed over unbuilt once its records fill it.  Below side
+7*13*19*31 = 53599 no side is ever short after its k = 1 candidates:
+for an odd prime p dividing the side, a primitive frame is x*y^T mod p
+with y isotropic, so p divides at most one of the four main-diagonal
+gcds, which are the k-values.  A cube without k-value 1 therefore has
+four distinct primes = 1 mod 3 in its side (the tests pin one of side
+53599), every cube of a smaller side is reached by the k = 1 pass, and
+there the census builds exactly the cubes that become records.
 
 Deduplication is keyed by main diagonals (Frame.diagonals).  A main
 diagonal of a side-s cube has norm 3 s^2, so its k-value is the gcd of
@@ -33,13 +37,14 @@ and positive, so already a key), so the candidate is decided by that
 key before its cube is built, and only the candidates that become
 records are built (were two orbits to share a key, the second would be
 dropped and the per-side check below would find its side short).  A
-k > 1 candidate is built for the k = 1 guard; a cube without k-value 1
-is claimed and looked up by the class keys of its orbit
-(symmetry.orbit_classes).  Both kinds of key go into one set, which
-holds the claims of one side only: a key cannot cross sides (a diagonal
-key has norm 3 s^2, a class key edges of length s), so the set starts
-empty at each side.  A diagonal key is 3 ints and a class key 3 edges,
-so they cannot collide.  A key claimed twice raises ArithmeticError.
+k > 1 candidate of a side still short is built for the k = 1 guard; a
+cube without k-value 1 is claimed and looked up by the class keys of
+its orbit (symmetry.orbit_classes).  Both kinds of key go into one set,
+which holds the claims of one side only: a key cannot cross sides (a
+diagonal key has norm 3 s^2, a class key edges of length s), so the set
+starts empty at each side.  A diagonal key is 3 ints and a class key 3
+edges, so they cannot collide.  A key claimed twice raises
+ArithmeticError.
 
 Each side ends with its own check, before the next side's candidates
 are built: the orbit sizes of the records of side s sum to the number
@@ -172,8 +177,9 @@ def _candidate_stream(N: int) -> Iterator[Candidate]:
 def _build_one(item: Candidate) -> Frame:
     """Pure per-candidate work: the cube's frame, checked by build_cube.
 
-    k-values are left to the accept pass, which reads them only for the
-    k = 1 guard at k != 1 and for accepted records.
+    k-values are left to the accept pass, which reads them only for
+    accepted records and for the k = 1 guard of a k > 1 candidate, built
+    only while its side is short of psi(side).
     """
     k, mn, d, sol = item
     return build_cube(sol, mn)
@@ -209,12 +215,21 @@ def _accept_side(
     claims of that side alone, building a candidate's frame with `build`
     only when it is needed; then the side's check of its translation
     classes against psi(side), 0 for an even side or a side above
-    reg.n_built (ArithmeticError naming the side)."""
+    reg.n_built (ArithmeticError naming the side).
+
+    The expected count is also the rule that ends the side: a k = 1
+    candidate is decided by its diagonal key, and a k > 1 candidate is
+    passed over unbuilt once the side's classes reach a nonzero psi(side).
+    A side expecting 0 classes, which only a tampered cache can hold,
+    builds its candidates, so each is rejected for what it is."""
     reg.claimed = set()
+    expected = dedekind_psi(side) if side <= reg.n_built and side % 2 else 0
     for item in candidates:
         k, mn, d, sol = item
-        if k == 1 and reg.is_claimed((sol.a, sol.b, sol.c)):
-            continue  # the plane solution is a k = 1 diagonal key of its cube
+        # a k = 1 candidate is decided by its plane solution, a k = 1 diagonal
+        # key of its cube; a k > 1 candidate is passed over once the side is full
+        if reg.is_claimed((sol.a, sol.b, sol.c)) if k == 1 else 0 < expected == reg.classes.get(side, 0):
+            continue
         frame = build(item)
         if k != 1 and (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
             continue  # reachable by the k = 1 pass, or an orbit claimed by its class keys
@@ -233,22 +248,21 @@ def _accept_side(
             )
         )
     claimed = reg.classes.get(side, 0)
-    expected = dedekind_psi(side) if side <= reg.n_built and side % 2 else 0
     if claimed != expected:
         raise ArithmeticError(f"side {side}: {claimed} translation classes claimed, expected {expected}")
 
 
 def _accept(N: int, candidates: Iterable[Candidate], build: Callable[[Candidate], Frame]) -> CubeRegistry:
     """The accept pass: each run of candidates of one side (d*k) through
-    _accept_side, then ArithmeticError for the first odd side <= N that
-    had no candidates.  A side met twice is counted twice and fails its
-    check."""
+    _accept_side, then _accept_side with no candidates for each odd side
+    <= N that had none, so the first of them fails its psi check.  A side
+    met twice is counted twice and fails its check."""
     reg = CubeRegistry(n_built=N)
     for side, items in groupby(candidates, lambda item: item[0] * item[2]):
         _accept_side(reg, side, items, build)
     for s in range(1, N + 1, 2):
         if s not in reg.classes:
-            raise ArithmeticError(f"side {s}: 0 translation classes claimed, expected {dedekind_psi(s)}")
+            _accept_side(reg, s, (), build)
     return reg
 
 

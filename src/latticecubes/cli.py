@@ -76,7 +76,7 @@ def _get_registry(args: argparse.Namespace) -> CubeRegistry:
 def cmd_count(args: argparse.Namespace) -> int:
     reg = _get_registry(args)
     value = count_cubes(args.n, reg, build_multiples(args.n, reg))
-    print(json.dumps(value) if args.format == "json" else value)
+    print(value)
     return 0
 
 
@@ -231,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("count", cmd_count, "print NC(n)")
+    command("count", cmd_count, "print NC(n)", formats=())
     command("sequence", cmd_sequence, "print NC(1..n)", formats=("table", "json", "csv", "bfile"))
     p_list = command("list", cmd_list, "cube records with side <= n")
     p_list.add_argument(

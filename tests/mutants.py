@@ -1,0 +1,140 @@
+"""Mutation gate: every listed mutant of the package must fail the tier-1 suite.
+
+Each entry of MUTANTS is a (path, old, new, why) substitution.  `old` must
+occur exactly once in `path`, so a change that rewrites a mutated line has
+to update its entry.  The script copies src/, tests/ and pyproject.toml to
+a temporary directory, applies each mutant alone to the copy, runs
+`pytest -x -q` there (with -rf, to name the test that fails), and exits 1
+if a mutant survives (pytest exits 0), if a mutant stops the suite other
+than by a failing test, or if an `old` string is not found exactly once.
+The working tree is never modified.
+
+pytest does not collect this file (it is not named test_*.py).  Run it
+from the repository root, after the suite itself passes:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    (
+        "src/latticecubes/diophantine.py",
+        "            if gcd(gcd(a, b), c) == 1:\n",
+        "            if True:\n",
+        "solve_three_squares keeps imprimitive plane solutions (no gcd filter)",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "        if gcd(x, y, z) == 1:\n",
+        "        if gcd(x, y, z) >= 1:\n",
+        "_unit_diagonals keys every main diagonal, not only those of k-value 1",
+    ),
+    (
+        "src/latticecubes/symmetry.py",
+        "        s1, s2, s3 = j * r1, j * r2, j * r3\n",
+        "        s1, s2, s3 = r1, r2, r3\n",
+        "invariants(frame, j) gives a dilate its parent's slacks (no j scaling)",
+    ),
+    (
+        "src/latticecubes/symmetry.py",
+        "            if (e1, e2, e3) != key:\n",
+        "            if False:\n",
+        "the stabilizer counts every extent-preserving map, fixing the class or not",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "else 0 < expected == reg.classes.get(side, 0):",
+        "else True:",
+        "the census skips every k > 1 candidate, so a side short of psi(s) builds none",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "else 0 < expected == reg.classes.get(side, 0):",
+        "else expected == reg.classes.get(side, 0):",
+        "a side expecting 0 classes skips its k > 1 candidates unbuilt (drops the > 0)",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "        if k != 1 and (1 in frame.k_values() or reg.is_claimed(class_key(frame))):\n",
+        "        if k != 1 and reg.is_claimed(class_key(frame)):\n",
+        "no k = 1 guard: a built k > 1 cube with k-value 1 is recorded again",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "        if not self.claimed.isdisjoint(keys):\n",
+        "        if False:\n",
+        "an orbit claimed twice does not raise",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "    if claimed != expected:\n",
+        "    if claimed > expected:\n",
+        "a side short of psi(s) passes its check",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "            if d + i <= N:\n",
+        "            if d + i < N:\n",
+        "sequence_from_boxes drops a forward difference that lands on position N",
+    ),
+    (
+        "src/latticecubes/ring_arith.py",
+        "                fv = -fv\n",
+        "                fv = fv\n",
+        "find_rs keeps a factor of the wrong orientation",
+    ),
+]
+
+
+def main() -> int:
+    for path, old, _, _ in MUTANTS:  # every entry must apply before any run
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            print(f"{path}: {old.strip()!r} occurs {count} times, expected once", file=sys.stderr)
+            return 1
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        for path, old, new, why in MUTANTS:
+            original = (tree / path).read_text()
+            (tree / path).write_text(original.replace(old, new))
+            start = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider"],
+                cwd=tree,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            (tree / path).write_text(original)
+            if proc.returncode == 1:
+                failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+                verdict = f"killed by {failed[0].split()[1] if failed else '?'}"
+            else:
+                verdict = "SURVIVED" if proc.returncode == 0 else f"ERROR (pytest exit {proc.returncode})"
+                survivors.append(why)
+            print(f"{time.perf_counter() - start:5.1f} s  {path}: {why}\n         {verdict}", flush=True)
+    if survivors:
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants not killed by a failing test", file=sys.stderr)
+        return 1
+    print(f"all {len(MUTANTS)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

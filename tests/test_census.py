@@ -414,7 +414,7 @@ def test_k1_pass_reaches_everything(registry50):
     # mod an odd prime p | side a primitive frame is x y^T with y isotropic,
     # so p divides at most one of the four diagonal gcds (the k-values); a
     # cube without k-value 1 needs four distinct primes = 1 mod 3 in its
-    # side, so the k > 1 sweeps only rediscover known orbits below 53599
+    # side, so below 53599 every side is full after its k = 1 candidates
     for rec in registry50.records:
         assert 1 in rec.k_values
 
@@ -434,9 +434,10 @@ def test_plane_solution_is_a_unit_diagonal_key_of_its_cube():
     assert checked > 10000
 
 
-def test_census_builds_only_records_and_k_above_1(monkeypatch):
-    # a k = 1 duplicate is never built: at N = 400 the frames built are the
-    # 2171 records and the 311 candidates with k > 1 (the k = 1 guard's)
+def test_census_builds_only_records(monkeypatch):
+    # a k = 1 duplicate is never built, and every side is full (psi(s)
+    # classes) after its k = 1 candidates, so no k > 1 candidate is built:
+    # at N = 400 the frames built are the 2171 records, one each
     build = census._build_one
     calls = []
 
@@ -446,8 +447,30 @@ def test_census_builds_only_records_and_k_above_1(monkeypatch):
 
     monkeypatch.setattr(census, "_build_one", counted_build)
     reg = build_irreducible_list(400)
-    assert len(calls) == 2482
-    assert len(reg.records) == 2171 and sum(k != 1 for k in calls) == 311
+    assert len(calls) == len(reg.records) == 2171
+    assert set(calls) == {1}
+
+
+def test_a_short_side_builds_its_k_above_1_candidates(monkeypatch):
+    # side 7 expects one class more than its k = 1 records claim: the side
+    # stays short, so its one k > 1 candidate is built (and dropped by the
+    # k = 1 guard) before the side's check raises; at the true psi(7) = 8
+    # the side is full and that candidate is passed over unbuilt
+    build = census._build_one
+    built = []
+
+    def counted_build(item):
+        built.append(item)
+        return build(item)
+
+    monkeypatch.setattr(census, "_build_one", counted_build)
+    assert build_irreducible_list(7).classes[7] == dedekind_psi(7) == 8
+    assert [item for item in built if item[0] != 1] == []
+    built.clear()
+    monkeypatch.setattr(census, "dedekind_psi", lambda s: dedekind_psi(s) + (s == 7))
+    with pytest.raises(ArithmeticError, match="side 7: 8 translation classes claimed, expected 9"):
+        build_irreducible_list(7)
+    assert [(k, mn, d) for k, mn, d, _ in built if k != 1] == [(7, (3, 8), 1)]
 
 
 def test_first_cube_without_k_value_1():
