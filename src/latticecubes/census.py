@@ -53,7 +53,7 @@ psi(s) for odd s, and there are none of even side.  After the last side
 no odd side <= N may be missing.  With the double-claim raise, a lost,
 duplicated or extra orbit fails loudly.  A registry cache stores only
 each record's source and replays it, sorted by side, through the same
-pass.
+pass, up to its first odd side without a source, which fails there.
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, count, groupby
 from math import gcd, isqrt
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
@@ -439,11 +439,15 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
 
     The sources are replayed, stably sorted by side, through the
     census's accept pass, which rebuilds each record's frame, so each
-    side ends with the census's check of its classes against psi.  A file that is not this version's JSON document,
-    lacks a key, holds a source that is not six integers, not a solution
-    of a^2 + b^2 + c^2 = 3d^2, of a side d*k outside 1..N or that does not
-    become a record, or fails the accept pass, raises CacheMismatch with
-    the reason.  The sources are checked before any is rebuilt, so a
+    side ends with the census's check of its classes against psi.  Every
+    odd side <= N has psi(side) > 0 classes, so a source: the replay
+    stops before the first odd side without one, which then fails its
+    check, and no larger side is rebuilt or has its psi computed, however
+    large N and the side are.  A file that is not this version's JSON
+    document, lacks a key, holds a source that is not six integers, not a
+    solution of a^2 + b^2 + c^2 = 3d^2, of a side d*k outside 1..N or that
+    does not become a record, or fails the accept pass, raises
+    CacheMismatch with the reason.  The sources are checked before any is rebuilt, so a
     rebuild's cost is bounded by N.
     """
     from pathlib import Path  # kept off the package's import path
@@ -473,7 +477,10 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
             raise CacheMismatch(f"cached source {src}: not a solution of a^2 + b^2 + c^2 = 3d^2")
         if not 1 <= d * k <= n_built:
             raise CacheMismatch(f"cached source {src}: side d*k = {d * k} is not in 1..{n_built}")
-    items.sort(key=lambda item: item[0] * item[2])  # stable: one run per side, cached order within
+    sides = {k * d for k, _, d, _ in items}
+    gap = next(s for s in count(1, 2) if s not in sides)  # the first odd side without a source
+    # stable: one run per side, cached order within
+    items = sorted((item for item in items if item[0] * item[2] < gap), key=lambda item: item[0] * item[2])
     try:
         reg = _accept(n_built, items, _build_one)
     except (ValueError, ArithmeticError) as exc:

@@ -10,8 +10,8 @@ Three problems appear:
   the plane equation, for which a closed formula exists and is
   cross-checked against plain enumeration.
 
-prime_powers (trial division) is the package's one integer factorizer;
-ring_arith uses it too.
+prime_powers (trial division) is the package's one integer factorizer,
+and only this module calls it.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ The construction chain is
            edge vectors at the tetrahedron's origin corner.
 
 build_cube runs the whole chain in one function on plain integer
-coordinates, since it runs once per census candidate.  It uses the one
-(r, s) that ring_arith.find_rs returns: s + r*i*sqrt(3) divides
-ac - bd*i*sqrt(3), and that makes zeta and eta integral (the argument is
-in build_cube's docstring), so no other orientation is ever tried.  The
+coordinates, since it runs once per census candidate.  It uses the
+(r, s) that ring_arith.find_rs returns, unique up to sign:
+s + r*i*sqrt(3) divides ac - bd*i*sqrt(3), and that makes zeta and eta
+integral (the argument is in build_cube's docstring), so no other
+orientation is ever tried; -(r, s) would build the same cube.  The
 tests compare it with a referee that takes one function per step on
 Vec3s (zeta_eta, triangle_vertices, fourth_vertex, complete_cube in
 tests/referee.py).
@@ -202,13 +203,15 @@ def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
     corner G = (P + Q + R) / 2 and edges G - P, G - Q, G - R at O.
 
     zeta and eta are integral for the (r, s) of find_rs.  Its
-    f = s + r*i*sqrt(3) has norm 2q and divides z = ac - bd*i*sqrt(3), so
-    both parts of z * conj(f) = (acs - 3bdr) - (acr + bds)*i*sqrt(3) are
-    divisible by 2q.  With X = -(acr + bds) and Y = das - bcr, the
-    numerators of zeta_x and zeta_y, a*Y - b*X = q*d*s and
-    b*Y + a*X = -q*c*r; once h = gcd(a, b) is divided out (h divides
-    find_rs's content factor, so it divides r and s), q | X gives q | Y;
-    zeta_z is r.  eta is the same argument with the multiple
+    f = s + r*i*sqrt(3) has norm 2q and divides z = ac - bd*i*sqrt(3) in
+    Z[i*sqrt(3)], so both parts of
+    z * conj(f) = (acs - 3bdr) - (acr + bds)*i*sqrt(3) are divisible by
+    2q.  With X = -(acr + bds) and Y = das - bcr, the numerators of
+    zeta_x and zeta_y, a*Y - b*X = q*d*s and b*Y + a*X = -q*c*r; once
+    h = gcd(a, b) is divided out (h divides z and 2q, so it divides their
+    gcd, of which f is a unit multiple, in Z[omega]; h is odd, so it
+    divides r and s), q | X gives q | Y; zeta_z is r.  eta is the same
+    argument with the multiple
     f*(1 + i*sqrt(3)) = (s - 3r) + (r + s)*i*sqrt(3) of f, modulo 2q:
     s^2 + 3r^2 = 2q is even, so s - 3r and r + s are both even.
 

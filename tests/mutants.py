@@ -6,8 +6,9 @@ to update its entry.  The script copies src/, tests/ and pyproject.toml to
 a temporary directory, applies each mutant alone to the copy, runs
 `pytest -x -q` there (with -rf, to name the test that fails), and exits 1
 if a mutant survives (pytest exits 0), if a mutant stops the suite other
-than by a failing test, or if an `old` string is not found exactly once.
-The working tree is never modified.
+than by a failing test, if a run takes longer than TIMEOUT_S (a mutant
+that makes a loop run forever), or if an `old` string is not found
+exactly once.  The working tree is never modified.
 
 pytest does not collect this file (it is not named test_*.py).  Run it
 from the repository root, after the suite itself passes:
@@ -26,6 +27,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # the whole unmutated suite takes well under a minute
 
 MUTANTS = [
     (
@@ -90,9 +92,45 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/ring_arith.py",
-        "                fv = -fv\n",
-        "                fv = fv\n",
-        "find_rs keeps a factor of the wrong orientation",
+        "        x, y = -y, x - y  # times omega\n",
+        "        x, y = x, y  # times omega\n",
+        "find_rs tries only the gcd it found, never its associates times omega",
+    ),
+    (
+        "src/latticecubes/ring_arith.py",
+        "    return (-r, -s) if s < 0 else (r, s)\n",
+        "    return r, s\n",
+        "find_rs returns (r, s) with whatever sign Euclid left, not with s > 0",
+    ),
+    (
+        "src/latticecubes/lattice_geometry.py",
+        "        if e1.dot(e2) or e1.dot(e3) or e2.dot(e3):\n",
+        "        if e1.dot(e2) or e2.dot(e3):\n",
+        "Frame.of does not check that e1 and e3 are orthogonal",
+    ),
+    (
+        "src/latticecubes/lattice_geometry.py",
+        "    if minus:\n",
+        "    if False:\n",
+        "build_cube tries only the + apex sign",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "                    k_values=frozenset(j * k for k in rec.k_values),\n",
+        "                    k_values=rec.k_values,\n",
+        "a dilate keeps its parent's k-values, not scaled by j",
+    ),
+    (
+        "src/latticecubes/diophantine.py",
+        "        acc = acc // p * (p - legendre_minus3(p))\n",
+        "        acc = acc // p * (p + legendre_minus3(p))\n",
+        "lambda_d takes the character chi(p) with the wrong sign",
+    ),
+    (
+        "src/latticecubes/symmetry.py",
+        "        return (-x, -y, -z)\n",
+        "        return (x, y, z)\n",
+        "class_key keeps each edge's sign: no sign normalization of the lines",
     ),
 ]
 
@@ -114,15 +152,22 @@ def main() -> int:
             original = (tree / path).read_text()
             (tree / path).write_text(original.replace(old, new))
             start = time.perf_counter()
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider"],
-                cwd=tree,
-                env=env,
-                capture_output=True,
-                text=True,
-            )
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider"],
+                    cwd=tree,
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    timeout=TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired:
+                proc = None  # subprocess.run has killed the run
             (tree / path).write_text(original)
-            if proc.returncode == 1:
+            if proc is None:
+                verdict = f"TIMED OUT after {TIMEOUT_S} s"
+                survivors.append(why)
+            elif proc.returncode == 1:
                 failed = [line for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
                 verdict = f"killed by {failed[0].split()[1] if failed else '?'}"
             else:
@@ -130,7 +175,7 @@ def main() -> int:
                 survivors.append(why)
             print(f"{time.perf_counter() - start:5.1f} s  {path}: {why}\n         {verdict}", flush=True)
     if survivors:
-        print(f"{len(survivors)} of {len(MUTANTS)} mutants not killed by a failing test", file=sys.stderr)
+        print(f"{len(survivors)} of {len(MUTANTS)} mutants not killed by a failing test in time", file=sys.stderr)
         return 1
     print(f"all {len(MUTANTS)} mutants killed")
     return 0

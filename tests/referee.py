@@ -8,8 +8,9 @@ stabilizers: it lists the class key, slack and offset of all 24 images
 that keep axis 0.  The construction steps (zeta_eta, triangle_vertices,
 fourth_vertex, complete_cube) are lattice_geometry.build_cube's chain
 one step at a time, on Vec3s.  factor_ring factors a whole element of
-Z[i*sqrt(3)] with RingElem arithmetic, where ring_arith.find_rs only
-factors 2q, on integer pairs; it is the find_rs referee.
+Z[i*sqrt(3)] into prime-norm elements (unique_decomposition) with
+RingElem arithmetic, where ring_arith.find_rs factors nothing and takes
+one gcd in the Eisenstein integers; it is the find_rs referee.
 count_from_boxes evaluates NC(N) box by box, the referee of the prefix
 sums of census.sequence_from_boxes.  BOX_MAPS, cross and
 orthogonal_matrix are the plain geometry the tests state facts with.
@@ -17,11 +18,11 @@ orthogonal_matrix are the plain geometry the tests state facts with.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
-from latticecubes import ring_arith
 from latticecubes.census import placement_count
 from latticecubes.diophantine import NormFormSolution, PlaneSolution, prime_powers
 from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, NonIntegralError, Vec3
@@ -321,12 +322,25 @@ def _two_factor(z: RingElem) -> RingElem:
     return RingElem(1, 1) if (z.u - z.v) % 4 == 0 else RingElem(1, -1)
 
 
+@lru_cache(maxsize=None)
+def unique_decomposition(p: int) -> RingElem:
+    """The element (x, y) of norm p, x > 0, y > 0, for a prime p = 1 mod 3;
+    unique up to signs.  ValueError for 3 and for primes p = 2 mod 3."""
+    if p == 3 or p % 3 != 1:
+        raise ValueError(f"{p} has no primitive representation x^2 + 3y^2")
+    for y in range(1, isqrt(p // 3) + 1):
+        x = isqrt(p - 3 * y * y)
+        if x * x + 3 * y * y == p:
+            return RingElem(x, y)
+    raise ValueError(f"{p} has no representation x^2 + 3y^2")
+
+
 def _oriented_prime(z: RingElem, p: int) -> RingElem:
     """The element of norm p (p = 1 mod 3) that divides the primitive z.
 
-    The decomposition is looked up on the module, so a test that patches
-    ring_arith.unique_decomposition reaches it."""
-    f = RingElem(*ring_arith.unique_decomposition(p))
+    unique_decomposition is looked up as a module global, so a test that
+    patches it reaches this call."""
+    f = RingElem(*unique_decomposition(p))
     return f if divide_exact(z, f) is not None else f.conj()
 
 

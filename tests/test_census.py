@@ -617,20 +617,26 @@ def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, message):
         load_registry(p, 19)
 
 
-def test_cache_rejects_a_huge_source_before_building_it(tmp_path, monkeypatch, registry19):
-    # a genuine primitive solution of a^2 + b^2 + c^2 = 3d^2 with a 25-digit d,
-    # from the rational sphere through (1, 1, 1): rebuilding it would leave
-    # find_rs trial-dividing a 2q of about 50 digits
+def _huge_source():
+    """A genuine primitive solution of a^2 + b^2 + c^2 = 3d^2 with a 25-digit
+    d, from the rational sphere through (1, 1, 1), as a cached k = 1 source:
+    rebuilding it would leave dedekind_psi trial-dividing its side."""
     p, q, r = 10**12 + 39, 7 * 10**11 + 3, 3 * 10**11 + 11
     s, t = p * p + q * q + r * r, p + q + r
     a, b, c = sorted(abs(s - 2 * t * x) for x in (p, q, r))
     g = gcd(a, b, c, s)
     a, b, c, d = a // g, b // g, c // g, s // g
     assert a * a + b * b + c * c == 3 * d * d and len(str(d)) == 25
+    return [a, b, c, d, 0, 1]
+
+
+def test_cache_rejects_a_huge_source_before_building_it(tmp_path, monkeypatch, registry19):
+    src = _huge_source()
+    d = src[3]
     path = tmp_path / "reg.json"
     save_registry(registry19, path)
     doc = json.loads(path.read_text())
-    doc["sources"].append([a, b, c, d, 0, 1])
+    doc["sources"].append(src)
     path.write_text(json.dumps(doc))
     build = census._build_one
 
@@ -642,6 +648,28 @@ def test_cache_rejects_a_huge_source_before_building_it(tmp_path, monkeypatch, r
 
     monkeypatch.setattr(census, "_build_one", bounded_build)
     with pytest.raises(CacheMismatch, match=rf"side d\*k = {d} is not in 1\.\.19"):
+        load_registry(path, 19)
+
+
+def test_cache_with_a_huge_n_stops_at_its_first_missing_side(tmp_path, monkeypatch, registry19):
+    # N raised to 10^30 passes the side bound for the huge source; the
+    # replay must stop at side 21, which has no records, before it computes
+    # psi of the huge side by trial division
+    path = tmp_path / "reg.json"
+    save_registry(registry19, path)
+    doc = json.loads(path.read_text())
+    doc["N"] = 10**30
+    doc["sources"].append(_huge_source())
+    path.write_text(json.dumps(doc))
+    psi = census.dedekind_psi
+
+    def bounded_psi(n):
+        if n > 21:
+            pytest.fail(f"psi({n}) computed after side 21 had no records")
+        return psi(n)
+
+    monkeypatch.setattr(census, "dedekind_psi", bounded_psi)
+    with pytest.raises(CacheMismatch, match="side 21: 0 translation classes claimed, expected 32"):
         load_registry(path, 19)
 
 

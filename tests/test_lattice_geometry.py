@@ -313,6 +313,18 @@ def test_build_cube_matches_referee_chain():
         assert build_cube(sol, mn) == build_cube_by_steps(sol, mn), (sol, mn)
 
 
+def test_either_sign_of_find_rs_builds_the_same_cube(monkeypatch):
+    # find_rs's (r, s) is unique up to sign: -(r, s) negates zeta, eta, the
+    # triangle, the apex and the frame, and a cube is its own point
+    # reflection, so the octant-normalized cube is the same
+    items = list(_candidate_stream(200))
+    assert len(items) == 1830
+    cubes = [build_cube(sol, mn).cube() for _, mn, _, sol in items]
+    monkeypatch.setattr(lattice_geometry, "find_rs", lambda A, B, q: tuple(-t for t in find_rs(A, B, q)))
+    for (_, mn, _, sol), cube in zip(items, cubes):
+        assert build_cube(sol, mn).cube() == cube, (sol, mn)
+
+
 def test_find_rs_orientation_makes_zeta_eta_integral():
     # build_cube's one-orientation argument, on every order and sign of the
     # plane solutions with d <= 151: f = s + r i sqrt(3) from find_rs

@@ -1,5 +1,6 @@
-"""Arithmetic in Z[i*sqrt(3)]: norms, prime decomposition, factorization,
-and the gcd routine that extracts (r, s) for the cube parametrization."""
+"""Arithmetic in Z[i*sqrt(3)]: the referee's norms, prime decomposition and
+factorization, and find_rs, the gcd that extracts (r, s) for the cube
+parametrization."""
 
 import random
 from functools import lru_cache
@@ -10,11 +11,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecubes import ring_arith
 from latticecubes.diophantine import solve_three_squares
-from latticecubes.ring_arith import NotRepresentable, find_rs, unique_decomposition
+from latticecubes.ring_arith import find_rs
 
-from .referee import MINUS_ONE, ONE, RingElem, divide_exact, factor_ring
+from . import referee
+from .referee import MINUS_ONE, ONE, RingElem, divide_exact, factor_ring, unique_decomposition
 
 
 def test_norm_and_conj_basics():
@@ -52,7 +53,6 @@ def test_divide_exact():
 
 
 def test_unique_decomposition_small_cases():
-    assert unique_decomposition(2) == RingElem(1, 1)
     assert unique_decomposition(7) == RingElem(2, 1)
     assert unique_decomposition(13) == RingElem(1, 2)
 
@@ -67,10 +67,10 @@ def test_unique_decomposition_sieve():
 
 
 def test_unique_decomposition_rejects():
-    with pytest.raises(NotRepresentable):
+    with pytest.raises(ValueError):
         unique_decomposition(3)
     for p in (5, 11, 17, 23):
-        with pytest.raises(NotRepresentable):
+        with pytest.raises(ValueError):
             unique_decomposition(p)
 
 
@@ -156,6 +156,31 @@ def test_find_rs_unit_case():
     assert s * s + 3 * r * r == 4
 
 
+def test_find_rs_takes_a_2q_divisible_by_3():
+    # off the census domain (q = a^2 + b^2 = 2 mod 3 there): 3 + i sqrt 3
+    # has norm 12 = 2q and divides itself
+    assert find_rs(3, 1, 6) == (1, 3)
+
+
+def test_find_rs_is_the_one_associate_that_divides():
+    # of the gcd's six associates, exactly +-f divide z = ac - bd i sqrt 3 in
+    # Z[i sqrt 3]; the other four, f * omega and f * omega^2 up to sign, do not
+    seen = 0
+    for d in range(1, 152, 2):
+        for a, b, c, _ in _plane_solutions(d):
+            A, B, q2 = a * c, -b * d, 2 * (a * a + b * b)
+            r, s = find_rs(A, B, a * a + b * b)
+            assert s > 0
+            passing = []
+            for _ in range(3):
+                passing.append((A * s + 3 * B * r) % q2 == 0 == (B * s - A * r) % q2)
+                # s + r i sqrt 3 times omega = (-1 + i sqrt 3) / 2
+                r, s = (s - r) // 2, (-s - 3 * r) // 2
+            assert passing == [True, False, False], (a, b, c, d)
+            seen += 1
+    assert seen == sum(len(_plane_solutions(d)) for d in range(1, 152, 2))
+
+
 def test_find_rs_output_identity(registry50):
     for rec in registry50.records:
         (a, b, c, d), _ = rec.source
@@ -164,26 +189,25 @@ def test_find_rs_output_identity(registry50):
         assert s * s + 3 * r * r == 2 * q
 
 
-def test_find_rs_rejects_the_prime_3():
-    # 2q = 12 = 4 * 3.  No census input has 3 | 2q (q = a^2 + b^2 = 2 mod 3),
-    # so find_rs has no factor of norm 3 and the decomposition raises
-    with pytest.raises(NotRepresentable):
-        find_rs(3, 1, 6)
-
-
 def test_find_rs_rejects_incompatible():
-    with pytest.raises(ValueError):
-        find_rs(25, 0, 10)  # 2q does not divide A^2 + 3B^2
-    with pytest.raises(ValueError):
-        find_rs(5, 5, 10)  # content^2 = 25 does not divide 2q = 20
+    with pytest.raises(ValueError, match="2q must divide"):
+        find_rs(25, 0, 10)
+    # gcd(5 + 5 i sqrt(3), 20) = 10 times a unit, of norm 100, not 20
+    with pytest.raises(ValueError, match="norm 2q"):
+        find_rs(5, 5, 10)
+    # q < 1 or a zero element: a ValueError, not a ZeroDivisionError
+    for A, B, q in ((1, 1, 0), (0, 0, 0), (0, 0, 5), (1, 1, -2)):
+        with pytest.raises(ValueError, match="q >= 1 and A"):
+            find_rs(A, B, q)
 
 
 # -- differential tests: find_rs against the full-norm factorization --------
 
 
 def _find_rs_by_factor_ring(A, B, q):
-    """Referee: the selection find_rs used to make from factor_ring(A, B),
-    which trial-divides the whole norm of A + B i sqrt(3)."""
+    """Referee: the factor of norm 2q selected prime by prime from
+    factor_ring(A, B), which trial-divides the whole norm of
+    A + B i sqrt(3), returned with s > 0 as find_rs returns it."""
     if (A * A + 3 * B * B) % (2 * q) != 0:
         raise ValueError("2q must divide A^2 + 3B^2")
     fac = factor_ring(A, B)
@@ -208,7 +232,7 @@ def _find_rs_by_factor_ring(A, B, q):
         s, r = r, s
     if s * s + 3 * r * r != 2 * q:
         raise ValueError("factor selection does not multiply to norm 2q")
-    return r, s
+    return (-r, -s) if s < 0 else (r, s)
 
 
 @lru_cache(maxsize=None)
@@ -256,9 +280,9 @@ def _wrong_decomposition(elem):
 @pytest.mark.parametrize(
     "call, patch, exc",
     [
-        # 2q = 2 has 2-adic valuation 1: not a norm-form value
-        (lambda: find_rs(1, 1, 1), None, ArithmeticError),
-        (lambda: find_rs(7, 0, 7), None, ValueError),  # no factor of norm 7 in 1
+        # 2q = 2 has 2-adic valuation 1: gcd(1 + i sqrt 3, 2) = 2 has norm 4
+        pytest.param(lambda: find_rs(1, 1, 1), None, ValueError, id="gcd-of-norm-4-not-2q"),
+        (lambda: find_rs(7, 0, 7), None, ValueError),  # 14 does not divide 49
         # a "prime factor" of norm 1 never reduces 2 + i sqrt 3 to a unit
         (lambda: factor_ring(2, 1), RingElem(1, 0), ArithmeticError),
         # a factor of the wrong norm divides in neither orientation
@@ -267,6 +291,6 @@ def _wrong_decomposition(elem):
 )
 def test_ring_checks_raise_typed_errors(monkeypatch, call, patch, exc):
     if patch is not None:
-        monkeypatch.setattr(ring_arith, "unique_decomposition", _wrong_decomposition(patch))
+        monkeypatch.setattr(referee, "unique_decomposition", _wrong_decomposition(patch))
     with pytest.raises(exc):
         call()
