@@ -9,8 +9,8 @@ through that pass.  A cube is accepted when it is genuinely new - not
 in the generalized orbit of anything already recorded at the same side
 length - and when the k = 1 pass could not have produced it (the
 "exception" guard: for k > 1 the cube must not have 1 among its
-k-values).  A record keeps its frame; 8 vertices are built only for
-output (CubeRecord.cube).
+k-values).  A record keeps its frame and reads its k-values and, for
+output only, its 8 vertices from it (CubeRecord.k_values, .cube).
 
 A side is done at psi(s), its number of translation classes (below):
 its k > 1 candidates are built only while the side is short of psi(s),
@@ -96,9 +96,14 @@ class CubeRecord(NamedTuple):
     side: int
     bound_dim: int
     frame: Frame
-    k_values: frozenset[int]
     invariants: InvariantSet
     source: tuple[PlaneSolution, NormFormSolution]
+
+    @property
+    def k_values(self) -> frozenset[int]:
+        """The k-values of the cube, read from its frame, so a dilate's are
+        its parent's times j."""
+        return frozenset(self.frame.k_values())
 
     @property
     def cube(self) -> Cube:
@@ -177,9 +182,9 @@ def _candidate_stream(N: int) -> Iterator[Candidate]:
 def _build_one(item: Candidate) -> Frame:
     """Pure per-candidate work: the cube's frame, checked by build_cube.
 
-    k-values are left to the accept pass, which reads them only for
-    accepted records and for the k = 1 guard of a k > 1 candidate, built
-    only while its side is short of psi(side).
+    The accept pass reads k-values only for the k = 1 guard of a k > 1
+    candidate, built only while its side is short of psi(side); a record
+    reads its own from its frame when asked.
     """
     k, mn, d, sol = item
     return build_cube(sol, mn)
@@ -214,21 +219,20 @@ def _accept_side(
     """The accept pass over the candidates of one side, in order, with the
     claims of that side alone, building a candidate's frame with `build`
     only when it is needed; then the side's check of its translation
-    classes against psi(side), 0 for an even side or a side above
-    reg.n_built (ArithmeticError naming the side).
+    classes against psi(side) (ArithmeticError naming the side).  The side
+    is odd and at most reg.n_built: the census generates no other, and a
+    cache load admits no other source (load_registry).
 
-    The expected count is also the rule that ends the side: a k = 1
-    candidate is decided by its diagonal key, and a k > 1 candidate is
-    passed over unbuilt once the side's classes reach a nonzero psi(side).
-    A side expecting 0 classes, which only a tampered cache can hold,
-    builds its candidates, so each is rejected for what it is."""
+    psi(side) is also the rule that ends the side: a k = 1 candidate is
+    decided by its diagonal key, and a k > 1 candidate is passed over
+    unbuilt once the side's classes reach psi(side)."""
     reg.claimed = set()
-    expected = dedekind_psi(side) if side <= reg.n_built and side % 2 else 0
+    expected = dedekind_psi(side)
     for item in candidates:
         k, mn, d, sol = item
         # a k = 1 candidate is decided by its plane solution, a k = 1 diagonal
         # key of its cube; a k > 1 candidate is passed over once the side is full
-        if reg.is_claimed((sol.a, sol.b, sol.c)) if k == 1 else 0 < expected == reg.classes.get(side, 0):
+        if reg.is_claimed((sol.a, sol.b, sol.c)) if k == 1 else expected == reg.classes.get(side, 0):
             continue
         frame = build(item)
         if k != 1 and (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
@@ -242,7 +246,6 @@ def _accept_side(
                 side=side,
                 bound_dim=max(frame.extents()),
                 frame=frame,
-                k_values=frozenset(frame.k_values()),
                 invariants=invariants(frame),
                 source=(sol, mn),
             )
@@ -269,11 +272,12 @@ def _accept(N: int, candidates: Iterable[Candidate], build: Callable[[Candidate]
 def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
     """Dilations j >= 2 of registry records with j * bound_dim <= N.
 
-    A dilate's frame and k-values are its parent's times j.  Its
-    invariants come from the parent's kernel table with every slack scaled
-    by j (symmetry.invariants), which are not the parent's invariants: the
-    placement polynomials are not linear in the slack.  The frame kernel
-    runs once per parent that has a multiple, not once per dilate.
+    A dilate's frame is its parent's times j, and so are its k-values,
+    which a record reads from its frame.  Its invariants come from the
+    parent's kernel pass with the slack scaled by j (symmetry.invariants),
+    which are not the parent's invariants: the placement polynomials are
+    not linear in the slack.  The frame kernel runs once per parent that
+    has a multiple, not once per dilate.
     """
     out = []
     for rec in reg.records:
@@ -284,7 +288,6 @@ def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
                     side=rec.side * j,
                     bound_dim=j * rec.bound_dim,
                     frame=rec.frame.scale(j),
-                    k_values=frozenset(j * k for k in rec.k_values),
                     invariants=invariants(rec.frame, j),
                     source=rec.source,
                 )
@@ -423,14 +426,27 @@ class CacheMismatch(ValueError):
 
 
 def _source_item(src: list) -> Candidate:
-    """The candidate (k, mn, d, sol) a cached source [a, b, c, d, m, n] stands for."""
+    """The candidate (k, mn, d, sol) a cached source [a, b, c, d, m, n] stands
+    for; CacheMismatch unless (a, b, c, d) is a PlaneSolution and (m, n) a
+    NormFormSolution, as the census generates them."""
     if not isinstance(src, list) or len(src) != 6:
         raise CacheMismatch(f"cached source {src!r} is not a list of six integers")
     for t in src:
         if type(t) is not int:
             raise CacheMismatch(f"cached source {src!r}: {t!r} is not an integer")
     a, b, c, d, m, n = src
-    return isqrt(m * m - m * n + n * n), NormFormSolution(m, n), d, PlaneSolution(a, b, c, d)
+    if not (0 < a <= b <= c and gcd(a, b, c) == 1 and a * a + b * b + c * c == 3 * d * d):
+        raise CacheMismatch(
+            f"cached source {src}: not a solution of a^2 + b^2 + c^2 = 3d^2 with 0 < a <= b <= c, gcd(a, b, c) = 1"
+        )
+    kk = m * m - m * n + n * n
+    k = isqrt(kk)
+    if not (m >= 0 and 2 * m < n and gcd(m, n) == 1 and k * k == kk):
+        raise CacheMismatch(
+            f"cached source {src}: m = {m}, n = {n} is not a norm-form solution"
+            " (m^2 - mn + n^2 = k^2, m >= 0, 2m < n, gcd(m, n) = 1)"
+        )
+    return k, NormFormSolution(m, n), d, PlaneSolution(a, b, c, d)
 
 
 def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
@@ -445,10 +461,14 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     check, and no larger side is rebuilt or has its psi computed, however
     large N and the side are.  A file that is not this version's JSON
     document, lacks a key, holds a source that is not six integers, not a
-    solution of a^2 + b^2 + c^2 = 3d^2, of a side d*k outside 1..N or that
-    does not become a record, or fails the accept pass, raises
-    CacheMismatch with the reason.  The sources are checked before any is rebuilt, so a
-    rebuild's cost is bounded by N.
+    candidate the census generates (_source_item), of a side d*k outside
+    1..N or that does not become a record, or fails the accept pass,
+    raises CacheMismatch with the reason.  The sources are checked before
+    any is rebuilt, so a rebuild's cost is bounded by N.  A
+    PlaneSolution's d and a NormFormSolution's k are odd (a^2 + b^2 + c^2
+    = 3d^2 with d even forces a, b, c even, and m^2 - mn + n^2 is odd for
+    coprime m, n), so every replayed side is odd and at most N, as the
+    accept pass needs.
     """
     from pathlib import Path  # kept off the package's import path
 
@@ -472,9 +492,7 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     if n_built < N:
         return None
     items = [_source_item(src) for src in sources]
-    for src, (k, _, d, (a, b, c, _)) in zip(sources, items):
-        if a * a + b * b + c * c != 3 * d * d:
-            raise CacheMismatch(f"cached source {src}: not a solution of a^2 + b^2 + c^2 = 3d^2")
+    for src, (k, _, d, _) in zip(sources, items):
         if not 1 <= d * k <= n_built:
             raise CacheMismatch(f"cached source {src}: side d*k = {d * k} is not in 1..{n_built}")
     sides = {k * d for k, _, d, _ in items}

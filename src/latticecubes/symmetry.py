@@ -28,21 +28,27 @@ others.
 The kernel (_stabilizer) does not list the orbit; it counts the maps
 that fix the cube.  A map and its negation give the same class key, so
 the 24 maps that keep axis 0 move the classes as all 48 do.
-Let st be the number of them whose image of the edges, line-normalized
-and sorted, equals the class key.  Such a map must permute the extents w
-into themselves, so only those permutations are tried (just the
-identity's 4 sign pairs when the three extents differ).  By
-orbit-stabilizer:
+Let st be the number of them whose image of the edges has the class key
+of the cube.  Such a map must permute the extents w into themselves, so
+only those permutations are tried (just the identity's 4 sign pairs when
+the three extents differ).  By orbit-stabilizer:
 
   orbit size  = 24 / st classes;
-  alpha, beta, gamma = (4 / st) * sum over the 6 permutations p of the
-          per-class polynomials in j * (d - w[p]): an image's slack depends
-          only on its permutation, and each class of the orbit is st of
-          the 24 images;
-  alpha0 = 48 / (maps of the 48 that fix the positioned cube).  With
-          r = d - w, a class-fixing map with signs (1, g1, g2) fixes the
-          cube iff r_i = 0 on each axis it flips (g_i = -1); its negation
-          fixes it iff r_0 = 0 and r_i = 0 on each axis with g_i = +1.
+  alpha, beta, gamma: an image's slack is r = d - w permuted, so the 24
+          images, each class of the orbit st times, sum each per-class
+          polynomial over the 6 permutations of s = j * r, 4 times.
+          Those sums are symmetric in s, so with its elementary
+          symmetric functions e1 = s0 + s1 + s2, e2 = s0 s1 + s0 s2 +
+          s1 s2 and e3 = s0 s1 s2 (numbers here, not edges):
+            alpha = 24 (1 + e1 + e2 + e3) / st,
+            beta  =  8 (e1 + 2 e2 + 3 e3) / st,
+            gamma =  8 (e2 + 3 e3) / st;
+  alpha0 = 48 / (maps of the 48 that fix the positioned cube).  A
+          class-fixing map with signs (1, g1, g2) fixes the cube iff
+          r_i = 0 on each axis it flips (g_i = -1); its negation fixes it
+          iff r_0 = 0 and r_i = 0 on each axis with g_i = +1.
+
+So the kernel keeps st, alpha0 and the slack triple r of a class.
 
 orbit_classes lists the 24 images' class keys; the census needs it only
 for a cube without k-value 1 (census docstring).
@@ -94,37 +100,27 @@ _PERMS = tuple(permutations((0, 1, 2)))
 
 
 @lru_cache(maxsize=1)
-def _stabilizer(key: ClassKey) -> tuple[int, int, tuple[Slack, ...]]:
+def _stabilizer(key: ClassKey) -> tuple[int, int, Slack]:
     """One frame kernel pass over the cube of class `key`: st, alpha0 and
-    the slack d - w[p] of each of the 6 permutations p.
+    the slack r = d - w of its extents.
 
     st counts the 24 maps that keep axis 0 and fix the class.  Only a
     permutation that preserves the extents w can fix it, so when the
     three extents differ only the identity's 4 sign pairs are tried.
-    The table depends on the class key alone, so any frame of the cube
-    (any corner, sign or order) reads the same entry.  The last table is
+    The result depends on the class key alone, so any frame of the cube
+    (any corner, sign or order) reads the same entry.  The last one is
     kept: the census asks for a record's invariants and then for its
     orbit size, and for the invariants of each dilate of one cube in a row.
     """
     w = Frame(*key).extents()
     d = max(w)
-    r0, r1, r2 = d - w[0], d - w[1], d - w[2]
+    r = r0, r1, r2 = d - w[0], d - w[1], d - w[2]
     st = fixed = 0
     for p0, p1, p2 in _PERMS:
         if (w[p0], w[p1], w[p2]) != w:
             continue
-        edges = [(e[p0], e[p1], e[p2]) for e in key]
         for g1, g2 in _SIGNS:
-            # class_key of the image, with _line inlined
-            lines = []
-            for x, y, z in edges:
-                y *= g1
-                z *= g2
-                if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
-                    x, y, z = -x, -y, -z
-                lines.append((x, y, z))
-            e1, e2, e3 = sorted(lines)
-            if (e1, e2, e3) != key:
+            if class_key([(e[p0], g1 * e[p1], g2 * e[p2]) for e in key]) != key:
                 continue
             st += 1
             # the map with signs (1, g1, g2) fixes the positioned cube iff its
@@ -132,8 +128,7 @@ def _stabilizer(key: ClassKey) -> tuple[int, int, tuple[Slack, ...]]:
             # axis 0 and each axis with g = +1
             fixed += (g1 > 0 or r1 == 0) and (g2 > 0 or r2 == 0)
             fixed += r0 == 0 and (g1 < 0 or r1 == 0) and (g2 < 0 or r2 == 0)
-    slacks = tuple((d - w[p0], d - w[p1], d - w[p2]) for p0, p1, p2 in _PERMS)
-    return st, 48 // fixed, slacks
+    return st, 48 // fixed, r
 
 
 def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
@@ -156,19 +151,17 @@ def invariants(frame: Frame, j: int = 1) -> InvariantSet:
 
     Dilating a cube by j >= 1 scales its orbit's class keys, slacks and
     offsets by j, one to one: alpha0 stays and alpha, beta, gamma are the
-    same polynomials in j * slack.  So a dilate reuses its parent's table.
+    same symmetric functions of s = j * r.  So a dilate reuses its
+    parent's kernel pass.
     """
     if j < 1:
         raise ValueError("dilation factor must be positive")
-    st, alpha0, slacks = _stabilizer(class_key(frame))
-    alpha = beta = gamma = 0
-    for r1, r2, r3 in slacks:
-        s1, s2, s3 = j * r1, j * r2, j * r3
-        alpha += (s1 + 1) * (s2 + 1) * (s3 + 1)
-        beta += (s1 + 1) * (s2 + 1) * s3
-        gamma += (s1 + 1) * s2 * s3
-    # each class of the orbit is st of the 4 sign images of the 6 permutations
-    alpha, beta, gamma = 4 * alpha // st, 4 * beta // st, 4 * gamma // st
+    st, alpha0, (r0, r1, r2) = _stabilizer(class_key(frame))
+    s0, s1, s2 = j * r0, j * r1, j * r2
+    e1, e2, e3 = s0 + s1 + s2, s0 * s1 + s0 * s2 + s1 * s2, s0 * s1 * s2
+    alpha = 24 * (1 + e1 + e2 + e3) // st
+    beta = 8 * (e1 + 2 * e2 + 3 * e3) // st
+    gamma = 8 * (e2 + 3 * e3) // st
     if not (alpha0 <= alpha and gamma <= beta <= alpha and 48 % alpha0 == 0):
         raise ArithmeticError(
             f"inconsistent invariants {(alpha0, alpha, beta, gamma)} for frame {frame} dilated by {j}"

@@ -44,27 +44,27 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/symmetry.py",
-        "        s1, s2, s3 = j * r1, j * r2, j * r3\n",
-        "        s1, s2, s3 = r1, r2, r3\n",
-        "invariants(frame, j) gives a dilate its parent's slacks (no j scaling)",
+        "    s0, s1, s2 = j * r0, j * r1, j * r2\n",
+        "    s0, s1, s2 = r0, r1, r2\n",
+        "invariants(frame, j) gives a dilate its parent's slack (no j scaling)",
     ),
     (
         "src/latticecubes/symmetry.py",
-        "            if (e1, e2, e3) != key:\n",
+        "    beta = 8 * (e1 + 2 * e2 + 3 * e3) // st\n",
+        "    beta = 8 * (e1 + e2 + 3 * e3) // st\n",
+        "beta's closed form takes e2 once, not twice",
+    ),
+    (
+        "src/latticecubes/symmetry.py",
+        "            if class_key([(e[p0], g1 * e[p1], g2 * e[p2]) for e in key]) != key:\n",
         "            if False:\n",
         "the stabilizer counts every extent-preserving map, fixing the class or not",
     ),
     (
         "src/latticecubes/census.py",
-        "else 0 < expected == reg.classes.get(side, 0):",
+        "else expected == reg.classes.get(side, 0):",
         "else True:",
         "the census skips every k > 1 candidate, so a side short of psi(s) builds none",
-    ),
-    (
-        "src/latticecubes/census.py",
-        "else 0 < expected == reg.classes.get(side, 0):",
-        "else expected == reg.classes.get(side, 0):",
-        "a side expecting 0 classes skips its k > 1 candidates unbuilt (drops the > 0)",
     ),
     (
         "src/latticecubes/census.py",
@@ -116,9 +116,27 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/census.py",
-        "                    k_values=frozenset(j * k for k in rec.k_values),\n",
-        "                    k_values=rec.k_values,\n",
-        "a dilate keeps its parent's k-values, not scaled by j",
+        "    if not (0 < a <= b <= c and gcd(a, b, c) == 1 and",
+        "    if not (0 < a and gcd(a, b, c) == 1 and",
+        "a cache load accepts a source whose a, b, c are out of order",
+    ),
+    (
+        "src/latticecubes/oracle.py",
+        "            if e2 < e3:\n",
+        "            if True:\n",
+        "the oracle counts a class frame for either order of its last two edges, not once",
+    ),
+    (
+        "src/latticecubes/oracle.py",
+        "            e3 = max(e3, -e3)\n",
+        "            e3 = e3\n",
+        "the oracle compares the third edge without normalizing its sign",
+    ),
+    (
+        "src/latticecubes/lattice_geometry.py",
+        "        if Frame.of(*cube.corner_edges()).cube() != cube.translate_to_octant():\n",
+        "        if False:\n",
+        "Cube.from_points accepts 8 points that are not the cube their corner edges span",
     ),
     (
         "src/latticecubes/diophantine.py",

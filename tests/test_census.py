@@ -259,7 +259,6 @@ def test_cube_without_k_value_1_claims_by_class_keys():
         side=53599,
         bound_dim=max(frame.extents()),
         frame=frame,
-        k_values=frozenset(frame.k_values()),
         invariants=invariants(frame),
         source=None,  # not built from a candidate here; claims do not read it
     )
@@ -584,8 +583,20 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch, registry19):
 
 
 def _add_reducible(doc):
-    # n = 2 turns the side-7 source into the side-7 cube dilated by 2
+    # n = 2 would turn the side-7 source into the side-7 cube dilated by 2;
+    # gcd(m, n) = 2 rejects it before it is built
     doc["sources"].append(doc["sources"][3][:5] + [2])
+
+
+def _unsorted_abc(doc):
+    # side 3's source with a and c swapped: its replay built a different
+    # cube of the same orbit, and the load printed that cube
+    doc["sources"][1] = [5, 1, 1, 3, 0, 1]
+
+
+def _m_n_swapped(doc):
+    # side 1's source with (m, n) = (1, 0): its replay built the unit cube
+    doc["sources"][0] = [1, 1, 1, 1, 1, 0]
 
 
 def _version_1(doc):
@@ -602,7 +613,9 @@ def _version_1(doc):
         (lambda doc: doc["sources"][3].__setitem__(2, 1.5), "1.5 is not an integer"),
         (lambda doc: doc["sources"][3].__setitem__(4, True), "True is not an integer"),
         (lambda doc: doc["sources"][3].pop(), "is not a list of six integers"),
-        (_add_reducible, "reducible"),
+        (_add_reducible, "m = 0, n = 2 is not"),
+        (_unsorted_abc, "0 < a <= b <= c"),
+        (_m_n_swapped, "m = 1, n = 0 is not"),
         (lambda doc: doc.update(N=21), "side 21: 0 translation classes claimed, expected 32"),
         (_version_1, "version 1, expected 2"),
     ],
