@@ -9,8 +9,14 @@ through that pass.  A cube is accepted when it is genuinely new - not
 in the generalized orbit of anything already recorded at the same side
 length - and when the k = 1 pass could not have produced it (the
 "exception" guard: for k > 1 the cube must not have 1 among its
-k-values).  A record keeps its frame and reads its k-values and, for
-output only, its 8 vertices from it (CubeRecord.k_values, .cube).
+k-values).  A k > 1 candidate stands for two triangles: that of its
+(m, n), and then, when that triangle's cube is not accepted, the mirror
+triangle (n - m, n), built and checked the same way.  solve_norm_form
+keeps only the 2m < n triangle of each pair, and the mirror's cube can
+lie in an orbit no other candidate reaches: without it the census falls
+72 classes short of psi at side 63973 = 7*13*19*37.  A record keeps its
+frame and its triangle's (m, n), and reads its k-values and, for output
+only, its 8 vertices from the frame (CubeRecord.k_values, .cube).
 
 A side is done at psi(s), its number of translation classes (below):
 its k > 1 candidates are built only while the side is short of psi(s),
@@ -195,8 +201,9 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
 
     Candidates stream through the accept pass, which builds a frame only
     when it needs one.  threads > 1 builds every candidate's frame in
-    worker processes first; acceptance always runs serially in the
-    canonical order, so the result is independent of the thread count.
+    worker processes first, and a mirror triangle (not a candidate) in
+    the accept pass; acceptance always runs serially in the canonical
+    order, so the result is independent of the thread count.
     The pool does not pay (README, Performance) and the CLI does not use
     it; it stays for the benchmark's pool check until ROADMAP item 1
     removes both.
@@ -208,8 +215,8 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
 
         items = list(_candidate_stream(N))
         with Pool(threads) as pool:
-            built = pool.map(_build_one, items, chunksize=max(1, len(items) // (threads * 8)))
-        return _accept(N, items, dict(zip(items, built)).__getitem__)
+            built = dict(zip(items, pool.map(_build_one, items, chunksize=max(1, len(items) // (threads * 8)))))
+        return _accept(N, items, lambda item: built[item] if item in built else _build_one(item))
     return _accept(N, _candidate_stream(N), _build_one)
 
 
@@ -225,18 +232,24 @@ def _accept_side(
 
     psi(side) is also the rule that ends the side: a k = 1 candidate is
     decided by its diagonal key, and a k > 1 candidate is passed over
-    unbuilt once the side's classes reach psi(side)."""
+    unbuilt once the side's classes reach psi(side).  A k > 1 candidate
+    whose cube has k-value 1 or a claimed orbit gives way to its mirror
+    triangle (n - m, n), built with `build` and checked the same way; a
+    record keeps the (m, n) of the triangle it came from."""
     reg.claimed = set()
     expected = dedekind_psi(side)
-    for item in candidates:
-        k, mn, d, sol = item
+    for k, mn, d, sol in candidates:
         # a k = 1 candidate is decided by its plane solution, a k = 1 diagonal
         # key of its cube; a k > 1 candidate is passed over once the side is full
         if reg.is_claimed((sol.a, sol.b, sol.c)) if k == 1 else expected == reg.classes.get(side, 0):
             continue
-        frame = build(item)
-        if k != 1 and (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
-            continue  # reachable by the k = 1 pass, or an orbit claimed by its class keys
+        # a k > 1 candidate stands for its triangle and then the mirror triangle
+        for mn in (mn,) if k == 1 else (mn, NormFormSolution(mn.n - mn.m, mn.n)):
+            frame = build((k, mn, d, sol))
+            if k == 1 or not (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
+                break
+        else:
+            continue  # each reachable by the k = 1 pass, or an orbit claimed by its class keys
         if frame.side != side:
             raise ArithmeticError(f"pipeline cube side {frame.side} != d*k = {side}")
         if not frame.is_primitive():
@@ -428,7 +441,8 @@ class CacheMismatch(ValueError):
 def _source_item(src: list) -> Candidate:
     """The candidate (k, mn, d, sol) a cached source [a, b, c, d, m, n] stands
     for; CacheMismatch unless (a, b, c, d) is a PlaneSolution and (m, n) a
-    NormFormSolution, as the census generates them."""
+    NormFormSolution or the mirror (n - m, n) of one, as the census builds
+    them.  For k = 1 that admits only (0, 1)."""
     if not isinstance(src, list) or len(src) != 6:
         raise CacheMismatch(f"cached source {src!r} is not a list of six integers")
     for t in src:
@@ -441,10 +455,10 @@ def _source_item(src: list) -> Candidate:
         )
     kk = m * m - m * n + n * n
     k = isqrt(kk)
-    if not (m >= 0 and 2 * m < n and gcd(m, n) == 1 and k * k == kk):
+    if not (0 <= m < n and gcd(m, n) == 1 and k * k == kk):
         raise CacheMismatch(
             f"cached source {src}: m = {m}, n = {n} is not a norm-form solution"
-            " (m^2 - mn + n^2 = k^2, m >= 0, 2m < n, gcd(m, n) = 1)"
+            " (m^2 - mn + n^2 = k^2, 0 <= m < n, gcd(m, n) = 1)"
         )
     return k, NormFormSolution(m, n), d, PlaneSolution(a, b, c, d)
 
@@ -461,7 +475,7 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     check, and no larger side is rebuilt or has its psi computed, however
     large N and the side are.  A file that is not this version's JSON
     document, lacks a key, holds a source that is not six integers, not a
-    candidate the census generates (_source_item), of a side d*k outside
+    source the census builds (_source_item), of a side d*k outside
     1..N or that does not become a record, or fails the accept pass,
     raises CacheMismatch with the reason.  The sources are checked before
     any is rebuilt, so a rebuild's cost is bounded by N.  A

@@ -3,20 +3,22 @@
 Three problems appear:
 
 * the plane equation a^2 + b^2 + c^2 = 3 d^2 (normals of the triangle
-  planes; only odd d with gcd(a,b,c)=1 matter),
+  planes; only odd d with gcd(a,b,c)=1 matter), whose primitive
+  solutions are the Euler-Rodrigues images of the diagonal (1, 1, 1)
+  under the integer quaternions of norm d (solve_three_squares),
 * the Eisenstein norm form k^2 = m^2 - m n + n^2 (triangle sizes inside
   a plane),
 * the representation count pi_eps(d) = number of primitive solutions of
   the plane equation, for which a closed formula exists and is
-  cross-checked against plain enumeration.
+  cross-checked against the construction.
 
-prime_powers (trial division) is the package's one integer factorizer,
-and only this module calls it.
+prime_powers (trial division) is the package's one integer factorizer;
+only this module calls it, for psi, Lambda, Gamma_2 and the k-values.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from itertools import product
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -31,7 +33,14 @@ class PlaneSolution(NamedTuple):
 
 
 class NormFormSolution(NamedTuple):
-    """(m, n) with m^2 - m n + n^2 = k^2, gcd(m, n) = 1, m >= 0, 2m < n."""
+    """(m, n) with m^2 - m n + n^2 = k^2, gcd(m, n) = 1, m >= 0, 2m < n.
+
+    The mirror (n - m, n) solves the same norm form with 2(n - m) > n.
+    For k > 1 it is the other triangle of the pair, whose cube can lie in
+    another orbit; the census builds it when the (m, n) triangle's cube
+    is not accepted.  For k = 1 the mirror (1, 1) of (0, 1) is never
+    needed: (0, 1) reaches every cube with a k = 1 diagonal.
+    """
 
     m: int
     n: int
@@ -40,10 +49,12 @@ class NormFormSolution(NamedTuple):
 def prime_powers(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as (p, e) pairs, p ascending; [] for n <= 1.
 
-    Trial division by 2, 3 and then only the 6k +- 1 candidates.
+    Trial division by 2 and then by each odd p up to the square root of
+    what is left.  The numbers factored are sides and k-values up to the
+    census's N, small enough that a 6k +- 1 wheel saves nothing.
     """
     out: list[tuple[int, int]] = []
-    p, step = 2, 1
+    p = 2
     while p * p <= n:
         if n % p == 0:
             e = 0
@@ -51,11 +62,7 @@ def prime_powers(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             out.append((p, e))
-        if p < 5:
-            p += step  # 2, 3, 5
-            step = 2
-        else:
-            p += 2 if p % 6 == 5 else 4  # only 1, 5 mod 6 can be prime
+        p += 1 if p == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out
@@ -102,14 +109,12 @@ def lambda_d(d: int) -> int:
 def gamma2(d: int) -> int:
     """Gamma_2(d): the correction term counting diagonal-type solutions.
 
-    0 when some prime factor of d is 5 or 7 mod 8, 1 when d = 3, else
-    2^(number of distinct prime factors of d that are 1 or 3 mod 8,
-    excluding 3 itself).
+    0 when some prime factor of d is 5 or 7 mod 8, else 2^(number of
+    distinct prime factors of d that are 1 or 3 mod 8, excluding 3
+    itself); so 1 for d = 1 and d = 3.
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")
-    if d == 3:
-        return 1
     primes = [p for p, _ in prime_powers(d)]
     if any(p % 8 in (5, 7) for p in primes):
         return 0
@@ -135,31 +140,37 @@ def pi_epsilon(d: int) -> int:
 def solve_three_squares(d: int) -> list[PlaneSolution]:
     """All primitive (a, b, c) with a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c, sorted.
 
-    Only odd values prime to 3 can occur: squares mod 8 force a, b, c odd
-    for odd d, and a primitive solution has none of a, b, c divisible by
-    3 (squares mod 3 are 0 or 1, so 3 divides all three or none).  The
-    squares of those values up to 3d^2 go into one {x^2: x} table; for
-    each a, the b^2 with b >= a and 2b^2 <= 3d^2 - a^2 are kept when the
-    leftover 3d^2 - a^2 - b^2 is in the table too.  The gcd filter is the
-    only one applied to what is left.  a and b ascend, so the output is
-    already sorted.
+    Built, not searched for.  An integer quaternion q = w + xi + yj + zk
+    of norm w^2 + x^2 + y^2 + z^2 = d maps the diagonal e = i + j + k to
+    q e q-bar, an integer vector of norm 3d^2 (the Euler-Rodrigues, or
+    Cayley, parametrization of the rotations), and for odd d every
+    primitive solution is the sorted |coordinates| of such an image
+    (E. J. Ionascu and A. Markov, "Platonic solids in Z^3", J. Number
+    Theory 131, 2011).  A group of 48 signed permutations of q's four
+    coordinates leaves the sorted |coordinates| of the image unchanged;
+    the 8 sign patterns of (x, y, z) meet each of its 384 / 48 cosets.
+    So the q taken are the sorted w >= z >= y >= x >= 0 of norm d, each
+    with the 8 signs of (x, y, z); an image with a common factor is
+    dropped, and a set keeps one copy of an image met more than once.
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")
-    target = 3 * d * d
-    roots = [x for x in range(1, isqrt(target) + 1, 2) if x % 3]
-    root_of = {x * x: x for x in roots}
-    squares = list(root_of)  # ascending
-    out: list[PlaneSolution] = []
-    for i, a in enumerate(roots):
-        if a > d:
-            break
-        rest = target - a * a
-        for b2 in [b2 for b2 in squares[i : bisect_right(squares, rest // 2)] if rest - b2 in root_of]:
-            b, c = root_of[b2], root_of[rest - b2]
-            if gcd(gcd(a, b), c) == 1:
-                out.append(PlaneSolution(a, b, c, d))
-    return out
+    out: set[PlaneSolution] = set()
+    for x in range(isqrt(d // 4) + 1):
+        for y in range(x, isqrt((d - x * x) // 3) + 1):
+            for z in range(y, isqrt((d - x * x - y * y) // 2) + 1):
+                w = isqrt(d - x * x - y * y - z * z)
+                if w * w + x * x + y * y + z * z != d:
+                    continue
+                # q e q-bar = h e + 2 (p.e) p + 2w (p x e) for the vector part p of q,
+                # with h = w^2 - |p|^2 = 2w^2 - d
+                h = 2 * w * w - d
+                for u, v, t in product((x, -x), (y, -y), (z, -z)):
+                    s = u + v + t  # p.e
+                    image = [h + 2 * (s * a + w * (b - c)) for a, b, c in ((u, v, t), (v, t, u), (t, u, v))]
+                    if gcd(*image) == 1:
+                        out.add(PlaneSolution(*sorted(map(abs, image)), d))
+    return sorted(out)
 
 
 def solve_norm_form(k: int) -> list[NormFormSolution]:

@@ -32,9 +32,15 @@ TIMEOUT_S = 300  # the whole unmutated suite takes well under a minute
 MUTANTS = [
     (
         "src/latticecubes/diophantine.py",
-        "            if gcd(gcd(a, b), c) == 1:\n",
-        "            if True:\n",
+        "                    if gcd(*image) == 1:\n",
+        "                    if True:\n",
         "solve_three_squares keeps imprimitive plane solutions (no gcd filter)",
+    ),
+    (
+        "src/latticecubes/diophantine.py",
+        "for a, b, c in ((u, v, t), (v, t, u), (t, u, v))]",
+        "for a, b, c in ((u, v, t), (v, t, u), (t, v, u))]",
+        "solve_three_squares flips the sign of the cross-product term in the third coordinate of q e q-bar",
     ),
     (
         "src/latticecubes/census.py",
@@ -68,9 +74,15 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/census.py",
-        "        if k != 1 and (1 in frame.k_values() or reg.is_claimed(class_key(frame))):\n",
-        "        if k != 1 and reg.is_claimed(class_key(frame)):\n",
+        "            if k == 1 or not (1 in frame.k_values() or reg.is_claimed(class_key(frame))):\n",
+        "            if k == 1 or not reg.is_claimed(class_key(frame)):\n",
         "no k = 1 guard: a built k > 1 cube with k-value 1 is recorded again",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "        for mn in (mn,) if k == 1 else (mn, NormFormSolution(mn.n - mn.m, mn.n)):\n",
+        "        for mn in (mn,):\n",
+        "drop the mirror triangle: a k > 1 candidate builds only its 2m < n triangle",
     ),
     (
         "src/latticecubes/census.py",

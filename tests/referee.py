@@ -12,8 +12,12 @@ Z[i*sqrt(3)] into prime-norm elements (unique_decomposition) with
 RingElem arithmetic, where ring_arith.find_rs factors nothing and takes
 one gcd in the Eisenstein integers; it is the find_rs referee.
 count_from_boxes evaluates NC(N) box by box, the referee of the prefix
-sums of census.sequence_from_boxes.  BOX_MAPS, cross and
-orthogonal_matrix are the plain geometry the tests state facts with.
+sums of census.sequence_from_boxes.  quaternion_classes lists the
+translation classes of one side from the Euler-Rodrigues frames of the
+integer quaternions of that norm, a per-side referee of the census that
+shares neither its construction nor symmetry's key normalization.
+BOX_MAPS, cross and orthogonal_matrix are the plain geometry the tests
+state facts with.
 """
 
 from dataclasses import dataclass
@@ -80,6 +84,39 @@ def table_invariants(frame: Frame, j: int = 1) -> tuple[int, InvariantSet]:
         beta += (s1 + 1) * (s2 + 1) * s3
         gamma += (s1 + 1) * s2 * s3
     return len(classes), InvariantSet(alpha0, alpha, beta, gamma)
+
+
+def quaternion_classes(s: int) -> set[ClassKey]:
+    """Class keys of the Euler-Rodrigues frames of side s.
+
+    For every primitive integer quaternion q = w + xi + yj + zk of norm
+    s, the frame is q i q-bar, q j q-bar and q k q-bar: the columns of s
+    times the rotation matrix of q.  Each edge is taken up to sign as the
+    larger of e and -e, and the three edges are sorted.  q and -q give
+    the same frame, so w >= 0 suffices.  The quaternions are met as
+    pairs of two-square representations, (w, x) of n and (y, z) of
+    s - n.  For odd s these are the psi(s) translation classes of
+    primitive cubes of side s.
+    """
+    two_squares: dict[int, list[tuple[int, int]]] = {}
+    r = isqrt(s)
+    for a in range(-r, r + 1):
+        rb = isqrt(s - a * a)
+        for b in range(-rb, rb + 1):
+            two_squares.setdefault(a * a + b * b, []).append((a, b))
+    out = set()
+    for n, wx in two_squares.items():
+        for y, z in two_squares.get(s - n, ()):
+            for w, x in wx:
+                if w < 0 or gcd(w, x, y, z) != 1:
+                    continue
+                columns = (
+                    (w * w + x * x - y * y - z * z, 2 * (x * y + w * z), 2 * (x * z - w * y)),
+                    (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
+                    (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z),
+                )
+                out.add(tuple(sorted(max(e, tuple(-c for c in e)) for e in columns)))
+    return out
 
 
 def count_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> int:

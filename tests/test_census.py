@@ -34,10 +34,17 @@ from latticecubes.census import (
 from latticecubes.diophantine import dedekind_psi, k_values, solve_norm_form, solve_three_squares
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.reference import COUNTS_LISTED
-from latticecubes.symmetry import InvariantSet, class_key, invariants
+from latticecubes.symmetry import InvariantSet, class_key, invariants, orbit_classes
 
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
-from .referee import bounding_dim, canonical_form, count_from_boxes, diagonal_k_values, vertex_invariants
+from .referee import (
+    bounding_dim,
+    canonical_form,
+    count_from_boxes,
+    diagonal_k_values,
+    quaternion_classes,
+    vertex_invariants,
+)
 
 UNIT = Cube.from_points(TABLE1[0][2])
 # the first cube without k-value 1 (test_first_cube_without_k_value_1)
@@ -469,7 +476,61 @@ def test_a_short_side_builds_its_k_above_1_candidates(monkeypatch):
     monkeypatch.setattr(census, "dedekind_psi", lambda s: dedekind_psi(s) + (s == 7))
     with pytest.raises(ArithmeticError, match="side 7: 8 translation classes claimed, expected 9"):
         build_irreducible_list(7)
-    assert [(k, mn, d) for k, mn, d, _ in built if k != 1] == [(7, (3, 8), 1)]
+    # the (3, 8) triangle's cube has k-value 1, so its mirror (5, 8) is built too
+    assert [(k, mn, d) for k, mn, d, _ in built if k != 1] == [(7, (3, 8), 1), (7, (5, 8), 1)]
+
+
+def test_the_pool_builds_a_mirror_triangle_it_did_not_prebuild(monkeypatch):
+    # the pool builds the stream's candidates; a mirror triangle is not one,
+    # so the accept pass builds it, and the short side fails its check
+    monkeypatch.setattr(census, "dedekind_psi", lambda s: dedekind_psi(s) + (s == 7))
+    with pytest.raises(ArithmeticError, match="side 7: 8 translation classes claimed, expected 9"):
+        build_irreducible_list(7, threads=2)
+
+
+S63973 = 7 * 13 * 19 * 37
+
+
+@pytest.fixture(scope="module")
+def side63973():
+    """The accept pass of side 63973 alone, with the k of its side only."""
+    reg = CubeRegistry(n_built=S63973)
+    norm_forms = {k: solve_norm_form(k) for k in k_values(S63973) if S63973 % k == 0}
+    _accept_side(reg, S63973, _side_candidates(S63973, norm_forms), _build_one)
+    return reg
+
+
+def test_side_63973_closes_at_psi_with_mirror_triangles(side63973):
+    # four distinct primes = 1 mod 3: 16 records without k-value 1, and
+    # without the mirror (n - m, n) of each k > 1 triangle the side falls
+    # 72 classes short of psi
+    reg = side63973
+    assert reg.classes == {S63973: dedekind_psi(S63973)} == {S63973: 85120}
+    rare = [r for r in reg.records if 1 not in r.k_values]
+    assert len(rare) == 16
+    assert {r.source[1] for r in rare} == {(3, 8), (5, 8)}  # k = 7 and its mirror
+
+
+def test_side_63973_sources_replay_to_the_same_records(side63973):
+    # a cache load replays each record's source, mirror triangles included,
+    # through the same accept pass
+    items = [_source_item([*sol, *mn]) for sol, mn in (r.source for r in side63973.records)]
+    reg = CubeRegistry(n_built=S63973)
+    _accept_side(reg, S63973, items, _build_one)
+    assert reg.records == side63973.records
+    assert reg.classes == side63973.classes
+
+
+def test_each_side_is_the_euler_rodrigues_classes():
+    # the classes the records of each side claim are those of the frames of
+    # the primitive quaternions of norm s, a construction the census shares
+    # nothing with
+    reg = build_irreducible_list(301)
+    for s in range(1, 302, 2):
+        got = set().union(*(orbit_classes(r.frame) for r in reg.records if r.side == s))
+        want = quaternion_classes(s)
+        assert got == want, f"side {s}: missing {sorted(want - got)}, extra {sorted(got - want)}"
+        assert len(want) == dedekind_psi(s), s
 
 
 def test_first_cube_without_k_value_1():
@@ -599,6 +660,12 @@ def _m_n_swapped(doc):
     doc["sources"][0] = [1, 1, 1, 1, 1, 0]
 
 
+def _k1_mirror(doc):
+    # side 1's source with the mirror (1, 1) of (0, 1): for k = 1, 0 <= m < n
+    # admits only (0, 1)
+    doc["sources"][0] = [1, 1, 1, 1, 1, 1]
+
+
 def _version_1(doc):
     # the previous format: one object per record, its source among the fields
     doc.update(version=1, records=[{"source": dict(zip("abcdmn", s))} for s in doc.pop("sources")])
@@ -616,6 +683,7 @@ def _version_1(doc):
         (_add_reducible, "m = 0, n = 2 is not"),
         (_unsorted_abc, "0 < a <= b <= c"),
         (_m_n_swapped, "m = 1, n = 0 is not"),
+        (_k1_mirror, "m = 1, n = 1 is not"),
         (lambda doc: doc.update(N=21), "side 21: 0 translation classes claimed, expected 32"),
         (_version_1, "version 1, expected 2"),
     ],
