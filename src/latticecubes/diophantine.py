@@ -18,9 +18,11 @@ only this module calls it, for psi, Lambda, Gamma_2 and the k-values.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 
 class PlaneSolution(NamedTuple):
@@ -137,8 +139,11 @@ def pi_epsilon(d: int) -> int:
     return num // 48
 
 
-def solve_three_squares(d: int) -> list[PlaneSolution]:
-    """All primitive (a, b, c) with a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c, sorted.
+@lru_cache(maxsize=1)
+def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int]]:
+    """Each primitive solution of a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c,
+    mapped to an integer quaternion (w, x, y, z) of norm d whose image of
+    the diagonal has the solution's sorted |coordinates|; sorted by solution.
 
     Built, not searched for.  An integer quaternion q = w + xi + yj + zk
     of norm w^2 + x^2 + y^2 + z^2 = d maps the diagonal e = i + j + k to
@@ -150,27 +155,42 @@ def solve_three_squares(d: int) -> list[PlaneSolution]:
     coordinates leaves the sorted |coordinates| of the image unchanged;
     the 8 sign patterns of (x, y, z) meet each of its 384 / 48 cosets.
     So the q taken are the sorted w >= z >= y >= x >= 0 of norm d, each
-    with the 8 signs of (x, y, z); an image with a common factor is
-    dropped, and a set keeps one copy of an image met more than once.
+    with the 8 signs of (x, y, z), the pair (z, w) looked up among the
+    two-square representations z <= w of d - x^2 - y^2; an image with a
+    common factor is dropped, and a solution keeps the first q met.
+
+    The last d's table is kept, read-only: the census asks for a side's
+    solutions as a stream and then for the quaternion of each k = 1 record.
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")
-    out: set[PlaneSolution] = set()
+    two_squares: dict[int, list[tuple[int, int]]] = {}
+    for z in range(isqrt(d // 2) + 1):
+        for w in range(z, isqrt(d - z * z) + 1):
+            two_squares.setdefault(z * z + w * w, []).append((z, w))
+    out: dict[PlaneSolution, tuple[int, int, int, int]] = {}
     for x in range(isqrt(d // 4) + 1):
         for y in range(x, isqrt((d - x * x) // 3) + 1):
-            for z in range(y, isqrt((d - x * x - y * y) // 2) + 1):
-                w = isqrt(d - x * x - y * y - z * z)
-                if w * w + x * x + y * y + z * z != d:
+            for z, w in two_squares.get(d - x * x - y * y, ()):
+                if z < y:
                     continue
                 # q e q-bar = h e + 2 (p.e) p + 2w (p x e) for the vector part p of q,
                 # with h = w^2 - |p|^2 = 2w^2 - d
                 h = 2 * w * w - d
                 for u, v, t in product((x, -x), (y, -y), (z, -z)):
                     s = u + v + t  # p.e
-                    image = [h + 2 * (s * a + w * (b - c)) for a, b, c in ((u, v, t), (v, t, u), (t, u, v))]
-                    if gcd(*image) == 1:
-                        out.add(PlaneSolution(*sorted(map(abs, image)), d))
-    return sorted(out)
+                    a = h + 2 * (s * u + w * (v - t))
+                    b = h + 2 * (s * v + w * (t - u))
+                    c = h + 2 * (s * t + w * (u - v))
+                    if gcd(a, b, c) == 1:
+                        out.setdefault(PlaneSolution(*sorted((abs(a), abs(b), abs(c))), d), (w, u, v, t))
+    return MappingProxyType(dict(sorted(out.items())))
+
+
+def solve_three_squares(d: int) -> list[PlaneSolution]:
+    """All primitive (a, b, c) with a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c,
+    sorted: the keys of plane_quaternions(d)."""
+    return list(plane_quaternions(d))
 
 
 def solve_norm_form(k: int) -> list[NormFormSolution]:

@@ -1,6 +1,14 @@
 """Triangles, tetrahedra and cubes over the integer lattice.
 
-The construction chain is
+A cube is built as its Frame, the three integral edge vectors at one
+corner, in one of two ways.  quaternion_frame builds the cube of a plane
+solution (a, b, c) with k = 1: the Euler-Rodrigues matrix of the integer
+quaternion q of norm d with q(i + j + k)q-bar = (a, b, c) up to a box
+map, which diophantine.plane_quaternions keeps from building the
+solution, has the cube's edges as columns.  build_cube builds any
+triangle's cube; the census takes it for k > 1 and for the mirror
+triangles, and the tests and CI take it as quaternion_frame's referee.
+Its construction chain is
 
     (a,b,c,d) plane solution + (m,n) norm-form solution
         -> generating vectors zeta, eta of the triangle lattice in the plane
@@ -10,17 +18,18 @@ The construction chain is
            edge vectors at the tetrahedron's origin corner.
 
 build_cube runs the whole chain in one function on plain integer
-coordinates, since it runs once per census candidate.  It uses the
-(r, s) that ring_arith.find_rs returns, unique up to sign:
-s + r*i*sqrt(3) divides ac - bd*i*sqrt(3), and that makes zeta and eta
-integral (the argument is in build_cube's docstring), so no other
-orientation is ever tried; -(r, s) would build the same cube.  The
+coordinates.  It uses the (r, s) that ring_arith.find_rs returns, unique
+up to sign: s + r*i*sqrt(3) divides ac - bd*i*sqrt(3), and that makes
+zeta and eta integral (the argument is in build_cube's docstring), so no
+other orientation is ever tried; -(r, s) would build the same cube.  The
 tests compare it with a referee that takes one function per step on
 Vec3s (zeta_eta, triangle_vertices, fourth_vertex, complete_cube in
 tests/referee.py).
 
-Everything is exact integer arithmetic; any non-integrality is a typed
-error, never a rounding.
+The Frame methods the census calls once per record (Frame.of, side,
+extents, diagonals, is_primitive) unpack the nine coordinates and work
+on plain integers.  Everything is exact integer arithmetic; any
+non-integrality is a typed error, never a rounding.
 """
 
 from __future__ import annotations
@@ -53,12 +62,6 @@ class Vec3(NamedTuple):
     def scale(self, t: int) -> "Vec3":
         return Vec3(t * self.x, t * self.y, t * self.z)
 
-    def dot(self, other: "Vec3") -> int:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm2(self) -> int:
-        return self.dot(self)
-
 
 ORIGIN = Vec3(0, 0, 0)
 
@@ -79,33 +82,36 @@ class Frame(NamedTuple):
     def of(e1: Vec3, e2: Vec3, e3: Vec3) -> "Frame":
         """The frame (e1, e2, e3), if its edges have one positive integer
         length and are pairwise orthogonal; ValueError otherwise."""
-        s2 = e1.norm2()
-        if e2.norm2() != s2 or e3.norm2() != s2:
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = e1, e2, e3
+        s2 = x1 * x1 + y1 * y1 + z1 * z1
+        if x2 * x2 + y2 * y2 + z2 * z2 != s2 or x3 * x3 + y3 * y3 + z3 * z3 != s2:
             raise ValueError(f"edges {e1}, {e2}, {e3} differ in length")
         s = isqrt(s2)
         if s2 == 0 or s * s != s2:
             raise ValueError(f"cube side is not a positive integer (side^2 = {s2})")
-        if e1.dot(e2) or e1.dot(e3) or e2.dot(e3):
+        if x1 * x2 + y1 * y2 + z1 * z2 or x1 * x3 + y1 * y3 + z1 * z3 or x2 * x3 + y2 * y3 + z2 * z3:
             raise ValueError(f"edges {e1}, {e2}, {e3} are not orthogonal")
         return Frame(e1, e2, e3)
 
     @property
     def side(self) -> int:
-        return isqrt(self.e1.norm2())
+        x, y, z = self.e1
+        return isqrt(x * x + y * y + z * z)
 
     def extents(self) -> tuple[int, int, int]:
         """Per-axis widths of the cube: sums of the edges' |coordinates|."""
-        return tuple(sum(map(abs, col)) for col in zip(*self))
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = self
+        return abs(x1) + abs(x2) + abs(x3), abs(y1) + abs(y2) + abs(y3), abs(z1) + abs(z2) + abs(z3)
 
-    def diagonals(self) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    def diagonals(self) -> tuple[tuple[int, int, int], ...]:
         """The four main diagonals e1+e2+e3, e1+e2-e3, e1-e2+e3 and
-        e2+e3-e1, one per direction."""
+        e2+e3-e1, one per direction, as plain coordinate triples."""
         (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = self
         return (
-            Vec3(x1 + x2 + x3, y1 + y2 + y3, z1 + z2 + z3),
-            Vec3(x1 + x2 - x3, y1 + y2 - y3, z1 + z2 - z3),
-            Vec3(x1 - x2 + x3, y1 - y2 + y3, z1 - z2 + z3),
-            Vec3(x2 + x3 - x1, y2 + y3 - y1, z2 + z3 - z1),
+            (x1 + x2 + x3, y1 + y2 + y3, z1 + z2 + z3),
+            (x1 + x2 - x3, y1 + y2 - y3, z1 + z2 - z3),
+            (x1 - x2 + x3, y1 - y2 + y3, z1 - z2 + z3),
+            (x2 + x3 - x1, y2 + y3 - y1, z2 + z3 - z1),
         )
 
     def k_values(self) -> set[int]:
@@ -120,7 +126,8 @@ class Frame(NamedTuple):
 
     def is_primitive(self) -> bool:
         """True when the cube is no dilation of a smaller lattice cube."""
-        return gcd(*(abs(t) for e in self for t in e)) == 1
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = self
+        return gcd(x1, y1, z1, x2, y2, z2, x3, y3, z3) == 1
 
     def scale(self, j: int) -> "Frame":
         """The frame of the cube dilated by j."""
@@ -258,3 +265,37 @@ def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
     return Frame.of(
         Vec3(gx - px, gy - py, gz - pz), Vec3(gx - qx, gy - qy, gz - qz), Vec3(gx - rx, gy - ry, gz - rz)
     )
+
+
+def quaternion_frame(q: tuple[int, int, int, int], sol: PlaneSolution) -> Frame:
+    """The frame of the k = 1 cube of plane solution `sol`, from an integer
+    quaternion q = w + xi + yj + zk of norm d whose image of the diagonal
+    i + j + k has the sorted |coordinates| (a, b, c) (diophantine.plane_quaternions).
+
+    The Euler-Rodrigues matrix of q, d times a rotation, has the columns
+    q i q-bar, q j q-bar and q k q-bar, edges of a lattice cube of side
+    d, and its row sums are the image of the diagonal.  A box map takes
+    that image to (a, b, c): its rows ordered by |row sum| and each signed
+    to a positive row sum.  The frame is the columns of the mapped matrix,
+    so its main diagonal e1 + e2 + e3 is exactly (a, b, c), and its cube
+    is the one build_cube(sol, (0, 1)) builds, up to translation (the
+    tests and CI compare their class keys).
+
+    ValueError when the row sums are not (a, b, c); Frame.of checks the cube.
+    """
+    w, x, y, z = q
+    ww, xx, yy, zz = w * w, x * x, y * y, z * z
+    rows = [
+        (ww + xx - yy - zz, 2 * (x * y - w * z), 2 * (x * z + w * y)),
+        (2 * (x * y + w * z), ww - xx + yy - zz, 2 * (y * z - w * x)),
+        (2 * (x * z - w * y), 2 * (y * z + w * x), ww - xx - yy + zz),
+    ]
+    keyed = []
+    for r0, r1, r2 in rows:
+        t = r0 + r1 + r2
+        keyed.append((t, r0, r1, r2) if t > 0 else (-t, -r0, -r1, -r2))
+    keyed.sort()
+    (ta, x1, x2, x3), (tb, y1, y2, y3), (tc, z1, z2, z3) = keyed
+    if (ta, tb, tc) != sol[:3]:
+        raise ValueError(f"quaternion {q} maps the diagonal to ({ta}, {tb}, {tc}), not to {sol[:3]}")
+    return Frame.of(Vec3(x1, y1, z1), Vec3(x2, y2, z2), Vec3(x3, y3, z3))

@@ -29,7 +29,8 @@ The kernel (_stabilizer) does not list the orbit; it counts the maps
 that fix the cube.  A map and its negation give the same class key, so
 the 24 maps that keep axis 0 move the classes as all 48 do.
 Let st be the number of them whose image of the edges has the class key
-of the cube.  Such a map must permute the extents w into themselves, so
+of the cube, which holds iff each image edge is a key edge or its
+negation.  Such a map must permute the extents w into themselves, so
 only those permutations are tried (just the identity's 4 sign pairs when
 the three extents differ).  By orbit-stabilizer:
 
@@ -115,12 +116,19 @@ def _stabilizer(key: ClassKey) -> tuple[int, int, Slack]:
     w = Frame(*key).extents()
     d = max(w)
     r = r0, r1, r2 = d - w[0], d - w[1], d - w[2]
+    e1, e2, e3 = key
+    # a map fixes the class iff it takes each edge to a key edge or its negation
+    lines = {e1, e2, e3, (-e1[0], -e1[1], -e1[2]), (-e2[0], -e2[1], -e2[2]), (-e3[0], -e3[1], -e3[2])}
     st = fixed = 0
     for p0, p1, p2 in _PERMS:
         if (w[p0], w[p1], w[p2]) != w:
             continue
         for g1, g2 in _SIGNS:
-            if class_key([(e[p0], g1 * e[p1], g2 * e[p2]) for e in key]) != key:
+            if not (
+                (e1[p0], g1 * e1[p1], g2 * e1[p2]) in lines
+                and (e2[p0], g1 * e2[p1], g2 * e2[p2]) in lines
+                and (e3[p0], g1 * e3[p1], g2 * e3[p2]) in lines
+            ):
                 continue
             st += 1
             # the map with signs (1, g1, g2) fixes the positioned cube iff its

@@ -32,15 +32,15 @@ TIMEOUT_S = 300  # the whole unmutated suite takes well under a minute
 MUTANTS = [
     (
         "src/latticecubes/diophantine.py",
-        "                    if gcd(*image) == 1:\n",
+        "                    if gcd(a, b, c) == 1:\n",
         "                    if True:\n",
-        "solve_three_squares keeps imprimitive plane solutions (no gcd filter)",
+        "plane_quaternions keeps imprimitive plane solutions (no gcd filter)",
     ),
     (
         "src/latticecubes/diophantine.py",
-        "for a, b, c in ((u, v, t), (v, t, u), (t, u, v))]",
-        "for a, b, c in ((u, v, t), (v, t, u), (t, v, u))]",
-        "solve_three_squares flips the sign of the cross-product term in the third coordinate of q e q-bar",
+        "                    c = h + 2 * (s * t + w * (u - v))\n",
+        "                    c = h + 2 * (s * t + w * (v - u))\n",
+        "plane_quaternions flips the sign of the cross-product term in the third coordinate of q e q-bar",
     ),
     (
         "src/latticecubes/census.py",
@@ -62,8 +62,8 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/symmetry.py",
-        "            if class_key([(e[p0], g1 * e[p1], g2 * e[p2]) for e in key]) != key:\n",
-        "            if False:\n",
+        "            if not (\n",
+        "            if False and (\n",
         "the stabilizer counts every extent-preserving map, fixing the class or not",
     ),
     (
@@ -116,8 +116,8 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/lattice_geometry.py",
-        "        if e1.dot(e2) or e1.dot(e3) or e2.dot(e3):\n",
-        "        if e1.dot(e2) or e2.dot(e3):\n",
+        "x1 * x2 + y1 * y2 + z1 * z2 or x1 * x3 + y1 * y3 + z1 * z3 or x2 * x3",
+        "x1 * x2 + y1 * y2 + z1 * z2 or x2 * x3",
         "Frame.of does not check that e1 and e3 are orthogonal",
     ),
     (
@@ -161,6 +161,24 @@ MUTANTS = [
         "        return (-x, -y, -z)\n",
         "        return (x, y, z)\n",
         "class_key keeps each edge's sign: no sign normalization of the lines",
+    ),
+    (
+        "src/latticecubes/lattice_geometry.py",
+        "(ww + xx - yy - zz, 2 * (x * y - w * z),",
+        "(ww + xx - yy - zz, 2 * (x * y + w * z),",
+        "quaternion_frame takes one off-diagonal Euler-Rodrigues entry with the wrong sign",
+    ),
+    (
+        "src/latticecubes/lattice_geometry.py",
+        "keyed.append((t, r0, r1, r2) if t > 0 else (-t, -r0, -r1, -r2))",
+        "keyed.append((t, r0, r1, r2))",
+        "quaternion_frame orders the rows by row sum without signing them to a positive sum",
+    ),
+    (
+        "src/latticecubes/symmetry.py",
+        "    lines = {e1, e2, e3, (-e1[0], -e1[1], -e1[2]), (-e2[0], -e2[1], -e2[2]), (-e3[0], -e3[1], -e3[2])}\n",
+        "    lines = {e1, e2, e3}\n",
+        "the stabilizer's edge set lacks the negated key edges",
     ),
 ]
 

@@ -14,10 +14,12 @@ one gcd in the Eisenstein integers; it is the find_rs referee.
 count_from_boxes evaluates NC(N) box by box, the referee of the prefix
 sums of census.sequence_from_boxes.  quaternion_classes lists the
 translation classes of one side from the Euler-Rodrigues frames of the
-integer quaternions of that norm, a per-side referee of the census that
-shares neither its construction nor symmetry's key normalization.
-BOX_MAPS, cross and orthogonal_matrix are the plain geometry the tests
-state facts with.
+integer quaternions of that norm, a per-side referee of the census.  It
+enumerates all of them itself and shares no code with the census's
+quaternion table (diophantine.plane_quaternions), its k = 1 frames
+(lattice_geometry.quaternion_frame) or symmetry's key normalization.
+BOX_MAPS, dot, norm2, cross and orthogonal_matrix are the plain geometry
+the tests state facts with.
 """
 
 from dataclasses import dataclass
@@ -40,6 +42,16 @@ BOX_MAPS: tuple[tuple[tuple[int, int, int], tuple[bool, bool, bool]], ...] = tup
     for perm in permutations((0, 1, 2))
     for flips in product((False, True), repeat=3)
 )
+
+
+def dot(u: Vec3, v: Vec3) -> int:
+    """The dot product u . v."""
+    return u.x * v.x + u.y * v.y + u.z * v.z
+
+
+def norm2(u: Vec3) -> int:
+    """The squared length u . u."""
+    return dot(u, u)
 
 
 def cross(u: Vec3, v: Vec3) -> Vec3:
@@ -207,10 +219,10 @@ def diagonal_k_values(c: Cube) -> set[int]:
     s = c.corner_edges().side
     out = set()
     for v in c.vertices:
-        (w,) = [w for w in c.vertices if (w - v).norm2() == 3 * s * s]
+        (w,) = [w for w in c.vertices if norm2(w - v) == 3 * s * s]
         dd = w - v
         l = gcd(gcd(abs(dd.x), abs(dd.y)), abs(dd.z))
-        n = isqrt(dd.norm2() // (3 * l * l))
+        n = isqrt(norm2(dd) // (3 * l * l))
         out.add(s // n)
     return out
 

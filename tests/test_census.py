@@ -1,5 +1,6 @@
 """Census: record generation, dedup, placement counting, caching."""
 
+import ast
 import json
 import pickle
 from math import gcd
@@ -31,11 +32,19 @@ from latticecubes.census import (
     sequence,
     sequence_from_boxes,
 )
-from latticecubes.diophantine import dedekind_psi, k_values, solve_norm_form, solve_three_squares
+from latticecubes.diophantine import (
+    NormFormSolution,
+    PlaneSolution,
+    dedekind_psi,
+    k_values,
+    solve_norm_form,
+    solve_three_squares,
+)
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.reference import COUNTS_LISTED
 from latticecubes.symmetry import InvariantSet, class_key, invariants, orbit_classes
 
+from . import referee
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
 from .referee import (
     bounding_dim,
@@ -429,12 +438,11 @@ def test_plane_solution_is_a_unit_diagonal_key_of_its_cube():
     # the accept pass decides a k = 1 candidate by its plane solution before
     # building it: (a, b, c) must be a k = 1 diagonal key of the cube it builds
     from latticecubes.census import _unit_diagonals
-    from latticecubes.diophantine import NormFormSolution, solve_three_squares
 
     checked = 0
     for d in range(1, 602, 2):
         for sol in solve_three_squares(d):
-            keys = set(_unit_diagonals(build_cube(sol, NormFormSolution(0, 1))))
+            keys = set(_unit_diagonals(_build_one((1, NormFormSolution(0, 1), d, sol))))
             assert (sol.a, sol.b, sol.c) in keys, sol
             checked += 1
     assert checked > 10000
@@ -523,14 +531,44 @@ def test_side_63973_sources_replay_to_the_same_records(side63973):
 
 def test_each_side_is_the_euler_rodrigues_classes():
     # the classes the records of each side claim are those of the frames of
-    # the primitive quaternions of norm s, a construction the census shares
-    # nothing with
+    # all primitive quaternions of norm s; the census builds a k = 1 cube from
+    # one quaternion per plane solution, but shares no code with the referee
+    # (test_the_quaternion_referee_shares_no_census_code)
     reg = build_irreducible_list(301)
     for s in range(1, 302, 2):
         got = set().union(*(orbit_classes(r.frame) for r in reg.records if r.side == s))
         want = quaternion_classes(s)
         assert got == want, f"side {s}: missing {sorted(want - got)}, extra {sorted(got - want)}"
         assert len(want) == dedekind_psi(s), s
+
+
+def test_the_quaternion_referee_shares_no_census_code():
+    # quaternion_classes enumerates its own quaternions and frames: the
+    # referee names neither the census's table nor its k = 1 frame builder
+    tree = ast.parse(Path(referee.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert "quaternion_classes" in names
+    assert not names & {"plane_quaternions", "quaternion_frame"}
+
+
+def test_a_k1_candidate_off_its_table_raises_value_error():
+    # a k = 1 candidate is built from its d's quaternion table; a solution
+    # that is not in it is a ValueError (a cache replay's CacheMismatch), not
+    # a KeyError
+    sol3 = PlaneSolution(1, 1, 5, 3)
+    assert _build_one((1, NormFormSolution(0, 1), 3, sol3)).side == 3
+    for d, sol in ((5, sol3), (3, PlaneSolution(1, 1, 1, 3))):
+        with pytest.raises(ValueError, match="is not a primitive plane solution of d"):
+            _build_one((1, NormFormSolution(0, 1), d, sol))
 
 
 def test_first_cube_without_k_value_1():

@@ -17,6 +17,7 @@ from latticecubes.diophantine import (
     lambda_d,
     legendre_minus3,
     pi_epsilon,
+    plane_quaternions,
     prime_powers,
     solve_norm_form,
     solve_three_squares,
@@ -100,6 +101,33 @@ def test_solve_three_squares_invariants():
 def test_solve_three_squares_rejects_even():
     with pytest.raises(ValueError):
         solve_three_squares(4)
+
+
+def _qmul(p, q):
+    """The Hamilton product of quaternions given as (w, x, y, z)."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def test_plane_quaternions_map_the_diagonal_to_their_solution():
+    # the table's keys are the solutions; each q has norm d, and q(i+j+k)q-bar,
+    # by Hamilton products, has the solution's sorted |coordinates|
+    for d in range(1, 302, 2):
+        table = plane_quaternions(d)
+        assert list(table) == solve_three_squares(d)
+        for (a, b, c, _), q in table.items():
+            w, x, y, z = q
+            assert w * w + x * x + y * y + z * z == d, (d, q)
+            zero, *image = _qmul(_qmul(q, (0, 1, 1, 1)), (w, -x, -y, -z))
+            assert zero == 0 and sorted(map(abs, image)) == [a, b, c], (d, q)
+    with pytest.raises(ValueError):
+        plane_quaternions(4)
 
 
 def test_solve_norm_form_small():

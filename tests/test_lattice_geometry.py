@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from latticecubes import lattice_geometry
 from latticecubes.census import _candidate_stream
-from latticecubes.diophantine import NormFormSolution, PlaneSolution, solve_three_squares
+from latticecubes.diophantine import NormFormSolution, PlaneSolution, plane_quaternions, solve_three_squares
 from latticecubes.lattice_geometry import (
     ORIGIN,
     Cube,
@@ -19,8 +19,10 @@ from latticecubes.lattice_geometry import (
     NonIntegralError,
     Vec3,
     build_cube,
+    quaternion_frame,
 )
 from latticecubes.ring_arith import find_rs
+from latticecubes.symmetry import class_key
 from .published_data import EXAMPLE_CUBE, TABLE1
 from .referee import (
     BOX_MAPS,
@@ -31,7 +33,9 @@ from .referee import (
     complete_cube,
     cross,
     diagonal_k_values,
+    dot,
     fourth_vertex,
+    norm2,
     orthogonal_matrix,
     pipeline_zeta_eta,
     triangle_vertices,
@@ -48,10 +52,10 @@ def test_vec3_ops():
     assert a - b == Vec3(-3, 7, -3)
     assert -a == Vec3(-1, -2, -3)
     assert a.scale(3) == Vec3(3, 6, 9)
-    assert a.dot(b) == 4 - 10 + 18
+    assert dot(a, b) == 4 - 10 + 18
     assert cross(a, b) == Vec3(27, 6, -13)
-    assert cross(a, b).dot(a) == 0
-    assert b.norm2() == 16 + 25 + 36
+    assert dot(cross(a, b), a) == 0
+    assert norm2(b) == 16 + 25 + 36
 
 
 def test_from_points_sorts_and_validates():
@@ -88,7 +92,7 @@ def _is_cube_by_distances(points):
     vs = sorted(Vec3(*p) for p in points)
     if len(vs) != 8 or len(set(vs)) != 8:
         return False
-    dists = Counter((vs[i] - vs[j]).norm2() for i in range(8) for j in range(i + 1, 8))
+    dists = Counter(norm2(vs[i] - vs[j]) for i in range(8) for j in range(i + 1, 8))
     s2 = min(dists)
     if (dists[s2], dists[2 * s2], dists[3 * s2]) != _SIGNATURE or len(dists) != 3:
         return False
@@ -216,11 +220,11 @@ def test_zeta_eta_identities():
         d = sol.d
         zeta, eta = pipeline_zeta_eta(sol)
         normal = Vec3(sol.a, sol.b, sol.c)
-        assert zeta.dot(zeta) == 2 * d * d
-        assert eta.dot(eta) == 2 * d * d
-        assert zeta.dot(eta) == d * d
-        assert zeta.dot(normal) == 0
-        assert eta.dot(normal) == 0
+        assert dot(zeta, zeta) == 2 * d * d
+        assert dot(eta, eta) == 2 * d * d
+        assert dot(zeta, eta) == d * d
+        assert dot(zeta, normal) == 0
+        assert dot(eta, normal) == 0
 
 
 def test_triangle_vertices():
@@ -240,11 +244,11 @@ def test_triangle_is_equilateral_for_pipeline_inputs():
                 for m, n in solve_norm_form(k):
                     _, p, q = triangle_vertices(zeta, eta, m, n)
                     side2 = 2 * d * d * k * k
-                    assert p.norm2() == side2
-                    assert q.norm2() == side2
-                    assert (p - q).norm2() == side2
+                    assert norm2(p) == side2
+                    assert norm2(q) == side2
+                    assert norm2(p - q) == side2
                     normal = Vec3(sol.a, sol.b, sol.c)
-                    assert p.dot(normal) == 0 and q.dot(normal) == 0
+                    assert dot(p, normal) == 0 and dot(q, normal) == 0
 
 
 def test_fourth_vertex_unit_case():
@@ -256,7 +260,7 @@ def test_fourth_vertex_unit_case():
     assert apex is not None
     # a regular tetrahedron: all six pairwise distances equal
     pts = [tri[0], tri[1], tri[2], apex]
-    d2s = {(pts[i] - pts[j]).norm2() for i in range(4) for j in range(i + 1, 4)}
+    d2s = {norm2(pts[i] - pts[j]) for i in range(4) for j in range(i + 1, 4)}
     assert len(d2s) == 1
 
 
@@ -323,6 +327,19 @@ def test_either_sign_of_find_rs_builds_the_same_cube(monkeypatch):
     monkeypatch.setattr(lattice_geometry, "find_rs", lambda A, B, q: tuple(-t for t in find_rs(A, B, q)))
     for (_, mn, _, sol), cube in zip(items, cubes):
         assert build_cube(sol, mn).cube() == cube, (sol, mn)
+
+
+def test_quaternion_frame_is_the_k1_cube_of_build_cube():
+    # the census builds a k = 1 cube from its plane solution's quaternion;
+    # build_cube, through find_rs, zeta, eta and the apex, is its referee
+    checked = 0
+    for d in range(1, 302, 2):
+        for sol, q in plane_quaternions(d).items():
+            frame = quaternion_frame(q, sol)
+            assert frame.diagonals()[0] == sol[:3], (sol, q)
+            assert class_key(frame) == class_key(build_cube(sol, NormFormSolution(0, 1))), (sol, q)
+            checked += 1
+    assert checked == 3940
 
 
 def test_find_rs_orientation_makes_zeta_eta_integral():
@@ -429,6 +446,11 @@ def test_non_cubes_are_rejected_before_k_values(points):
         (lambda: _raw_cube(_CUBOID).corner_edges(), ValueError),
         (lambda: fourth_vertex((ORIGIN, Vec3(1, 0, 0), Vec3(0, 1, 0)), PlaneSolution(1, 1, 1, 1), 1, 0), ValueError),
         (lambda: complete_cube((Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 1), Vec3(0, 0, 0))), ValueError),
+        # the quaternion of one plane solution does not map the diagonal to another
+        (
+            lambda: quaternion_frame(plane_quaternions(9)[PlaneSolution(1, 11, 11, 9)], PlaneSolution(5, 7, 13, 9)),
+            ValueError,
+        ),
     ],
 )
 def test_geometry_checks_raise_typed_errors(call, exc):
