@@ -1,12 +1,14 @@
 """Exact census of lattice cubes with vertices in {0..n}^3.
 
 The package builds every irreducible lattice cube from the parametrization
-of equilateral triangles in Z^3: a cube with a primitive main diagonal
-(k = 1) as the Euler-Rodrigues frame of the integer quaternion that made
-its plane solution, and any other (k > 1) through the quadratic ring
-Z[i*sqrt(3)].  It counts placements through the 48-element box-symmetry
-orbit invariants, and cross-checks the resulting sequence NC(n) against
-an independent brute-force enumerator.
+of equilateral triangles in Z^3, each from the Euler-Rodrigues frame of
+the integer quaternion that made its plane solution: a cube with a
+primitive main diagonal (k = 1) is that frame, and any other (k > 1)
+is that frame turned about the diagonal by the quaternion of the
+triangle's divisor of norm k in the Eisenstein integers.  It counts
+placements through the 48-element box-symmetry orbit invariants, and
+cross-checks the resulting sequence NC(n) against an independent
+brute-force enumerator.
 """
 
 from .census import (

@@ -5,21 +5,23 @@ k (triangle scale) dividing s ascending, each (m, n) (norm-form
 solution) and each plane solution (a, b, c) of d = s/k (plane scale);
 each tuple stands for one cube, built as its Frame (the three edges at
 one corner) only when the accept pass needs it; candidates stream
-through that pass.  A k = 1 cube is the Euler-Rodrigues frame of the
-quaternion that made its plane solution (quaternion_frame, from the
-table diophantine.plane_quaternions keeps for the d the stream has just
-solved), a k > 1 cube comes from the ring Z[i*sqrt(3)] (build_cube).
-The per-record work (frame checks, extents, keys, the stabilizer pass)
-runs on plain integers.  A cube is accepted when it is genuinely new - not
-in the generalized orbit of anything already recorded at the same side
+through that pass.  Every cube comes from build_cube: the
+Euler-Rodrigues frame of the quaternion that made its plane solution
+(from the table diophantine.plane_quaternions keeps for the d the
+stream has just solved), for k > 1 turned about its diagonal by the
+divisor of norm k of the triangle's m + n*omega.  The per-record work
+(frame checks, extents, keys, the stabilizer pass) runs on plain
+integers.  A cube is accepted when it is genuinely new - not in the
+generalized orbit of anything already recorded at the same side
 length - and when the k = 1 pass could not have produced it (the
 "exception" guard: for k > 1 the cube must not have 1 among its
 k-values).  A k > 1 candidate stands for two triangles: that of its
 (m, n), and then, when that triangle's cube is not accepted, the mirror
-triangle (n - m, n), built and checked the same way.  solve_norm_form
-keeps only the 2m < n triangle of each pair, and the mirror's cube can
-lie in an orbit no other candidate reaches: without it the census falls
-72 classes short of psi at side 63973 = 7*13*19*37.  A record keeps its
+triangle (n - m, n), built and checked the same way (its turn is the
+conjugate divisor).  solve_norm_form keeps only the 2m < n triangle of
+each pair, and the mirror's cube can lie in an orbit no other candidate
+reaches: without it the census falls 72 classes short of psi at side
+63973 = 7*13*19*37.  A record keeps its
 frame and its triangle's (m, n), and reads its k-values and, for output
 only, its 8 vertices from the frame (CubeRecord.k_values, .cube).
 
@@ -89,11 +91,10 @@ from .diophantine import (
     PlaneSolution,
     dedekind_psi,
     k_values,
-    plane_quaternions,
     solve_norm_form,
     solve_three_squares,
 )
-from .lattice_geometry import Cube, Frame, build_cube, quaternion_frame
+from .lattice_geometry import Cube, Frame, build_cube
 from .symmetry import ClassKey, Edge, InvariantSet, class_key, invariants, orbit_classes, orbit_size
 
 if TYPE_CHECKING:
@@ -192,24 +193,18 @@ def _candidate_stream(N: int) -> Iterator[Candidate]:
 
 
 def _build_one(item: Candidate) -> Frame:
-    """Pure per-candidate work: the cube's checked frame.
+    """Pure per-candidate work: the cube's checked frame, build_cube's.
 
-    A k = 1 cube is the Euler-Rodrigues frame of the quaternion that made
-    its plane solution (quaternion_frame), looked up in the table the
-    stream computed for d (plane_quaternions keeps the last d's); ValueError
-    if the solution is not in it.  A k > 1 cube, or a mirror triangle's,
-    comes from the ring Z[i*sqrt(3)] (build_cube).  The accept pass reads
-    k-values only for the k = 1 guard of a k > 1 candidate, built only
-    while its side is short of psi(side); a record reads its own from its
-    frame when asked.
+    build_cube looks the plane solution's quaternion up in the table the
+    stream computed for its d (plane_quaternions keeps the last d's), and
+    for k > 1 turns that k = 1 frame by the triangle; a mirror triangle
+    (n - m, n) takes the conjugate turn.  ValueError if the solution is
+    not in its table.  The accept pass reads k-values only for the k = 1
+    guard of a k > 1 candidate, built only while its side is short of
+    psi(side); a record reads its own from its frame when asked.
     """
-    k, mn, d, sol = item
-    if k > 1:
-        return build_cube(sol, mn)
-    q = plane_quaternions(d).get(sol)
-    if q is None:
-        raise ValueError(f"{sol} is not a primitive plane solution of d = {d}")
-    return quaternion_frame(q, sol)
+    _, mn, _, sol = item
+    return build_cube(sol, mn)
 
 
 def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:

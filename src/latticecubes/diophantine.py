@@ -40,8 +40,11 @@ class NormFormSolution(NamedTuple):
     The mirror (n - m, n) solves the same norm form with 2(n - m) > n.
     For k > 1 it is the other triangle of the pair, whose cube can lie in
     another orbit; the census builds it when the (m, n) triangle's cube
-    is not accepted.  For k = 1 the mirror (1, 1) of (0, 1) is never
-    needed: (0, 1) reaches every cube with a k = 1 diagonal.
+    is not accepted.  (n - m) + n*omega is minus the conjugate of
+    m + n*omega, so the mirror's divisor of norm k is the conjugate of
+    the (m, n) triangle's, and so is its turn (lattice_geometry.build_cube).
+    For k = 1 the mirror (1, 1) of (0, 1) is never needed: (0, 1)
+    reaches every cube with a k = 1 diagonal.
     """
 
     m: int
@@ -160,7 +163,8 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
     common factor is dropped, and a solution keeps the first q met.
 
     The last d's table is kept, read-only: the census asks for a side's
-    solutions as a stream and then for the quaternion of each k = 1 record.
+    solutions as a stream and then for the quaternion of each cube it
+    builds (lattice_geometry.build_cube).
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be a positive odd integer")

@@ -1,30 +1,21 @@
-"""Triangles, tetrahedra and cubes over the integer lattice.
+"""Cubes over the integer lattice: frames, vertex sets and their constructor.
 
 A cube is built as its Frame, the three integral edge vectors at one
-corner, in one of two ways.  quaternion_frame builds the cube of a plane
-solution (a, b, c) with k = 1: the Euler-Rodrigues matrix of the integer
-quaternion q of norm d with q(i + j + k)q-bar = (a, b, c) up to a box
-map, which diophantine.plane_quaternions keeps from building the
-solution, has the cube's edges as columns.  build_cube builds any
-triangle's cube; the census takes it for k > 1 and for the mirror
-triangles, and the tests and CI take it as quaternion_frame's referee.
-Its construction chain is
-
-    (a,b,c,d) plane solution + (m,n) norm-form solution
-        -> generating vectors zeta, eta of the triangle lattice in the plane
-        -> equilateral triangle O, P, Q
-        -> apex R of a regular tetrahedron
-        -> the circumscribing cube, as its frame: the three integral
-           edge vectors at the tetrahedron's origin corner.
-
-build_cube runs the whole chain in one function on plain integer
-coordinates.  It uses the (r, s) that ring_arith.find_rs returns, unique
-up to sign: s + r*i*sqrt(3) divides ac - bd*i*sqrt(3), and that makes
-zeta and eta integral (the argument is in build_cube's docstring), so no
-other orientation is ever tried; -(r, s) would build the same cube.  The
-tests compare it with a referee that takes one function per step on
-Vec3s (zeta_eta, triangle_vertices, fourth_vertex, complete_cube in
-tests/referee.py).
+corner, by build_cube, the package's one cube constructor.  A plane
+solution (a, b, c) of d comes with the integer quaternion q of norm d
+whose image of the diagonal i + j + k it is, which
+diophantine.plane_quaternions keeps from building the solution; the
+Euler-Rodrigues matrix of q, its rows ordered and signed by a box map,
+is the frame of the solution's k = 1 cube, whose main diagonal is
+exactly (a, b, c).  A norm-form solution (m, n) of k > 1 turns that cube
+about its diagonal: the frame times the Euler-Rodrigues matrix of the
+quaternion t + u(i + j + k) of norm k that goes with the divisor
+t + u*sqrt(-3) of m + n*omega in the Eisenstein integers (the rule is
+in build_cube's docstring).  The triangle chain of the paper (the
+triangle generators zeta, eta in the plane, the equilateral triangle,
+the apex of a regular tetrahedron, the circumscribing cube) is the
+referee in tests/referee.py (build_cube_by_steps); the tests and CI
+compare the two by class key.
 
 The Frame methods the census calls once per record (Frame.of, side,
 extents, diagonals, is_primitive) unpack the nine coordinates and work
@@ -37,12 +28,10 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
-from .diophantine import NormFormSolution, PlaneSolution
+from .diophantine import NormFormSolution, PlaneSolution, plane_quaternions
+
+# find_rs is not called here; it stays bound for perfbench/tracing.py, which wraps it
 from .ring_arith import find_rs
-
-
-class NonIntegralError(ValueError):
-    """A construction step produced a non-integer coordinate."""
 
 
 class Vec3(NamedTuple):
@@ -200,89 +189,50 @@ class Cube(NamedTuple):
 
 
 def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
-    """The frame of the cube a plane solution and a norm-form solution build.
+    """The frame of the cube that plane solution `sol` and the triangle of
+    norm-form solution `mn` = (m, n) build, of side k d for k^2 =
+    m^2 - mn + n^2, with k (a, b, c) as its main diagonal e1 + e2 + e3.
 
-    The construction chain, on coordinates: zeta and eta generate the
-    triangle lattice in the plane (zeta.zeta = eta.eta = 2 d^2,
-    zeta.eta = d^2, both orthogonal to (a, b, c)); the triangle O, P, Q
-    has P = m zeta - n eta and Q = n zeta - (n - m) eta; the apex is
-    R = (P + Q +- 2k (a, b, c)) / 3; and the circumscribing cube has far
-    corner G = (P + Q + R) / 2 and edges G - P, G - Q, G - R at O.
+    The k = 1 frame F is the Euler-Rodrigues matrix of the integer
+    quaternion q = w + xi + yj + zk of norm d that made the solution
+    (diophantine.plane_quaternions; a caller alternating d rebuilds that
+    one-d table each time).  Its columns q i q-bar, q j q-bar and
+    q k q-bar are the edges of a lattice cube of side d, and its row sums
+    are q(i + j + k)q-bar.  A box map takes that image to (a, b, c): the
+    rows ordered by |row sum| and each signed to a positive row sum.
 
-    zeta and eta are integral for the (r, s) of find_rs.  Its
-    f = s + r*i*sqrt(3) has norm 2q and divides z = ac - bd*i*sqrt(3) in
-    Z[i*sqrt(3)], so both parts of
-    z * conj(f) = (acs - 3bdr) - (acr + bds)*i*sqrt(3) are divisible by
-    2q.  With X = -(acr + bds) and Y = das - bcr, the numerators of
-    zeta_x and zeta_y, a*Y - b*X = q*d*s and b*Y + a*X = -q*c*r; once
-    h = gcd(a, b) is divided out (h divides z and 2q, so it divides their
-    gcd, of which f is a unit multiple, in Z[omega]; h is odd, so it
-    divides r and s), q | X gives q | Y; zeta_z is r.  eta is the same
-    argument with the multiple
-    f*(1 + i*sqrt(3)) = (s - 3r) + (r + s)*i*sqrt(3) of f, modulo 2q:
-    s^2 + 3r^2 = 2q is even, so s - 3r and r + s are both even.
+    For k > 1 the triangle turns that cube about its diagonal.  The turn
+    is beta = t + u*sqrt(-3), t > 0, of norm t^2 + 3u^2 = k, the one such
+    element that divides m + n*omega in the Eisenstein integers
+    (omega = (-1 + sqrt(-3))/2, beta = (t + u) + 2u*omega): k divides
+    both parts of (m + n*omega) * conj(beta), m(t - u) + 2nu and
+    n(t + u) - 2mu.  The mirror triangle (n - m, n) takes conj(beta).
+    The frame is F M, with M the Euler-Rodrigues matrix of
+    t + u(i + j + k), k times a rotation about (1, 1, 1): the circulant
+    with first row (A, B, C) = (t^2 - u^2, 2u(u - t), 2u(u + t)), so
+    edge i becomes A e_i + C e_(i+1) + B e_(i+2), indices mod 3.
+    F M F^-1 turns about F (1, 1, 1) = (a, b, c) in the sense of that
+    quaternion when F is d times a rotation (det F > 0) and in the
+    opposite sense when F is d times a reflection, so u is negated when
+    det F > 0: the turn about (a, b, c) is always that of conj(beta).  Then the cube is
+    the one the triangle chain of tests/referee.py builds
+    (build_cube_by_steps: triangle generators zeta, eta, the triangle,
+    the tetrahedron apex, the circumscribing cube), up to translation;
+    the tests and CI compare their class keys.
 
-    NonIntegralError when zeta or eta is not integral (which the argument
-    rules out for find_rs's (r, s)), when neither apex sign is integral,
-    or when the midpoint sums are odd; ValueError when both apex signs
-    are, which needs 3 | k and so no census candidate; Frame.of checks
-    the cube.
+    ValueError when m^2 - mn + n^2 is not a square, when `sol` is not in
+    its d's table, when the row sums are not (a, b, c), or when no beta
+    divides m + n*omega (e.g. (3, 0): 3 = 0^2 + 3*1^2 only); Frame.of
+    checks the cube.
     """
-    a, b, c, d = sol
     m, n = mn
     kk = m * m - m * n + n * n
     k = isqrt(kk)
     if k * k != kk:
         raise ValueError("m^2 - mn + n^2 must be a perfect square")
-    q = a * a + b * b
-    q2 = 2 * q
-    r, s = find_rs(a * c, -b * d, q)
-    u, v = s - 3 * r, r + s
-    # zeta = (zx, zy, r q) / q and eta = (ex, ey, q v) / 2q
-    zx, zy = -(r * a * c + d * b * s), d * a * s - b * c * r
-    ex, ey = -(d * b * u + a * c * v), d * a * u - b * c * v
-    if zx % q or zy % q or ex % q2 or ey % q2 or v % 2:
-        raise NonIntegralError(f"zeta, eta are not integral for (r, s) = ({r}, {s})")
-    zx, zy, zz, ex, ey, ez = zx // q, zy // q, r, ex // q2, ey // q2, v // 2
-    px, py, pz = m * zx - n * ex, m * zy - n * ey, m * zz - n * ez
-    h = n - m
-    qx, qy, qz = n * zx - h * ex, n * zy - h * ey, n * zz - h * ez
-    tx, ty, tz = px + qx, py + qy, pz + qz
-    nx, ny, nz = 2 * k * a, 2 * k * b, 2 * k * c
-    plus = not ((tx + nx) % 3 or (ty + ny) % 3 or (tz + nz) % 3)
-    minus = not ((tx - nx) % 3 or (ty - ny) % 3 or (tz - nz) % 3)
-    if plus and minus:
-        raise ValueError("both tetrahedron apex signs are integral (3 divides k)")
-    if not (plus or minus):
-        raise NonIntegralError("no integral tetrahedron apex for either sign")
-    if minus:
-        nx, ny, nz = -nx, -ny, -nz
-    rx, ry, rz = (tx + nx) // 3, (ty + ny) // 3, (tz + nz) // 3
-    gx, gy, gz = tx + rx, ty + ry, tz + rz
-    if gx % 2 or gy % 2 or gz % 2:
-        raise NonIntegralError("tetrahedron midpoint sums are odd")
-    gx, gy, gz = gx // 2, gy // 2, gz // 2
-    return Frame.of(
-        Vec3(gx - px, gy - py, gz - pz), Vec3(gx - qx, gy - qy, gz - qz), Vec3(gx - rx, gy - ry, gz - rz)
-    )
-
-
-def quaternion_frame(q: tuple[int, int, int, int], sol: PlaneSolution) -> Frame:
-    """The frame of the k = 1 cube of plane solution `sol`, from an integer
-    quaternion q = w + xi + yj + zk of norm d whose image of the diagonal
-    i + j + k has the sorted |coordinates| (a, b, c) (diophantine.plane_quaternions).
-
-    The Euler-Rodrigues matrix of q, d times a rotation, has the columns
-    q i q-bar, q j q-bar and q k q-bar, edges of a lattice cube of side
-    d, and its row sums are the image of the diagonal.  A box map takes
-    that image to (a, b, c): its rows ordered by |row sum| and each signed
-    to a positive row sum.  The frame is the columns of the mapped matrix,
-    so its main diagonal e1 + e2 + e3 is exactly (a, b, c), and its cube
-    is the one build_cube(sol, (0, 1)) builds, up to translation (the
-    tests and CI compare their class keys).
-
-    ValueError when the row sums are not (a, b, c); Frame.of checks the cube.
-    """
+    q = plane_quaternions(sol.d).get(sol)
+    if q is None:
+        raise ValueError(f"{sol} is not a primitive plane solution of d = {sol.d}")
     w, x, y, z = q
     ww, xx, yy, zz = w * w, x * x, y * y, z * z
     rows = [
@@ -298,4 +248,24 @@ def quaternion_frame(q: tuple[int, int, int, int], sol: PlaneSolution) -> Frame:
     (ta, x1, x2, x3), (tb, y1, y2, y3), (tc, z1, z2, z3) = keyed
     if (ta, tb, tc) != sol[:3]:
         raise ValueError(f"quaternion {q} maps the diagonal to ({ta}, {tb}, {tc}), not to {sol[:3]}")
-    return Frame.of(Vec3(x1, y1, z1), Vec3(x2, y2, z2), Vec3(x3, y3, z3))
+    if k == 1:
+        return Frame.of(Vec3(x1, y1, z1), Vec3(x2, y2, z2), Vec3(x3, y3, z3))
+    pairs = ((t, g * isqrt((k - t * t) // 3)) for t in range(1, isqrt(k) + 1) for g in (1, -1))
+    for t, u in pairs:
+        # beta = t + u*sqrt(-3) = (t + u) + 2u*omega divides m + n*omega iff k
+        # divides both parts of (m + n*omega) * conj(beta)
+        if t * t + 3 * u * u == k and (m * (t - u) + 2 * n * u) % k == 0 == (n * (t + u) - 2 * m * u) % k:
+            break
+    else:
+        raise ValueError(f"no t + u*sqrt(-3) of norm {k} divides {m} + {n}*omega")
+    if x1 * (y2 * z3 - y3 * z2) - x2 * (y1 * z3 - y3 * z1) + x3 * (y1 * z2 - y2 * z1) > 0:
+        u = -u  # a right-handed frame
+    A, B, C = t * t - u * u, 2 * u * (u - t), 2 * u * (u + t)
+    e1, e2, e3 = (x1, y1, z1), (x2, y2, z2), (x3, y3, z3)
+    # each new edge is A e_i + C e_(i+1) + B e_(i+2), indices mod 3
+    return Frame.of(
+        *(
+            Vec3(*(A * ci + C * cj + B * ck for ci, cj, ck in zip(f, g, h)))
+            for f, g, h in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2))
+        )
+    )

@@ -29,10 +29,11 @@ The kernel (_stabilizer) does not list the orbit; it counts the maps
 that fix the cube.  A map and its negation give the same class key, so
 the 24 maps that keep axis 0 move the classes as all 48 do.
 Let st be the number of them whose image of the edges has the class key
-of the cube, which holds iff each image edge is a key edge or its
-negation.  Such a map must permute the extents w into themselves, so
-only those permutations are tried (just the identity's 4 sign pairs when
-the three extents differ).  By orbit-stabilizer:
+of the cube, which holds iff each image edge is an edge of the frame
+or its negation (so the kernel computes no class key).  Such a map
+must permute the extents w into themselves, so only those permutations
+are tried (just the identity's 4 sign pairs when the three extents
+differ).  By orbit-stabilizer:
 
   orbit size  = 24 / st classes;
   alpha, beta, gamma: an image's slack is r = d - w permuted, so the 24
@@ -101,23 +102,25 @@ _PERMS = tuple(permutations((0, 1, 2)))
 
 
 @lru_cache(maxsize=1)
-def _stabilizer(key: ClassKey) -> tuple[int, int, Slack]:
-    """One frame kernel pass over the cube of class `key`: st, alpha0 and
-    the slack r = d - w of its extents.
+def _stabilizer(frame: Frame) -> tuple[int, int, Slack]:
+    """One frame kernel pass over the cube of `frame`: st, alpha0 and the
+    slack r = d - w of its extents.
 
     st counts the 24 maps that keep axis 0 and fix the class.  Only a
     permutation that preserves the extents w can fix it, so when the
     three extents differ only the identity's 4 sign pairs are tried.
-    The result depends on the class key alone, so any frame of the cube
-    (any corner, sign or order) reads the same entry.  The last one is
+    The extents and the lines +-e_i are the same for every frame of the
+    cube (any corner, sign or order), so the pass needs no class key and
+    gives each frame of one class the same result.  The last frame's is
     kept: the census asks for a record's invariants and then for its
-    orbit size, and for the invariants of each dilate of one cube in a row.
+    orbit size, and for the invariants of each dilate of one cube in a
+    row, each time with the same frame.
     """
-    w = Frame(*key).extents()
+    w = frame.extents()
     d = max(w)
     r = r0, r1, r2 = d - w[0], d - w[1], d - w[2]
-    e1, e2, e3 = key
-    # a map fixes the class iff it takes each edge to a key edge or its negation
+    e1, e2, e3 = frame
+    # a map fixes the class iff it takes each edge to a frame edge or its negation
     lines = {e1, e2, e3, (-e1[0], -e1[1], -e1[2]), (-e2[0], -e2[1], -e2[2]), (-e3[0], -e3[1], -e3[2])}
     st = fixed = 0
     for p0, p1, p2 in _PERMS:
@@ -151,7 +154,7 @@ def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
 
 def orbit_size(frame: Frame) -> int:
     """Number of translation classes in the cube's symmetry orbit, 24 / st."""
-    return 24 // _stabilizer(class_key(frame))[0]
+    return 24 // _stabilizer(frame)[0]
 
 
 def invariants(frame: Frame, j: int = 1) -> InvariantSet:
@@ -164,7 +167,7 @@ def invariants(frame: Frame, j: int = 1) -> InvariantSet:
     """
     if j < 1:
         raise ValueError("dilation factor must be positive")
-    st, alpha0, (r0, r1, r2) = _stabilizer(class_key(frame))
+    st, alpha0, (r0, r1, r2) = _stabilizer(frame)
     s0, s1, s2 = j * r0, j * r1, j * r2
     e1, e2, e3 = s0 + s1 + s2, s0 * s1 + s0 * s2 + s1 * s2, s0 * s1 * s2
     alpha = 24 * (1 + e1 + e2 + e3) // st

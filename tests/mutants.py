@@ -121,12 +121,6 @@ MUTANTS = [
         "Frame.of does not check that e1 and e3 are orthogonal",
     ),
     (
-        "src/latticecubes/lattice_geometry.py",
-        "    if minus:\n",
-        "    if False:\n",
-        "build_cube tries only the + apex sign",
-    ),
-    (
         "src/latticecubes/census.py",
         "    if not (0 < a <= b <= c and gcd(a, b, c) == 1 and",
         "    if not (0 < a and gcd(a, b, c) == 1 and",
@@ -166,19 +160,31 @@ MUTANTS = [
         "src/latticecubes/lattice_geometry.py",
         "(ww + xx - yy - zz, 2 * (x * y - w * z),",
         "(ww + xx - yy - zz, 2 * (x * y + w * z),",
-        "quaternion_frame takes one off-diagonal Euler-Rodrigues entry with the wrong sign",
+        "build_cube takes one off-diagonal Euler-Rodrigues entry of q with the wrong sign",
     ),
     (
         "src/latticecubes/lattice_geometry.py",
         "keyed.append((t, r0, r1, r2) if t > 0 else (-t, -r0, -r1, -r2))",
         "keyed.append((t, r0, r1, r2))",
-        "quaternion_frame orders the rows by row sum without signing them to a positive sum",
+        "build_cube orders the rows by row sum without signing them to a positive sum",
+    ),
+    (
+        "src/latticecubes/lattice_geometry.py",
+        "        u = -u  # a right-handed frame\n",
+        "        u = u  # a right-handed frame\n",
+        "build_cube ignores the frame's handedness (never negates u)",
+    ),
+    (
+        "src/latticecubes/lattice_geometry.py",
+        "(m * (t - u) + 2 * n * u) % k == 0 == (n * (t + u) - 2 * m * u) % k",
+        "(m * (t + u) - 2 * n * u) % k == 0 == (n * (t - u) + 2 * m * u) % k",
+        "build_cube takes the conjugate of beta, the divisor of m + n*omega of norm k",
     ),
     (
         "src/latticecubes/symmetry.py",
         "    lines = {e1, e2, e3, (-e1[0], -e1[1], -e1[2]), (-e2[0], -e2[1], -e2[2]), (-e3[0], -e3[1], -e3[2])}\n",
         "    lines = {e1, e2, e3}\n",
-        "the stabilizer's edge set lacks the negated key edges",
+        "the stabilizer's edge set lacks the negated frame edges",
     ),
 ]
 

@@ -5,9 +5,12 @@ The vertex-level ones move all 8 vertices of a cube literally, under the
 three corner edges (latticecubes.symmetry).  They are slow.
 _orbit_table is the frame kernel the census used before it counted
 stabilizers: it lists the class key, slack and offset of all 24 images
-that keep axis 0.  The construction steps (zeta_eta, triangle_vertices,
-fourth_vertex, complete_cube) are lattice_geometry.build_cube's chain
-one step at a time, on Vec3s.  factor_ring factors a whole element of
+that keep axis 0.  build_cube_by_steps is the triangle chain of the
+paper, one step at a time on Vec3s (zeta_eta, triangle_vertices,
+fourth_vertex, complete_cube, with find_rs's (r, s)): the referee of
+lattice_geometry.build_cube, which turns a quaternion's frame instead.
+A chain step that meets a non-integer coordinate raises
+NonIntegralError.  factor_ring factors a whole element of
 Z[i*sqrt(3)] into prime-norm elements (unique_decomposition) with
 RingElem arithmetic, where ring_arith.find_rs factors nothing and takes
 one gcd in the Eisenstein integers; it is the find_rs referee.
@@ -16,8 +19,8 @@ sums of census.sequence_from_boxes.  quaternion_classes lists the
 translation classes of one side from the Euler-Rodrigues frames of the
 integer quaternions of that norm, a per-side referee of the census.  It
 enumerates all of them itself and shares no code with the census's
-quaternion table (diophantine.plane_quaternions), its k = 1 frames
-(lattice_geometry.quaternion_frame) or symmetry's key normalization.
+quaternion table (diophantine.plane_quaternions), its cube constructor
+(lattice_geometry.build_cube) or symmetry's key normalization.
 BOX_MAPS, dot, norm2, cross and orthogonal_matrix are the plain geometry
 the tests state facts with.
 """
@@ -31,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from latticecubes.census import placement_count
 from latticecubes.diophantine import NormFormSolution, PlaneSolution, prime_powers
-from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, NonIntegralError, Vec3
+from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, Vec3
 from latticecubes.ring_arith import find_rs
 from latticecubes.symmetry import ClassKey, InvariantSet, Slack, class_key
 
@@ -245,6 +248,10 @@ def brute_force_orbit_fill(c: Cube, n: int) -> int:
     return len(seen)
 
 
+class NonIntegralError(ValueError):
+    """A construction step produced a non-integer coordinate."""
+
+
 def zeta_eta(sol: PlaneSolution, r: int, s: int) -> tuple[Vec3, Vec3]:
     """Generating vectors of the equilateral-triangle lattice in the plane.
 
@@ -320,7 +327,13 @@ def pipeline_zeta_eta(sol: PlaneSolution) -> tuple[Vec3, Vec3]:
 
 
 def build_cube_by_steps(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
-    """lattice_geometry.build_cube, one construction step at a time."""
+    """The frame at O of the cube of the triangle O, P, Q that (m, n) spans
+    in the plane lattice of `sol`, one construction step at a time.
+
+    The apex R = (P + Q +- 2k (a, b, c)) / 3 takes the first integral
+    sign; the frame's edges are G - P, G - Q and G - R for the far
+    corner G = (P + Q + R) / 2.  NonIntegralError when zeta or eta is
+    not integral or no apex sign is."""
     m, n = mn
     k = isqrt(m * m - m * n + n * n)
     tri = triangle_vertices(*pipeline_zeta_eta(sol), m, n)

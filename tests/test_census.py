@@ -544,7 +544,7 @@ def test_each_side_is_the_euler_rodrigues_classes():
 
 def test_the_quaternion_referee_shares_no_census_code():
     # quaternion_classes enumerates its own quaternions and frames: the
-    # referee names neither the census's table nor its k = 1 frame builder
+    # referee names neither the census's table nor its cube constructor
     tree = ast.parse(Path(referee.__file__).read_text())
     names = set()
     for node in ast.walk(tree):
@@ -557,18 +557,17 @@ def test_the_quaternion_referee_shares_no_census_code():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
     assert "quaternion_classes" in names
-    assert not names & {"plane_quaternions", "quaternion_frame"}
+    assert not names & {"plane_quaternions", "build_cube"}
 
 
 def test_a_k1_candidate_off_its_table_raises_value_error():
-    # a k = 1 candidate is built from its d's quaternion table; a solution
-    # that is not in it is a ValueError (a cache replay's CacheMismatch), not
-    # a KeyError
+    # a candidate is built from its d's quaternion table; a solution that is
+    # not in it is a ValueError (a cache replay's CacheMismatch), not a KeyError
     sol3 = PlaneSolution(1, 1, 5, 3)
     assert _build_one((1, NormFormSolution(0, 1), 3, sol3)).side == 3
-    for d, sol in ((5, sol3), (3, PlaneSolution(1, 1, 1, 3))):
+    for sol in (PlaneSolution(1, 1, 5, 5), PlaneSolution(1, 1, 1, 3)):
         with pytest.raises(ValueError, match="is not a primitive plane solution of d"):
-            _build_one((1, NormFormSolution(0, 1), d, sol))
+            _build_one((1, NormFormSolution(0, 1), sol.d, sol))
 
 
 def test_first_cube_without_k_value_1():

@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 
 from latticecubes import lattice_geometry
 from latticecubes.census import _candidate_stream
-from latticecubes.diophantine import NormFormSolution, PlaneSolution, plane_quaternions, solve_three_squares
-from latticecubes.lattice_geometry import (
-    ORIGIN,
-    Cube,
-    Frame,
-    NonIntegralError,
-    Vec3,
-    build_cube,
-    quaternion_frame,
+from latticecubes.diophantine import (
+    NormFormSolution,
+    PlaneSolution,
+    k_values,
+    plane_quaternions,
+    solve_norm_form,
+    solve_three_squares,
 )
+from latticecubes.lattice_geometry import ORIGIN, Cube, Frame, Vec3, build_cube
 from latticecubes.ring_arith import find_rs
 from latticecubes.symmetry import class_key
+from . import referee
 from .published_data import EXAMPLE_CUBE, TABLE1
 from .referee import (
     BOX_MAPS,
+    NonIntegralError,
     apply_box_map,
     bounding_dim,
     build_cube_by_steps,
@@ -309,41 +310,51 @@ def test_build_cube_rejects_non_square_norm():
 
 
 def test_build_cube_matches_referee_chain():
-    # build_cube runs the chain inline on integers; the referee runs it on
-    # Vec3s one step at a time, and the frames must be the same tuples
-    items = list(_candidate_stream(200))
-    assert len(items) == 1830
-    for _, mn, _, sol in items:
-        assert build_cube(sol, mn) == build_cube_by_steps(sol, mn), (sol, mn)
+    # build_cube turns the quaternion frame by the divisor beta of m + n omega;
+    # the referee runs the triangle chain.  Every k > 1 candidate with
+    # k d <= 1999 and its mirror triangle, which takes the conjugate of beta,
+    # build the same class
+    built = 0
+    for k in k_values(1999)[1:]:
+        for d in range(1, 1999 // k + 1, 2):
+            for sol in solve_three_squares(d):
+                for m, n in solve_norm_form(k):
+                    for mn in (NormFormSolution(m, n), NormFormSolution(n - m, n)):
+                        frame = build_cube(sol, mn)
+                        assert frame.diagonals()[0] == (k * sol.a, k * sol.b, k * sol.c), (sol, mn)
+                        assert class_key(frame) == class_key(build_cube_by_steps(sol, mn)), (sol, mn)
+                        built += 1
+    assert built == 12636
 
 
 def test_either_sign_of_find_rs_builds_the_same_cube(monkeypatch):
-    # find_rs's (r, s) is unique up to sign: -(r, s) negates zeta, eta, the
-    # triangle, the apex and the frame, and a cube is its own point
-    # reflection, so the octant-normalized cube is the same
+    # find_rs's (r, s) is unique up to sign: -(r, s) negates the referee's
+    # zeta, eta, the triangle, the apex and the frame, and a cube is its own
+    # point reflection, so the octant-normalized cube is the same
     items = list(_candidate_stream(200))
     assert len(items) == 1830
-    cubes = [build_cube(sol, mn).cube() for _, mn, _, sol in items]
-    monkeypatch.setattr(lattice_geometry, "find_rs", lambda A, B, q: tuple(-t for t in find_rs(A, B, q)))
+    cubes = [build_cube_by_steps(sol, mn).cube() for _, mn, _, sol in items]
+    monkeypatch.setattr(referee, "find_rs", lambda A, B, q: tuple(-t for t in find_rs(A, B, q)))
     for (_, mn, _, sol), cube in zip(items, cubes):
-        assert build_cube(sol, mn).cube() == cube, (sol, mn)
+        assert build_cube_by_steps(sol, mn).cube() == cube, (sol, mn)
 
 
-def test_quaternion_frame_is_the_k1_cube_of_build_cube():
-    # the census builds a k = 1 cube from its plane solution's quaternion;
-    # build_cube, through find_rs, zeta, eta and the apex, is its referee
+def test_k1_build_cube_is_the_referee_chain_cube():
+    # a k = 1 cube is the Euler-Rodrigues frame of its plane solution's
+    # quaternion, with (a, b, c) as its first main diagonal; the triangle
+    # chain, through find_rs, zeta, eta and the apex, is its referee
     checked = 0
     for d in range(1, 302, 2):
-        for sol, q in plane_quaternions(d).items():
-            frame = quaternion_frame(q, sol)
-            assert frame.diagonals()[0] == sol[:3], (sol, q)
-            assert class_key(frame) == class_key(build_cube(sol, NormFormSolution(0, 1))), (sol, q)
+        for sol in plane_quaternions(d):
+            frame = build_cube(sol, NormFormSolution(0, 1))
+            assert frame.diagonals()[0] == sol[:3], sol
+            assert class_key(frame) == class_key(build_cube_by_steps(sol, NormFormSolution(0, 1))), sol
             checked += 1
     assert checked == 3940
 
 
 def test_find_rs_orientation_makes_zeta_eta_integral():
-    # build_cube's one-orientation argument, on every order and sign of the
+    # the referee chain's one-orientation argument, on every order and sign of the
     # plane solutions with d <= 151: f = s + r i sqrt(3) from find_rs
     # divides z = ac - bd i sqrt(3), and zeta, eta are integral for (r, s)
     seen = 0
@@ -361,20 +372,30 @@ def test_find_rs_orientation_makes_zeta_eta_integral():
     assert seen == 48480
 
 
-def test_build_cube_raises_when_its_orientation_is_not_integral(monkeypatch):
+def test_build_cube_by_steps_raises_when_its_orientation_is_not_integral(monkeypatch):
     # for (a, b, c, d) = (1, 1, 5, 3), zeta is not integral for (r, s) = (1, 0)
     sol = PlaneSolution(1, 1, 5, 3)
     with pytest.raises(NonIntegralError):
         zeta_eta(sol, 1, 0)
-    monkeypatch.setattr(lattice_geometry, "find_rs", lambda A, B, q: (1, 0))
+    monkeypatch.setattr(referee, "find_rs", lambda A, B, q: (1, 0))
     with pytest.raises(NonIntegralError):
-        build_cube(sol, NormFormSolution(0, 1))
+        build_cube_by_steps(sol, NormFormSolution(0, 1))
 
 
-def test_build_cube_rejects_two_integral_apex_signs():
-    # k = 3 makes both apex signs integral; no census k is divisible by 3
-    with pytest.raises(ValueError, match="both tetrahedron apex signs"):
+def test_build_cube_rejects_a_triangle_without_beta():
+    # k = 3 has no t + u sqrt(-3) of norm 3 with t > 0, and no census k is
+    # divisible by 3: a ValueError, not a StopIteration
+    with pytest.raises(ValueError, match=r"no t \+ u\*sqrt\(-3\) of norm 3 divides 3 \+ 0\*omega"):
         build_cube(PlaneSolution(1, 1, 1, 1), NormFormSolution(3, 0))
+
+
+def test_build_cube_rejects_a_quaternion_off_its_solution(monkeypatch):
+    # a quaternion that maps the diagonal to another plane solution
+    sol, other = PlaneSolution(5, 7, 13, 9), PlaneSolution(1, 11, 11, 9)
+    table = plane_quaternions(9)
+    monkeypatch.setattr(lattice_geometry, "plane_quaternions", lambda d: {sol: table[other]})
+    with pytest.raises(ValueError, match="maps the diagonal to"):
+        build_cube(sol, NormFormSolution(0, 1))
 
 
 def test_build_cube_matches_census_records(registry30):
@@ -399,13 +420,13 @@ def test_four_k_values_matches_diagonal_search():
 
 
 def test_frame_path_matches_vertex_path(registry50):
-    # the frame build_cube returns sits at the tetrahedron's origin corner,
-    # not at the smallest vertex of the record's cube
+    # the frame the referee chain returns sits at the tetrahedron's origin
+    # corner, not at the smallest vertex of the record's cube
     from latticecubes.census import build_multiples
 
     records = registry50.records + build_multiples(50, registry50)
     for rec in records:
-        frame = build_cube(*rec.source)
+        frame = build_cube_by_steps(*rec.source)
         j = rec.side // frame.side  # dilation factor of a multiple
         frame = Frame(*(e.scale(j) for e in frame))
         assert frame.cube() == rec.cube, rec.source
@@ -446,11 +467,8 @@ def test_non_cubes_are_rejected_before_k_values(points):
         (lambda: _raw_cube(_CUBOID).corner_edges(), ValueError),
         (lambda: fourth_vertex((ORIGIN, Vec3(1, 0, 0), Vec3(0, 1, 0)), PlaneSolution(1, 1, 1, 1), 1, 0), ValueError),
         (lambda: complete_cube((Vec3(1, 0, 0), Vec3(1, 1, 0), Vec3(1, 0, 1), Vec3(0, 0, 0))), ValueError),
-        # the quaternion of one plane solution does not map the diagonal to another
-        (
-            lambda: quaternion_frame(plane_quaternions(9)[PlaneSolution(1, 11, 11, 9)], PlaneSolution(5, 7, 13, 9)),
-            ValueError,
-        ),
+        # a plane solution missing from its d's quaternion table
+        (lambda: build_cube(PlaneSolution(1, 1, 1, 3), NormFormSolution(0, 1)), ValueError),
     ],
 )
 def test_geometry_checks_raise_typed_errors(call, exc):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticecubes.census import build_irreducible_list, build_multiples
-from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
+from latticecubes.lattice_geometry import Cube, Frame, Vec3
 from latticecubes.symmetry import (
     InvariantSet,
     _stabilizer,
@@ -20,6 +20,7 @@ from .referee import (
     apply_box_map,
     bounding_dim,
     brute_force_orbit_fill,
+    build_cube_by_steps,
     canonical_form,
     generalized_orbit,
     symmetry_orbit,
@@ -220,11 +221,11 @@ def test_kernel_matches_referee_on_box_images(registry50, data):
 
 
 def test_kernel_at_origin_corner_matches_referee(registry50):
-    # build_cube's frame sits at the tetrahedron's origin corner, not at the
-    # smallest vertex: the kernel's results must not depend on the corner
+    # the referee chain's frame sits at the tetrahedron's origin corner, not
+    # at the smallest vertex: the kernel's results must not depend on the corner
     records = registry50.records + build_multiples(50, registry50)
     for rec in records:
-        frame = build_cube(*rec.source)
+        frame = build_cube_by_steps(*rec.source)
         j = rec.side // frame.side  # dilation factor of a multiple
         frame = Frame(*(e.scale(j) for e in frame))
         assert class_key(frame) == class_key(rec.cube.corner_edges()), rec.source
@@ -238,7 +239,7 @@ def _dilated_invariants(frame):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_orbit_memo_matches_uncached_passes(registry50, data):
-    # the kernel's table is memoized by class key: interleaved calls on
+    # the kernel's pass is memoized for the last frame: interleaved calls on
     # different cubes, and on frames of one cube at other corners, signs
     # and edge orders, must each equal a pass with the memo cleared
     pool = data.draw(st.lists(st.sampled_from(registry50.records), min_size=2, max_size=3))
@@ -257,3 +258,25 @@ def test_orbit_memo_matches_uncached_passes(registry50, data):
         _stabilizer.cache_clear()
         want.append(fn(frame))
     assert got == want
+
+
+def test_a_record_costs_one_kernel_pass_and_no_class_key(monkeypatch):
+    # invariants(frame) and the claim's orbit_size(frame) share one kernel
+    # pass, which reads the frame's own edges: at N = 400, where every record
+    # has k-value 1, the census computes no class key (it did two per record)
+    from latticecubes import census, symmetry
+
+    calls = []
+    key = symmetry.class_key
+
+    def counted(frame):
+        calls.append(frame)
+        return key(frame)
+
+    monkeypatch.setattr(symmetry, "class_key", counted)
+    monkeypatch.setattr(census, "class_key", counted)
+    misses = _stabilizer.cache_info().misses
+    reg = build_irreducible_list(400)
+    assert len(reg.records) == 2171
+    assert _stabilizer.cache_info().misses - misses == len(reg.records)
+    assert len(calls) == 0
