@@ -9,9 +9,8 @@ through that pass.  Every cube comes from build_cube: the
 Euler-Rodrigues frame of the quaternion that made its plane solution
 (from the table diophantine.plane_quaternions keeps for the d the
 stream has just solved), for k > 1 turned about its diagonal by the
-divisor of norm k of the triangle's m + n*omega.  The per-record work
-(frame checks, extents, keys, the stabilizer pass) runs on plain
-integers.  A cube is accepted when it is genuinely new - not in the
+divisor of norm k of the triangle's m + n*omega.  A cube is accepted
+when it is genuinely new - not in the
 generalized orbit of anything already recorded at the same side
 length - and when the k = 1 pass could not have produced it (the
 "exception" guard: for k > 1 the cube must not have 1 among its
@@ -24,6 +23,15 @@ reaches: without it the census falls 72 classes short of psi at side
 63973 = 7*13*19*37.  A record keeps its
 frame and its triangle's (m, n), and reads its k-values and, for output
 only, its 8 vertices from the frame (CubeRecord.k_values, .cube).
+
+One pass per record: its frame is built once, the guards (side, a gcd
+of the nine integers) and the bounding dimension are read from the
+frame's nine integers, and one kernel pass gives its invariants
+(symmetry.invariants).  Every later reader takes its answer from the
+record: the claim reads its keys from the frame and its orbit size from
+its alpha and slack (CubeRegistry.claim), and build_multiples runs one
+more kernel pass per parent of dilates.  Nothing is cached between
+records.
 
 A side is done at psi(s), its number of translation classes (below):
 its k > 1 candidates are built only while the side is short of psi(s),
@@ -79,7 +87,6 @@ N + boxes, not N * boxes; count_cubes takes its last term.
 
 from __future__ import annotations
 
-import json
 import os
 from itertools import accumulate, chain, count, groupby
 from math import gcd, isqrt
@@ -94,8 +101,8 @@ from .diophantine import (
     solve_norm_form,
     solve_three_squares,
 )
-from .lattice_geometry import Cube, Frame, build_cube
-from .symmetry import ClassKey, Edge, InvariantSet, class_key, invariants, orbit_classes, orbit_size
+from .lattice_geometry import Cube, Frame, Vec3, build_cube
+from .symmetry import ClassKey, Edge, InvariantSet, class_key, dilate_invariants, invariants, orbit_classes
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -124,17 +131,31 @@ class CubeRecord(NamedTuple):
         return self.frame.cube()
 
 
-def _unit_diagonals(frame: Frame) -> Iterator[Edge]:
+def _unit_diagonals(frame: Frame) -> list[Edge]:
     """Sorted |coordinates| of the cube's main diagonals of k-value 1.
 
     A diagonal's k-value is the gcd of its coordinates (Frame.k_values).
     A box map permutes and negates coordinates, so the keys are the same
     for every cube of the orbit.
     """
+    keys = []
     for x, y, z in frame.diagonals():
         if gcd(x, y, z) == 1:
-            a, b, c = sorted((abs(x), abs(y), abs(z)))
-            yield a, b, c
+            # |x| <= |y| <= |z| by compare and swap
+            if x < 0:
+                x = -x
+            if y < 0:
+                y = -y
+            if z < 0:
+                z = -z
+            if x > y:
+                x, y = y, x
+            if y > z:
+                y, z = z, y
+                if x > y:
+                    x, y = y, x
+            keys.append((x, y, z))
+    return keys
 
 
 class CubeRegistry:
@@ -156,14 +177,28 @@ class CubeRegistry:
 
     def claim(self, record: CubeRecord) -> None:
         """Index the record's orbit; ArithmeticError naming its side if the
-        orbit is claimed already."""
-        side, frame = record.side, record.frame
-        keys = set(_unit_diagonals(frame)) or orbit_classes(frame)
+        orbit is claimed already, or if the record's alpha is no whole number
+        of orbit classes.
+
+        Everything is read from the record, with no kernel pass: the keys
+        from its frame, and its orbit size from its alpha and its slack
+        r = bound_dim - extents, by the orbit-size identity of the symmetry
+        module.
+        """
+        side, bound_dim, frame, inv, _ = record
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
+        r0 = bound_dim - abs(x1) - abs(x2) - abs(x3)
+        r1 = bound_dim - abs(y1) - abs(y2) - abs(y3)
+        r2 = bound_dim - abs(z1) - abs(z2) - abs(z3)
+        size, rest = divmod(inv.alpha, (1 + r0) * (1 + r1) * (1 + r2))
+        if rest:
+            raise ArithmeticError(f"side {side}: alpha {inv.alpha} of frame {frame} is no whole orbit size")
+        keys = _unit_diagonals(frame) or orbit_classes(frame)
         if not self.claimed.isdisjoint(keys):
             raise ArithmeticError(f"side {side}: the orbit of frame {frame} is claimed twice")
-        self.claimed |= keys
+        self.claimed.update(keys)
         self.records.append(record)
-        self.classes[side] = self.classes.get(side, 0) + orbit_size(frame)
+        self.classes[side] = self.classes.get(side, 0) + size
 
     def is_claimed(self, key: Edge | ClassKey) -> bool:
         """True iff `key` is claimed.  A claim holds its orbit's every key
@@ -178,11 +213,14 @@ def _side_candidates(s: int, norm_forms: dict[int, list[NormFormSolution]]) -> I
     norm_forms (k -> solve_norm_form(k), k ascending) that divides s, then
     each (m, n), then each plane solution of d = s/k."""
     for k, mns in norm_forms.items():
+        if k > s:
+            break
         if s % k == 0:
-            sols = solve_three_squares(s // k)
+            d = s // k
+            sols = solve_three_squares(d)
             for mn in mns:
                 for sol in sols:
-                    yield k, mn, s // k, sol
+                    yield k, mn, d, sol
 
 
 def _candidate_stream(N: int) -> Iterator[Candidate]:
@@ -249,31 +287,32 @@ def _accept_side(
     record keeps the (m, n) of the triangle it came from."""
     reg.claimed = set()
     expected = dedekind_psi(side)
-    for k, mn, d, sol in candidates:
-        # a k = 1 candidate is decided by its plane solution, a k = 1 diagonal
-        # key of its cube; a k > 1 candidate is passed over once the side is full
-        if reg.is_claimed((sol.a, sol.b, sol.c)) if k == 1 else expected == reg.classes.get(side, 0):
-            continue
-        # a k > 1 candidate stands for its triangle and then the mirror triangle
-        for mn in (mn,) if k == 1 else (mn, NormFormSolution(mn.n - mn.m, mn.n)):
-            frame = build((k, mn, d, sol))
-            if k == 1 or not (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
-                break
+    side2 = side * side
+    for item in candidates:
+        k, mn, d, sol = item
+        if k == 1:
+            # decided by its plane solution, a k = 1 diagonal key of its cube
+            if reg.is_claimed((sol.a, sol.b, sol.c)):
+                continue
+            frame = build(item)
+        elif expected == reg.classes.get(side, 0):
+            continue  # the side is full
         else:
-            continue  # each reachable by the k = 1 pass, or an orbit claimed by its class keys
-        if frame.side != side:
+            # the candidate stands for its triangle and then the mirror triangle
+            for mn in (mn, NormFormSolution(mn.n - mn.m, mn.n)):
+                frame = build((k, mn, d, sol))
+                if not (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
+                    break
+            else:
+                continue  # each reachable by the k = 1 pass, or an orbit claimed by its class keys
+        # the guards and the bounding dimension, on the frame's nine integers
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
+        if x1 * x1 + y1 * y1 + z1 * z1 != side2:
             raise ArithmeticError(f"pipeline cube side {frame.side} != d*k = {side}")
-        if not frame.is_primitive():
+        if gcd(x1, y1, z1, x2, y2, z2, x3, y3, z3) != 1:
             raise ArithmeticError(f"pipeline cube with frame {frame} is reducible")
-        reg.claim(
-            CubeRecord(
-                side=side,
-                bound_dim=max(frame.extents()),
-                frame=frame,
-                invariants=invariants(frame),
-                source=(sol, mn),
-            )
-        )
+        bound_dim = max(abs(x1) + abs(x2) + abs(x3), abs(y1) + abs(y2) + abs(y3), abs(z1) + abs(z2) + abs(z3))
+        reg.claim(CubeRecord(side, bound_dim, frame, invariants(frame), (sol, mn)))
     claimed = reg.classes.get(side, 0)
     if claimed != expected:
         raise ArithmeticError(f"side {side}: {claimed} translation classes claimed, expected {expected}")
@@ -297,26 +336,20 @@ def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
     """Dilations j >= 2 of registry records with j * bound_dim <= N.
 
     A dilate's frame is its parent's times j, and so are its k-values,
-    which a record reads from its frame.  Its invariants come from the
-    parent's kernel pass with the slack scaled by j (symmetry.invariants),
-    which are not the parent's invariants: the placement polynomials are
-    not linear in the slack.  The frame kernel runs once per parent that
-    has a multiple, not once per dilate.
+    which a record reads from its frame.  Its invariants come from one
+    kernel pass over the parent's frame, run here once per parent that
+    has a dilate, with the slack scaled by j (symmetry.dilate_invariants);
+    they are not the parent's invariants, since the placement polynomials
+    are not linear in the slack.
     """
     out = []
-    for rec in reg.records:
-        j = 2
-        while j * rec.bound_dim <= N:
-            out.append(
-                CubeRecord(
-                    side=rec.side * j,
-                    bound_dim=j * rec.bound_dim,
-                    frame=rec.frame.scale(j),
-                    invariants=invariants(rec.frame, j),
-                    source=rec.source,
-                )
-            )
-            j += 1
+    for side, bound_dim, frame, _, source in reg.records:
+        if 2 * bound_dim > N:
+            continue
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
+        for j, inv in enumerate(dilate_invariants(frame, N // bound_dim), 2):
+            dilated = Frame(Vec3(j * x1, j * y1, j * z1), Vec3(j * x2, j * y2, j * z2), Vec3(j * x3, j * y3, j * z3))
+            out.append(CubeRecord(j * side, j * bound_dim, dilated, inv, source))
     return out
 
 
@@ -339,11 +372,13 @@ def box_sums(records: Iterable[CubeRecord]) -> dict[int, InvariantSet]:
     sharing a bounding box contribute one polynomial evaluation.
     """
     sums: dict[int, list[int]] = {}
-    for rec in records:
-        acc = sums.setdefault(rec.bound_dim, [0, 0, 0])
-        acc[0] += rec.invariants.alpha
-        acc[1] += rec.invariants.beta
-        acc[2] += rec.invariants.gamma
+    for _, bound_dim, _, (_, alpha, beta, gamma), _ in records:
+        acc = sums.get(bound_dim)
+        if acc is None:
+            acc = sums[bound_dim] = [0, 0, 0]
+        acc[0] += alpha
+        acc[1] += beta
+        acc[2] += gamma
     return {d: InvariantSet(0, *abg) for d, abg in sums.items()}
 
 
@@ -418,6 +453,7 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
     before any temp file is written.
     """
     import errno
+    import json
     import stat
     from pathlib import Path  # kept off the package's import path
 
@@ -495,6 +531,7 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     coprime m, n), so every replayed side is odd and at most N, as the
     accept pass needs.
     """
+    import json
     from pathlib import Path  # kept off the package's import path
 
     p = Path(path)

@@ -19,9 +19,10 @@ be written, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional
+
+# json is imported by the commands that read or write it, off the start-up path
 
 from .census import (
     CacheMismatch,
@@ -83,6 +84,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_sequence(args: argparse.Namespace) -> int:
     values = sequence(args.n, registry=_get_registry(args))
     if args.format == "json":
+        import json
+
         print(json.dumps(values))
     elif args.format == "csv":
         print("n,nc")
@@ -105,6 +108,8 @@ def cmd_list(args: argparse.Namespace) -> int:
     rows = [(r, r.cube) for r in records]  # each record's vertices, built once
     rows.sort(key=lambda rc: (rc[0].side, -rc[0].bound_dim, rc[1].vertices))
     if args.format == "json":
+        import json
+
         print(json.dumps([record_to_json(r, cube) for r, cube in rows], indent=1))
     else:
         for r, cube in rows:
@@ -115,6 +120,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    import json
+
     text = args.cube if args.cube is not None else sys.stdin.read()
     try:
         pts = json.loads(text)
@@ -189,6 +196,8 @@ def cmd_representations(args: argparse.Namespace) -> int:
     sols = solve_three_squares(d)
     formula = pi_epsilon(d)
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {

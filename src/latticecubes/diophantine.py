@@ -158,9 +158,13 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
     coordinates leaves the sorted |coordinates| of the image unchanged;
     the 8 sign patterns of (x, y, z) meet each of its 384 / 48 cosets.
     So the q taken are the sorted w >= z >= y >= x >= 0 of norm d, each
-    with the 8 signs of (x, y, z), the pair (z, w) looked up among the
-    two-square representations z <= w of d - x^2 - y^2; an image with a
-    common factor is dropped, and a solution keeps the first q met.
+    with the 8 signs of (x, y, z) (a zero coordinate takes one sign), the
+    pair (z, w) looked up among the two-square representations z <= w of
+    d - x^2 - y^2; since x, y <= z that sum is at least d - 2z^2, so the
+    table holds only the pairs with w^2 >= d - 3z^2.  An image with a
+    common factor is dropped, and a solution keeps the first q met: the
+    image's sorted |coordinates| are looked up as a plain tuple, and a
+    PlaneSolution is built only for one not met before.
 
     The last d's table is kept, read-only: the census asks for a side's
     solutions as a stream and then for the quaternion of each cube it
@@ -170,7 +174,8 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
         raise ValueError("d must be a positive odd integer")
     two_squares: dict[int, list[tuple[int, int]]] = {}
     for z in range(isqrt(d // 2) + 1):
-        for w in range(z, isqrt(d - z * z) + 1):
+        lo = d - 3 * z * z  # the least w^2 a lookup can ask for
+        for w in range(max(z, isqrt(lo - 1) + 1 if lo > 0 else 0), isqrt(d - z * z) + 1):
             two_squares.setdefault(z * z + w * w, []).append((z, w))
     out: dict[PlaneSolution, tuple[int, int, int, int]] = {}
     for x in range(isqrt(d // 4) + 1):
@@ -181,14 +186,29 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
                 # q e q-bar = h e + 2 (p.e) p + 2w (p x e) for the vector part p of q,
                 # with h = w^2 - |p|^2 = 2w^2 - d
                 h = 2 * w * w - d
-                for u, v, t in product((x, -x), (y, -y), (z, -z)):
+                for u, v, t in product((x, -x) if x else (0,), (y, -y) if y else (0,), (z, -z) if z else (0,)):
                     s = u + v + t  # p.e
                     a = h + 2 * (s * u + w * (v - t))
                     b = h + 2 * (s * v + w * (t - u))
                     c = h + 2 * (s * t + w * (u - v))
-                    if gcd(a, b, c) == 1:
-                        out.setdefault(PlaneSolution(*sorted((abs(a), abs(b), abs(c))), d), (w, u, v, t))
-    return MappingProxyType(dict(sorted(out.items())))
+                    if gcd(a, b, c) != 1:
+                        continue
+                    # |a| <= |b| <= |c| by compare and swap
+                    if a < 0:
+                        a = -a
+                    if b < 0:
+                        b = -b
+                    if c < 0:
+                        c = -c
+                    if a > b:
+                        a, b = b, a
+                    if b > c:
+                        b, c = c, b
+                        if a > b:
+                            a, b = b, a
+                    if (a, b, c, d) not in out:  # a PlaneSolution equals its plain tuple
+                        out[PlaneSolution(a, b, c, d)] = (w, u, v, t)
+    return MappingProxyType({sol: out[sol] for sol in sorted(out)})
 
 
 def solve_three_squares(d: int) -> list[PlaneSolution]:
@@ -202,12 +222,13 @@ def solve_norm_form(k: int) -> list[NormFormSolution]:
 
     For each m the equation is a quadratic in n with roots
     (m +- sqrt(4k^2 - 3m^2)) / 2.  The smaller root is at most m/2, so
-    only the larger one can satisfy 2m < n; m <= k keeps the root real.
+    only the larger one can satisfy 2m < n, and then k^2 = (n - m/2)^2 +
+    3m^2/4 > 3m^2, so m runs only to sqrt((k^2 - 1)/3).
     """
     if k < 1:
         raise ValueError("k must be positive")
     out: list[NormFormSolution] = []
-    for m in range(0, k + 1):
+    for m in range(isqrt((k * k - 1) // 3) + 1):
         disc = 4 * k * k - 3 * m * m
         root = isqrt(disc)
         if root * root != disc or (m + root) % 2:

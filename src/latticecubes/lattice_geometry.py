@@ -17,10 +17,11 @@ the apex of a regular tetrahedron, the circumscribing cube) is the
 referee in tests/referee.py (build_cube_by_steps); the tests and CI
 compare the two by class key.
 
-The Frame methods the census calls once per record (Frame.of, side,
-extents, diagonals, is_primitive) unpack the nine coordinates and work
-on plain integers.  Everything is exact integer arithmetic; any
-non-integrality is a typed error, never a rounding.
+The Frame methods unpack the nine coordinates and work on plain
+integers; a census record calls Frame.of (in build_cube) and diagonals
+(its claim keys), and reads its other guards from the nine integers
+itself.  Everything is exact integer arithmetic; any non-integrality is
+a typed error, never a rounding.
 """
 
 from __future__ import annotations
@@ -220,16 +221,22 @@ def build_cube(sol: PlaneSolution, mn: NormFormSolution) -> Frame:
     the tetrahedron apex, the circumscribing cube), up to translation;
     the tests and CI compare their class keys.
 
+    The k = 1 triangle (0, 1) takes the frame F as it is, with no norm
+    form to solve; Frame.of checks it like any other.
+
     ValueError when m^2 - mn + n^2 is not a square, when `sol` is not in
     its d's table, when the row sums are not (a, b, c), or when no beta
     divides m + n*omega (e.g. (3, 0): 3 = 0^2 + 3*1^2 only); Frame.of
     checks the cube.
     """
     m, n = mn
-    kk = m * m - m * n + n * n
-    k = isqrt(kk)
-    if k * k != kk:
-        raise ValueError("m^2 - mn + n^2 must be a perfect square")
+    if m == 0 and n == 1:
+        k = 1  # the k = 1 triangle: no norm form to solve
+    else:
+        kk = m * m - m * n + n * n
+        k = isqrt(kk)
+        if k * k != kk:
+            raise ValueError("m^2 - mn + n^2 must be a perfect square")
     q = plane_quaternions(sol.d).get(sol)
     if q is None:
         raise ValueError(f"{sol} is not a primitive plane solution of d = {sol.d}")

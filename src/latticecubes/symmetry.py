@@ -33,7 +33,8 @@ of the cube, which holds iff each image edge is an edge of the frame
 or its negation (so the kernel computes no class key).  Such a map
 must permute the extents w into themselves, so only those permutations
 are tried (just the identity's 4 sign pairs when the three extents
-differ).  By orbit-stabilizer:
+differ), and the identity fixes every class untried.  By
+orbit-stabilizer:
 
   orbit size  = 24 / st classes;
   alpha, beta, gamma: an image's slack is r = d - w permuted, so the 24
@@ -52,6 +53,14 @@ differ).  By orbit-stabilizer:
 
 So the kernel keeps st, alpha0 and the slack triple r of a class.
 
+The orbit-size identity: at j = 1, 1 + e1 + e2 + e3 is the product
+(1 + r0)(1 + r1)(1 + r2), so
+
+  orbit size = alpha / ((1 + r0)(1 + r1)(1 + r2)),
+
+exactly.  The census reads a record's orbit size this way, from its
+alpha and its slack, with no second kernel pass (census.CubeRegistry.claim).
+
 orbit_classes lists the 24 images' class keys; the census needs it only
 for a cube without k-value 1 (census docstring).
 
@@ -62,7 +71,6 @@ against a referee that moves all 8 vertices of a cube literally
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -99,47 +107,54 @@ def class_key(frame: Frame) -> ClassKey:
 
 # the 6 axis permutations: image coordinate i is read from axis perm[i]
 _PERMS = tuple(permutations((0, 1, 2)))
+# The maps that keep axis 0 and the extents (w0, w1, w2), the identity left
+# out, as (p0, p1, p2, g1, g2), keyed by which of w0 = w1, w1 = w2 and w0 = w2
+# hold: when the three extents differ, the identity's other 3 sign pairs.
+_MAPS = {
+    (w[0] == w[1], w[1] == w[2], w[0] == w[2]): tuple(
+        (*p, g1, g2) for p in _PERMS if (w[p[0]], w[p[1]], w[p[2]]) == w for g1, g2 in _SIGNS
+    )[1:]
+    for w in ((0, 1, 2), (0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 0))
+}
 
 
-@lru_cache(maxsize=1)
 def _stabilizer(frame: Frame) -> tuple[int, int, Slack]:
     """One frame kernel pass over the cube of `frame`: st, alpha0 and the
     slack r = d - w of its extents.
 
     st counts the 24 maps that keep axis 0 and fix the class.  Only a
-    permutation that preserves the extents w can fix it, so when the
-    three extents differ only the identity's 4 sign pairs are tried.
+    map that preserves the extents w can fix it, so when the three
+    extents differ only the identity's 4 sign pairs are tried; the
+    identity itself fixes every class and is counted untried (_MAPS).
     The extents and the lines +-e_i are the same for every frame of the
     cube (any corner, sign or order), so the pass needs no class key and
-    gives each frame of one class the same result.  The last frame's is
-    kept: the census asks for a record's invariants and then for its
-    orbit size, and for the invariants of each dilate of one cube in a
-    row, each time with the same frame.
+    gives each frame of one class the same result.  Nothing is kept
+    between calls: the census runs one pass per record and one per
+    parent of dilates (census.build_multiples).
     """
-    w = frame.extents()
-    d = max(w)
-    r = r0, r1, r2 = d - w[0], d - w[1], d - w[2]
     e1, e2, e3 = frame
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
+    w0, w1, w2 = abs(x1) + abs(x2) + abs(x3), abs(y1) + abs(y2) + abs(y3), abs(z1) + abs(z2) + abs(z3)
+    d = max(w0, w1, w2)
+    r0, r1, r2 = d - w0, d - w1, d - w2
     # a map fixes the class iff it takes each edge to a frame edge or its negation
-    lines = {e1, e2, e3, (-e1[0], -e1[1], -e1[2]), (-e2[0], -e2[1], -e2[2]), (-e3[0], -e3[1], -e3[2])}
-    st = fixed = 0
-    for p0, p1, p2 in _PERMS:
-        if (w[p0], w[p1], w[p2]) != w:
+    lines = {e1, e2, e3, (-x1, -y1, -z1), (-x2, -y2, -z2), (-x3, -y3, -z3)}
+    # the identity fixes the class, and its negation the cube iff r = 0
+    st, fixed = 1, 1 + (r0 == 0 and r1 == 0 and r2 == 0)
+    for p0, p1, p2, g1, g2 in _MAPS[w0 == w1, w1 == w2, w0 == w2]:
+        if not (
+            (e1[p0], g1 * e1[p1], g2 * e1[p2]) in lines
+            and (e2[p0], g1 * e2[p1], g2 * e2[p2]) in lines
+            and (e3[p0], g1 * e3[p1], g2 * e3[p2]) in lines
+        ):
             continue
-        for g1, g2 in _SIGNS:
-            if not (
-                (e1[p0], g1 * e1[p1], g2 * e1[p2]) in lines
-                and (e2[p0], g1 * e2[p1], g2 * e2[p2]) in lines
-                and (e3[p0], g1 * e3[p1], g2 * e3[p2]) in lines
-            ):
-                continue
-            st += 1
-            # the map with signs (1, g1, g2) fixes the positioned cube iff its
-            # offset is 0 on each axis it flips (g = -1); its negation flips
-            # axis 0 and each axis with g = +1
-            fixed += (g1 > 0 or r1 == 0) and (g2 > 0 or r2 == 0)
-            fixed += r0 == 0 and (g1 < 0 or r1 == 0) and (g2 < 0 or r2 == 0)
-    return st, 48 // fixed, r
+        st += 1
+        # the map with signs (1, g1, g2) fixes the positioned cube iff its
+        # offset is 0 on each axis it flips (g = -1); its negation flips
+        # axis 0 and each axis with g = +1
+        fixed += (g1 > 0 or r1 == 0) and (g2 > 0 or r2 == 0)
+        fixed += r0 == 0 and (g1 < 0 or r1 == 0) and (g2 < 0 or r2 == 0)
+    return st, 48 // fixed, (r0, r1, r2)
 
 
 def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
@@ -153,21 +168,37 @@ def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
 
 
 def orbit_size(frame: Frame) -> int:
-    """Number of translation classes in the cube's symmetry orbit, 24 / st."""
+    """Number of translation classes in the cube's symmetry orbit, 24 / st.
+
+    A caller holding the cube's alpha and slack reads it without a kernel
+    pass, by the orbit-size identity (module docstring)."""
     return 24 // _stabilizer(frame)[0]
 
 
 def invariants(frame: Frame, j: int = 1) -> InvariantSet:
-    """(alpha0, alpha, beta, gamma) of the cube spanned by j * frame, by the frame kernel.
+    """(alpha0, alpha, beta, gamma) of the cube spanned by j * frame, by one
+    frame kernel pass.
 
     Dilating a cube by j >= 1 scales its orbit's class keys, slacks and
     offsets by j, one to one: alpha0 stays and alpha, beta, gamma are the
-    same symmetric functions of s = j * r.  So a dilate reuses its
-    parent's kernel pass.
+    same symmetric functions of s = j * r.
     """
     if j < 1:
         raise ValueError("dilation factor must be positive")
-    st, alpha0, (r0, r1, r2) = _stabilizer(frame)
+    return _closed_form(frame, _stabilizer(frame), j)
+
+
+def dilate_invariants(frame: Frame, jmax: int) -> list[InvariantSet]:
+    """invariants(frame, j) for j = 2, ..., jmax, by one frame kernel pass:
+    the dilates of one cube share st, alpha0 and r."""
+    kernel = _stabilizer(frame)
+    return [_closed_form(frame, kernel, j) for j in range(2, jmax + 1)]
+
+
+def _closed_form(frame: Frame, kernel: tuple[int, int, Slack], j: int) -> InvariantSet:
+    """The invariants of j * frame from its kernel pass (module docstring);
+    ArithmeticError if they are inconsistent."""
+    st, alpha0, (r0, r1, r2) = kernel
     s0, s1, s2 = j * r0, j * r1, j * r2
     e1, e2, e3 = s0 + s1 + s2, s0 * s1 + s0 * s2 + s1 * s2, s0 * s1 * s2
     alpha = 24 * (1 + e1 + e2 + e3) // st

@@ -32,8 +32,8 @@ TIMEOUT_S = 300  # the whole unmutated suite takes well under a minute
 MUTANTS = [
     (
         "src/latticecubes/diophantine.py",
-        "                    if gcd(a, b, c) == 1:\n",
-        "                    if True:\n",
+        "                    if gcd(a, b, c) != 1:\n",
+        "                    if False:\n",
         "plane_quaternions keeps imprimitive plane solutions (no gcd filter)",
     ),
     (
@@ -62,26 +62,26 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/symmetry.py",
-        "            if not (\n",
-        "            if False and (\n",
+        "        if not (\n",
+        "        if False and (\n",
         "the stabilizer counts every extent-preserving map, fixing the class or not",
     ),
     (
         "src/latticecubes/census.py",
-        "else expected == reg.classes.get(side, 0):",
-        "else True:",
+        "        elif expected == reg.classes.get(side, 0):\n",
+        "        elif True:\n",
         "the census skips every k > 1 candidate, so a side short of psi(s) builds none",
     ),
     (
         "src/latticecubes/census.py",
-        "            if k == 1 or not (1 in frame.k_values() or reg.is_claimed(class_key(frame))):\n",
-        "            if k == 1 or not reg.is_claimed(class_key(frame)):\n",
+        "                if not (1 in frame.k_values() or reg.is_claimed(class_key(frame))):\n",
+        "                if not reg.is_claimed(class_key(frame)):\n",
         "no k = 1 guard: a built k > 1 cube with k-value 1 is recorded again",
     ),
     (
         "src/latticecubes/census.py",
-        "        for mn in (mn,) if k == 1 else (mn, NormFormSolution(mn.n - mn.m, mn.n)):\n",
-        "        for mn in (mn,):\n",
+        "            for mn in (mn, NormFormSolution(mn.n - mn.m, mn.n)):\n",
+        "            for mn in (mn,):\n",
         "drop the mirror triangle: a k > 1 candidate builds only its 2m < n triangle",
     ),
     (
@@ -182,9 +182,27 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/symmetry.py",
-        "    lines = {e1, e2, e3, (-e1[0], -e1[1], -e1[2]), (-e2[0], -e2[1], -e2[2]), (-e3[0], -e3[1], -e3[2])}\n",
+        "    lines = {e1, e2, e3, (-x1, -y1, -z1), (-x2, -y2, -z2), (-x3, -y3, -z3)}\n",
         "    lines = {e1, e2, e3}\n",
         "the stabilizer's edge set lacks the negated frame edges",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "(1 + r0) * (1 + r1) * (1 + r2))\n",
+        "(1 + r1) * (1 + r2))\n",
+        "claim's orbit size drops the (1 + r0) factor",
+    ),
+    (
+        "src/latticecubes/symmetry.py",
+        "    st, fixed = 1, 1 + (r0 == 0 and r1 == 0 and r2 == 0)\n",
+        "    st, fixed = 1, 1\n",
+        "the stabilizer never counts the identity's negation as fixing the cube",
+    ),
+    (
+        "src/latticecubes/diophantine.py",
+        "        lo = d - 3 * z * z  # the least w^2 a lookup can ask for\n",
+        "        lo = d - 2 * z * z  # the least w^2 a lookup can ask for\n",
+        "plane_quaternions' two-square table drops pairs with d - 3z^2 <= w^2 < d - 2z^2, which lookups need",
     ),
 ]
 

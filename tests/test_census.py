@@ -42,7 +42,7 @@ from latticecubes.diophantine import (
 )
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.reference import COUNTS_LISTED
-from latticecubes.symmetry import InvariantSet, class_key, invariants, orbit_classes
+from latticecubes.symmetry import InvariantSet, class_key, invariants, orbit_classes, orbit_size
 
 from . import referee
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
@@ -52,6 +52,7 @@ from .referee import (
     count_from_boxes,
     diagonal_k_values,
     quaternion_classes,
+    table_invariants,
     vertex_invariants,
 )
 
@@ -188,7 +189,7 @@ def test_claim_membership_trick(registry19):
     # a box image, octant-normalized, is one of the claimed classes
     img = apply_box_map(rec.cube, rec.bound_dim, (2, 0, 1), (True, False, True))
     assert class_key(img.translate_to_octant().corner_edges()) in orbit_classes(rec.cube.corner_edges())
-    assert reg.is_claimed(next(_unit_diagonals(img.translate_to_octant().corner_edges())))
+    assert reg.is_claimed(_unit_diagonals(img.translate_to_octant().corner_edges())[0])
     # a claim holds at its own side only: side 7 starts with none of them
     reg = _accept_sides(5, 7)
     assert reg.classes == {5: dedekind_psi(5), 7: dedekind_psi(7)}
@@ -266,7 +267,6 @@ def test_cube_without_k_value_1_claims_by_class_keys():
     # the first such cube has no k = 1 diagonal key: it is claimed and
     # found through the class keys of its orbit
     from latticecubes.census import _unit_diagonals
-    from latticecubes.symmetry import orbit_classes, orbit_size
 
     from .referee import BOX_MAPS
 
@@ -296,10 +296,18 @@ def test_cube_without_k_value_1_claims_by_class_keys():
 
 
 def test_accept_guards_are_raises(monkeypatch):
-    # a pipeline cube failing a guard stops the census, with or without -O
-    monkeypatch.setattr(Frame, "is_primitive", lambda self: False)
-    with pytest.raises(ArithmeticError):
+    # a pipeline cube failing a guard stops the census, with or without -O:
+    # side 3 built as the unit cube dilated by 3 (the right side, but
+    # reducible), and side 5 built as a cube of side 3
+    build = census._build_one
+    unit = build((1, NormFormSolution(0, 1), 1, PlaneSolution(1, 1, 1, 1)))
+    side3 = build((1, NormFormSolution(0, 1), 3, solve_three_squares(3)[0]))
+    monkeypatch.setattr(census, "_build_one", lambda item: unit.scale(3) if item[0] * item[2] == 3 else build(item))
+    with pytest.raises(ArithmeticError, match=r"pipeline cube with frame .* is reducible"):
         build_irreducible_list(3)
+    monkeypatch.setattr(census, "_build_one", lambda item: side3 if item[0] * item[2] == 5 else build(item))
+    with pytest.raises(ArithmeticError, match=r"pipeline cube side 3 != d\*k = 5"):
+        build_irreducible_list(5)
 
 
 def test_census_checks_each_side_against_psi(monkeypatch):
@@ -310,20 +318,74 @@ def test_census_checks_each_side_against_psi(monkeypatch):
 
 
 def test_a_short_side_stops_the_census_before_the_next_side(monkeypatch):
-    # side 5's one record claims a class too few: the census raises at the
-    # end of side 5, and no candidate of side 7 or above is ever built
-    orbit_size, build = census.orbit_size, census._build_one
+    # side 5 expects a class more than its one record claims: the census
+    # raises at the end of side 5, and no candidate of side 7 or above is
+    # ever built
+    build = census._build_one
     built = []
 
     def counted_build(item):
         built.append(item[0] * item[2])
         return build(item)
 
-    monkeypatch.setattr(census, "orbit_size", lambda frame: orbit_size(frame) - (frame.side == 5))
+    monkeypatch.setattr(census, "dedekind_psi", lambda s: dedekind_psi(s) + (s == 5))
     monkeypatch.setattr(census, "_build_one", counted_build)
-    with pytest.raises(ArithmeticError, match="side 5: 5 translation classes claimed, expected 6"):
+    with pytest.raises(ArithmeticError, match="side 5: 6 translation classes claimed, expected 7"):
         build_irreducible_list(19)
     assert built == [1, 3, 5]
+
+
+def _slack_volume(frame, bound_dim):
+    """(1 + r0)(1 + r1)(1 + r2) for the slack r = bound_dim - extents."""
+    r0, r1, r2 = (bound_dim - w for w in frame.extents())
+    return (1 + r0) * (1 + r1) * (1 + r2)
+
+
+def test_a_claim_reads_its_orbit_size_from_alpha(monkeypatch, registry19):
+    # the orbit size is alpha / ((1 + r0)(1 + r1)(1 + r2)): an alpha one class
+    # too large claims one class more, so side 5 fails its psi check, and an
+    # alpha that is no whole number of classes stops the claim before it
+    # changes the registry
+    rec = next(r for r in registry19.records if r.side == 5)
+    one_class = _slack_volume(rec.frame, rec.bound_dim)
+    assert one_class > 1 and rec.invariants.alpha == one_class * orbit_size(rec.frame)
+    reg = CubeRegistry(n_built=5)
+    with pytest.raises(ArithmeticError, match="side 5: alpha 19 of frame .* is no whole orbit size"):
+        reg.claim(rec._replace(invariants=rec.invariants._replace(alpha=rec.invariants.alpha + 1)))
+    assert (reg.records, reg.claimed, reg.classes) == ([], set(), {})
+    reg.claim(rec._replace(invariants=rec.invariants._replace(alpha=rec.invariants.alpha + one_class)))
+    assert reg.classes == {5: orbit_size(rec.frame) + 1}
+
+    def one_class_more(frame, j=1):
+        inv = invariants(frame, j)
+        return inv._replace(alpha=inv.alpha + _slack_volume(frame, max(frame.extents()))) if frame.side == 5 else inv
+
+    monkeypatch.setattr(census, "invariants", one_class_more)
+    with pytest.raises(ArithmeticError, match="side 5: 7 translation classes claimed, expected 6"):
+        build_irreducible_list(19)
+
+
+def test_orbit_size_identity_on_every_record_and_dilate():
+    # alpha / ((1 + r0)(1 + r1)(1 + r2)) is exactly the kernel's orbit size on
+    # every record and dilate to N = 400 and on the first cube without k-value
+    # 1, and build_multiples' invariants equal the 24-image table's for j <= 3
+    reg = build_irreducible_list(400)
+    multiples = build_multiples(400, reg)
+    assert len(reg.records) + len(multiples) == 3423
+    rows = [(r.frame, r.bound_dim, r.invariants) for r in reg.records + multiples]
+    rows.append((FRAME_53599, max(FRAME_53599.extents()), invariants(FRAME_53599)))
+    for frame, bound_dim, inv in rows:
+        size, rest = divmod(inv.alpha, _slack_volume(frame, bound_dim))
+        assert rest == 0 and size == orbit_size(frame), frame
+    parents = {r.source: r for r in reg.records}
+    checked = 0
+    for m in multiples:
+        parent = parents[m.source]
+        j = m.side // parent.side
+        if j <= 3:
+            assert (orbit_size(parent.frame), m.invariants) == table_invariants(parent.frame, j), (parent.frame, j)
+            checked += 1
+    assert checked == 377
 
 
 def test_placement_count():

@@ -392,6 +392,17 @@ def test_import_loads_no_pathlib():
     assert proc.stdout == "False\n"
 
 
+def test_import_loads_no_json():
+    # json is imported by the commands that read or write JSON, so a
+    # b-file or table run does not pay for it at start-up
+    code = "import sys, latticecubes.cli; print('json' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_src_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_sequence_under_python_O():
     # the pipeline's data guards are explicit raises, so -O (which strips
     # asserts) must leave the census running and its numbers unchanged

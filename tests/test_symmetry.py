@@ -7,7 +7,6 @@ from latticecubes.census import build_irreducible_list, build_multiples
 from latticecubes.lattice_geometry import Cube, Frame, Vec3
 from latticecubes.symmetry import (
     InvariantSet,
-    _stabilizer,
     class_key,
     invariants,
     orbit_classes,
@@ -238,45 +237,44 @@ def _dilated_invariants(frame):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_orbit_memo_matches_uncached_passes(registry50, data):
-    # the kernel's pass is memoized for the last frame: interleaved calls on
-    # different cubes, and on frames of one cube at other corners, signs
-    # and edge orders, must each equal a pass with the memo cleared
-    pool = data.draw(st.lists(st.sampled_from(registry50.records), min_size=2, max_size=3))
-    calls = []
-    for _ in range(data.draw(st.integers(2, 10), label="calls")):
-        rec = data.draw(st.sampled_from(pool))
-        edges = list(rec.cube.corner_edges())
-        perm = data.draw(st.permutations(range(3)), label="edge order")
-        signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * 3), label="edge signs")
-        frame = Frame(*(edges[p].scale(g) for p, g in zip(perm, signs)))
-        fn = data.draw(st.sampled_from((invariants, orbit_classes, orbit_size, _dilated_invariants)))
-        calls.append((fn, frame))
-    got = [fn(frame) for fn, frame in calls]
-    want = []
-    for fn, frame in calls:
-        _stabilizer.cache_clear()
-        want.append(fn(frame))
-    assert got == want
+def test_every_frame_of_a_cube_gives_the_same_kernel_results(registry50, data):
+    # the kernel reads the extents and the lines +-e_i, which a frame of the
+    # cube at another corner, with other edge signs or in another edge order
+    # shares: each such frame gives the record's own results
+    rec = data.draw(st.sampled_from(registry50.records))
+    edges = list(rec.cube.corner_edges())
+    perm = data.draw(st.permutations(range(3)), label="edge order")
+    signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * 3), label="edge signs")
+    frame = Frame(*(edges[p].scale(g) for p, g in zip(perm, signs)))
+    for fn in (invariants, orbit_classes, orbit_size, _dilated_invariants):
+        assert fn(frame) == fn(rec.frame), fn.__name__
 
 
 def test_a_record_costs_one_kernel_pass_and_no_class_key(monkeypatch):
-    # invariants(frame) and the claim's orbit_size(frame) share one kernel
-    # pass, which reads the frame's own edges: at N = 400, where every record
-    # has k-value 1, the census computes no class key (it did two per record)
+    # a record costs one kernel pass, its invariants (the claim reads its
+    # orbit size from the record), and each parent of dilates one more for
+    # all of them; the pass reads the frame's own edges: at N = 400, where
+    # every record has k-value 1, the census computes no class key
     from latticecubes import census, symmetry
 
-    calls = []
-    key = symmetry.class_key
+    calls, passes = [], []
+    key, kernel = symmetry.class_key, symmetry._stabilizer
 
-    def counted(frame):
+    def counted_key(frame):
         calls.append(frame)
         return key(frame)
 
-    monkeypatch.setattr(symmetry, "class_key", counted)
-    monkeypatch.setattr(census, "class_key", counted)
-    misses = _stabilizer.cache_info().misses
+    def counted_kernel(frame):
+        passes.append(frame)
+        return kernel(frame)
+
+    monkeypatch.setattr(symmetry, "class_key", counted_key)
+    monkeypatch.setattr(census, "class_key", counted_key)
+    monkeypatch.setattr(symmetry, "_stabilizer", counted_kernel)
     reg = build_irreducible_list(400)
-    assert len(reg.records) == 2171
-    assert _stabilizer.cache_info().misses - misses == len(reg.records)
+    assert len(passes) == len(reg.records) == 2171
+    multiples = build_multiples(400, reg)
+    parents = {m.source for m in multiples}
+    assert (len(multiples), len(parents)) == (1252, 251)
+    assert len(passes) == len(reg.records) + len(parents)
     assert len(calls) == 0
