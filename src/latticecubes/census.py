@@ -254,7 +254,7 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
     the accept pass; acceptance always runs serially in the canonical
     order, so the result is independent of the thread count.
     The pool does not pay (README, Performance) and the CLI does not use
-    it; it stays for the benchmark's pool check until ROADMAP item 1
+    it; it stays for the benchmark's pool check until ROADMAP item 2
     removes both.
     """
     if N < 1:

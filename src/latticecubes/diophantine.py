@@ -166,6 +166,21 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
     image's sorted |coordinates| are looked up as a plain tuple, and a
     PlaneSolution is built only for one not met before.
 
+    When two of w, z, y, x are equal, the patterns meet fewer cosets: a
+    signed swap of the two maps q to g q h, with g and h among the 48
+    unit quaternions of the cube's rotations and h turning the diagonal
+    into its negative, so the image moves only by a signed permutation.
+    For the sign pattern (u, v, t) of (x, y, z), x = y swaps to (-v, -u,
+    -t) and y = z to (-u, -t, -v) (g = (i - j)/sqrt 2 or (j - k)/sqrt 2,
+    h its conjugate); z = w maps q to (-z, -x, y, -w) (g = (i + j)/sqrt 2,
+    h = (i - j)/sqrt 2), that is to (-u, v, t) for t < 0 and (u, -v, t)
+    for t > 0 up to the sign of q.  With three equal coordinates two
+    swaps compose: to (t, u, v) for x = y = z, and for y = z = w to (u,
+    -t, -v) or (-u, -t, v).  A pattern one of these maps to an earlier
+    pattern repeats that pattern's image and is skipped (2868 of the
+    11356 images for d <= 400); the table keeps the same first q for
+    every solution, and no image of one q repeats (checked for d <= 2000).
+
     The last d's table is kept, read-only: the census asks for a side's
     solutions as a stream and then for the quaternion of each cube it
     builds (lattice_geometry.build_cube).
@@ -186,7 +201,18 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
                 # q e q-bar = h e + 2 (p.e) p + 2w (p x e) for the vector part p of q,
                 # with h = w^2 - |p|^2 = 2w^2 - d
                 h = 2 * w * w - d
+                tied = x == y or y == z or z == w
                 for u, v, t in product((x, -x) if x else (0,), (y, -y) if y else (0,), (z, -z) if z else (0,)):
+                    # a pattern that a swap of equal coordinates maps to an
+                    # earlier one repeats that pattern's image
+                    if tied and (
+                        x == y and (-v, -u, -t) > (u, v, t)
+                        or y == z and (-u, -t, -v) > (u, v, t)
+                        or z == w and ((-u, v, t) if t < 0 else (u, -v, t)) > (u, v, t)
+                        or x == z and (t, u, v) > (u, v, t)
+                        or y == w and ((u, -t, -v) if t < 0 else (-u, -t, v)) > (u, v, t)
+                    ):
+                        continue
                     s = u + v + t  # p.e
                     a = h + 2 * (s * u + w * (v - t))
                     b = h + 2 * (s * v + w * (t - u))

@@ -128,15 +128,45 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/oracle.py",
-        "            if e2 < e3:\n",
-        "            if True:\n",
+        "                    if (x2, y2, z2) < e3:\n",
+        "                    if True:\n",
         "the oracle counts a class frame for either order of its last two edges, not once",
     ),
     (
         "src/latticecubes/oracle.py",
-        "            e3 = max(e3, -e3)\n",
-        "            e3 = e3\n",
+        "                        cx, cy, cz = -cx, -cy, -cz\n",
+        "                        cx, cy, cz = cx, cy, cz\n",
         "the oracle compares the third edge without normalizing its sign",
+    ),
+    (
+        "src/latticecubes/oracle.py",
+        "for x2 in range(x1, isqrt(r1 // 2) + 1)",
+        "for x2 in range(x1, isqrt(r1 // 2))",
+        "the oracle's x2 bound is one short: rows with x2 at its bound lose their frames",
+    ),
+    (
+        "src/latticecubes/oracle.py",
+        "    for x1 in range(isqrt(s2 // 3) + 1):\n",
+        "    for x1 in range(isqrt(s2 // 3)):\n",
+        "the oracle's x1 bound is one short: rows with x1 at its bound lose their frames",
+    ),
+    (
+        "src/latticecubes/oracle.py",
+        "                circles[x] = circle if x else circle[len(circle) // 2 :]\n",
+        "                circles[x] = circle if x else circle[len(circle) // 2 + 1 :]\n",
+        "the oracle drops the line (0, 0, s) from the lines with x = 0",
+    ),
+    (
+        "src/latticecubes/oracle.py",
+        "    below = [(-y, t) for y, z in reversed(quadrant) if y for t in ((-z, z) if z else (0,))]\n",
+        "    below = []\n",
+        "the oracle's circles drop every point with y < 0",
+    ),
+    (
+        "src/latticecubes/oracle.py",
+        "        term[2] += k * (w1 * w2 + w1 * w3 + w2 * w3)\n",
+        "        term[2] += k * (w1 * w2 + w1 * w3)\n",
+        "the oracle's running sums drop the w2 w3 term of the linear coefficient",
     ),
     (
         "src/latticecubes/lattice_geometry.py",
@@ -203,6 +233,18 @@ MUTANTS = [
         "        lo = d - 3 * z * z  # the least w^2 a lookup can ask for\n",
         "        lo = d - 2 * z * z  # the least w^2 a lookup can ask for\n",
         "plane_quaternions' two-square table drops pairs with d - 3z^2 <= w^2 < d - 2z^2, which lookups need",
+    ),
+    (
+        "src/latticecubes/diophantine.py",
+        "                        x == y and (-v, -u, -t) > (u, v, t)\n",
+        "                        x == y and (-v, -u, -t) < (u, v, t)\n",
+        "plane_quaternions skips the earlier of two x = y partner patterns, so a solution can keep a later q",
+    ),
+    (
+        "src/latticecubes/diophantine.py",
+        "                        or y == w and ((u, -t, -v) if t < 0 else (-u, -t, v)) > (u, v, t)\n",
+        "                        or y == w and ((u, -t, -v) if t < 0 else (-u, -t, v)) < (u, v, t)\n",
+        "plane_quaternions skips the earlier of two y = z = w partner patterns, so a solution can keep a later q",
     ),
 ]
 

@@ -15,7 +15,13 @@ Z[i*sqrt(3)] into prime-norm elements (unique_decomposition) with
 RingElem arithmetic, where ring_arith.find_rs factors nothing and takes
 one gcd in the Eisenstein integers; it is the find_rs referee.
 count_from_boxes evaluates NC(N) box by box, the referee of the prefix
-sums of census.sequence_from_boxes.  quaternion_classes lists the
+sums of census.sequence_from_boxes.  ball_vectors and
+frames_by_all_pairs are the brute-force oracle as it was before it
+paired only the lines that can start a row of a frame: a scan of the
+whole ball for the vectors of one norm, and every sign-normalized line
+paired with every later one.  placements_by_box places the oracle's
+classes one box and one grid at a time, the referee of
+oracle._placements' running sums.  quaternion_classes lists the
 translation classes of one side from the Euler-Rodrigues frames of the
 integer quaternions of that norm, a per-side referee of the census.  It
 enumerates all of them itself and shares no code with the census's
@@ -138,6 +144,55 @@ def count_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> int:
     """NC(N) from per-bounding-dimension invariant sums (census.box_sums),
     one placement_count per box."""
     return sum(placement_count(N, d, inv) for d, inv in boxes.items() if d <= N)
+
+
+def ball_vectors(n2: int) -> list[Vec3]:
+    """All integer vectors with squared length n2, by a scan of the ball."""
+    out = []
+    bound = isqrt(n2)
+    for x in range(-bound, bound + 1):
+        rx = n2 - x * x
+        by = isqrt(rx)
+        for y in range(-by, by + 1):
+            zz = rx - y * y
+            z = isqrt(zz)
+            if z * z != zz:
+                continue
+            out.append(Vec3(x, y, z))
+            if z:
+                out.append(Vec3(x, y, -z))
+    return out
+
+
+def frames_by_all_pairs(s: int) -> list[tuple[Vec3, Vec3, Vec3]]:
+    """oracle.enumerate_frames(s) with no pruning: every sign-normalized
+    line of norm s^2 paired with every later one, in the same order."""
+    # of v and -v the lexicographically larger has the positive first
+    # non-zero coordinate
+    lines = sorted(v for v in ball_vectors(s * s) if v > -v)
+    frames = []
+    for i, e1 in enumerate(lines):
+        for e2 in lines[i + 1 :]:
+            if dot(e1, e2):
+                continue
+            cr = cross(e1, e2)
+            if cr.x % s or cr.y % s or cr.z % s:
+                continue
+            e3 = Vec3(cr.x // s, cr.y // s, cr.z // s)
+            e3 = max(e3, -e3)
+            if e2 < e3:
+                frames.append((e1, e2, e3))
+    return frames
+
+
+def placements_by_box(boxes: dict[tuple[int, int, int], int], m: int) -> int:
+    """The positions in {0..m}^3 of k classes with extents w, for each
+    (w, k) of boxes: k (m+1-w1)(m+1-w2)(m+1-w3) when max(w) <= m."""
+    return sum(
+        k * (m + 1 - w1) * (m + 1 - w2) * (m + 1 - w3)
+        for (w1, w2, w3), k in boxes.items()
+        if max(w1, w2, w3) <= m
+    )
 
 
 def bounding_dim(c: Cube) -> int:

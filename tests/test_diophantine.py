@@ -4,6 +4,7 @@ and the closed-form representation count pi_epsilon."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -128,6 +129,26 @@ def test_plane_quaternions_map_the_diagonal_to_their_solution():
             assert zero == 0 and sorted(map(abs, image)) == [a, b, c], (d, q)
     with pytest.raises(ValueError):
         plane_quaternions(4)
+
+
+def test_plane_quaternions_keep_the_first_q_of_every_sign_pattern():
+    # every sorted w >= z >= y >= x >= 0 of norm d with all 8 sign patterns of
+    # (x, y, z), in the table's order, imaged by Hamilton products: the table
+    # skips patterns whose image repeats, and must keep the first q met
+    for d in range(1, 302, 2):
+        first = {}
+        for x in range(math.isqrt(d) + 1):
+            for y in range(x, math.isqrt(d) + 1):
+                for z in range(y, math.isqrt(d) + 1):
+                    ww = d - x * x - y * y - z * z
+                    w = math.isqrt(max(ww, 0))
+                    if w < z or w * w != ww:
+                        continue
+                    for q in product((w,), (x, -x) if x else (0,), (y, -y) if y else (0,), (z, -z) if z else (0,)):
+                        _, *image = _qmul(_qmul(q, (0, 1, 1, 1)), (q[0], -q[1], -q[2], -q[3]))
+                        if math.gcd(*image) == 1:
+                            first.setdefault((*sorted(map(abs, image)), d), q)
+        assert list(plane_quaternions(d).items()) == sorted(first.items()), d
 
 
 def test_solve_norm_form_small():
