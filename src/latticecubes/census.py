@@ -46,16 +46,18 @@ there the census builds exactly the cubes that become records.
 
 Deduplication is keyed by main diagonals (Frame.diagonals).  A main
 diagonal of a side-s cube has norm 3 s^2, so its k-value is the gcd of
-its coordinates (Frame.k_values), and a claim keeps the sorted
-|coordinates| of the k = 1 diagonals of its record.  A box map permutes
-and negates coordinates, so these keys are the same for the whole orbit.
+its coordinates (Frame.k_values), and a claim keeps the keys of the
+k = 1 diagonals of its record: their sorted |coordinates|, as
+diophantine.diagonal_key, the one definition of a diagonal key, gives
+them.  A box map permutes and negates coordinates, so these keys are
+the same for the whole orbit.
 For k = 1 a key also fixes the orbit: in the triangle parametrization a
 cube with a primitive main diagonal comes from the plane solution along
 it and a solution of the norm form m^2 - mn + n^2 = 1, whose single
 solution is (0, 1).  The plane solution (a, b, c) of a k = 1 candidate
-is such a diagonal of the cube it builds (a primitive solution, sorted
-and positive, so already a key), so the candidate is decided by that
-key before its cube is built, and only the candidates that become
+is such a diagonal of the cube it builds, and plane_quaternions keys it
+by the same diagonal_key, so the candidate is decided by that key
+before its cube is built, and only the candidates that become
 records are built (were two orbits to share a key, the second would be
 dropped and the per-side check below would find its side short).  A
 k > 1 candidate of a side still short is built for the k = 1 guard; a
@@ -97,6 +99,7 @@ from .diophantine import (
     NormFormSolution,
     PlaneSolution,
     dedekind_psi,
+    diagonal_key,
     k_values,
     solve_norm_form,
     solve_three_squares,
@@ -132,30 +135,16 @@ class CubeRecord(NamedTuple):
 
 
 def _unit_diagonals(frame: Frame) -> list[Edge]:
-    """Sorted |coordinates| of the cube's main diagonals of k-value 1.
+    """The keys of the cube's main diagonals of k-value 1.
 
     A diagonal's k-value is the gcd of its coordinates (Frame.k_values).
-    A box map permutes and negates coordinates, so the keys are the same
-    for every cube of the orbit.
+    Its key is diophantine.diagonal_key, the one definition of a diagonal
+    key, by which plane_quaternions also keys its solutions, so a k = 1
+    candidate's plane solution is looked up among these keys.  A box map
+    permutes and negates coordinates, so the keys are the same for every
+    cube of the orbit.
     """
-    keys = []
-    for x, y, z in frame.diagonals():
-        if gcd(x, y, z) == 1:
-            # |x| <= |y| <= |z| by compare and swap
-            if x < 0:
-                x = -x
-            if y < 0:
-                y = -y
-            if z < 0:
-                z = -z
-            if x > y:
-                x, y = y, x
-            if y > z:
-                y, z = z, y
-                if x > y:
-                    x, y = y, x
-            keys.append((x, y, z))
-    return keys
+    return [diagonal_key(x, y, z) for x, y, z in frame.diagonals() if gcd(x, y, z) == 1]
 
 
 class CubeRegistry:

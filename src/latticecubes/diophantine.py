@@ -5,7 +5,11 @@ Three problems appear:
 * the plane equation a^2 + b^2 + c^2 = 3 d^2 (normals of the triangle
   planes; only odd d with gcd(a,b,c)=1 matter), whose primitive
   solutions are the Euler-Rodrigues images of the diagonal (1, 1, 1)
-  under the integer quaternions of norm d (solve_three_squares),
+  under the integer quaternions of norm d (solve_three_squares), every
+  sign pattern of each quaternion imaged and the first q met kept
+  (skipping the patterns whose image repeats saved nothing measurable);
+  a solution is keyed by diagonal_key, the census's key of a main
+  diagonal too,
 * the Eisenstein norm form k^2 = m^2 - m n + n^2 (triangle sizes inside
   a plane),
 * the representation count pi_eps(d) = number of primitive solutions of
@@ -142,6 +146,26 @@ def pi_epsilon(d: int) -> int:
     return num // 48
 
 
+def diagonal_key(x: int, y: int, z: int) -> tuple[int, int, int]:
+    """The sorted |coordinates| of (x, y, z), the same for all its signed
+    permutations: the one key of a plane solution (plane_quaternions) and
+    of a cube's main diagonal (the census's claims)."""
+    # |x| <= |y| <= |z| by compare and swap
+    if x < 0:
+        x = -x
+    if y < 0:
+        y = -y
+    if z < 0:
+        z = -z
+    if x > y:
+        x, y = y, x
+    if y > z:
+        y, z = z, y
+        if x > y:
+            x, y = y, x
+    return x, y, z
+
+
 @lru_cache(maxsize=1)
 def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int]]:
     """Each primitive solution of a^2+b^2+c^2 = 3d^2, 0 < a <= b <= c,
@@ -163,23 +187,12 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
     d - x^2 - y^2; since x, y <= z that sum is at least d - 2z^2, so the
     table holds only the pairs with w^2 >= d - 3z^2.  An image with a
     common factor is dropped, and a solution keeps the first q met: the
-    image's sorted |coordinates| are looked up as a plain tuple, and a
-    PlaneSolution is built only for one not met before.
-
-    When two of w, z, y, x are equal, the patterns meet fewer cosets: a
-    signed swap of the two maps q to g q h, with g and h among the 48
-    unit quaternions of the cube's rotations and h turning the diagonal
-    into its negative, so the image moves only by a signed permutation.
-    For the sign pattern (u, v, t) of (x, y, z), x = y swaps to (-v, -u,
-    -t) and y = z to (-u, -t, -v) (g = (i - j)/sqrt 2 or (j - k)/sqrt 2,
-    h its conjugate); z = w maps q to (-z, -x, y, -w) (g = (i + j)/sqrt 2,
-    h = (i - j)/sqrt 2), that is to (-u, v, t) for t < 0 and (u, -v, t)
-    for t > 0 up to the sign of q.  With three equal coordinates two
-    swaps compose: to (t, u, v) for x = y = z, and for y = z = w to (u,
-    -t, -v) or (-u, -t, v).  A pattern one of these maps to an earlier
-    pattern repeats that pattern's image and is skipped (2868 of the
-    11356 images for d <= 400); the table keeps the same first q for
-    every solution, and no image of one q repeats (checked for d <= 2000).
+    image's diagonal_key is looked up as a plain tuple, and a
+    PlaneSolution is built only for one not met before.  Every sign
+    pattern is imaged, also where two of w, z, y, x are equal and some
+    patterns repeat an earlier image (2464 of the 11356 images for d <=
+    400): a test that skipped those took about 3 % off these tables and
+    nothing measurable off the census.
 
     The last d's table is kept, read-only: the census asks for a side's
     solutions as a stream and then for the quaternion of each cube it
@@ -201,37 +214,14 @@ def plane_quaternions(d: int) -> Mapping[PlaneSolution, tuple[int, int, int, int
                 # q e q-bar = h e + 2 (p.e) p + 2w (p x e) for the vector part p of q,
                 # with h = w^2 - |p|^2 = 2w^2 - d
                 h = 2 * w * w - d
-                tied = x == y or y == z or z == w
                 for u, v, t in product((x, -x) if x else (0,), (y, -y) if y else (0,), (z, -z) if z else (0,)):
-                    # a pattern that a swap of equal coordinates maps to an
-                    # earlier one repeats that pattern's image
-                    if tied and (
-                        x == y and (-v, -u, -t) > (u, v, t)
-                        or y == z and (-u, -t, -v) > (u, v, t)
-                        or z == w and ((-u, v, t) if t < 0 else (u, -v, t)) > (u, v, t)
-                        or x == z and (t, u, v) > (u, v, t)
-                        or y == w and ((u, -t, -v) if t < 0 else (-u, -t, v)) > (u, v, t)
-                    ):
-                        continue
                     s = u + v + t  # p.e
                     a = h + 2 * (s * u + w * (v - t))
                     b = h + 2 * (s * v + w * (t - u))
                     c = h + 2 * (s * t + w * (u - v))
                     if gcd(a, b, c) != 1:
                         continue
-                    # |a| <= |b| <= |c| by compare and swap
-                    if a < 0:
-                        a = -a
-                    if b < 0:
-                        b = -b
-                    if c < 0:
-                        c = -c
-                    if a > b:
-                        a, b = b, a
-                    if b > c:
-                        b, c = c, b
-                        if a > b:
-                            a, b = b, a
+                    a, b, c = diagonal_key(a, b, c)
                     if (a, b, c, d) not in out:  # a PlaneSolution equals its plain tuple
                         out[PlaneSolution(a, b, c, d)] = (w, u, v, t)
     return MappingProxyType({sol: out[sol] for sol in sorted(out)})

@@ -45,12 +45,6 @@ def _circle(r2: int) -> list[tuple[int, int]]:
     return below + [(y, t) for y, z in quadrant for t in ((-z, z) if z else (0,))]
 
 
-def _vectors_of_norm(n2: int) -> list[Vec3]:
-    """All integer vectors with squared length n2, sorted."""
-    bound = isqrt(n2)
-    return [Vec3(x, y, z) for x in range(-bound, bound + 1) for y, z in _circle(n2 - x * x)]
-
-
 def enumerate_frames(s: int) -> list[tuple[Vec3, Vec3, Vec3]]:
     """One frame (e1, e2, e3) per translation class of cubes with side s.
 

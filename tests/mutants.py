@@ -44,8 +44,8 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/census.py",
-        "        if gcd(x, y, z) == 1:\n",
-        "        if gcd(x, y, z) >= 1:\n",
+        " if gcd(x, y, z) == 1]\n",
+        " if gcd(x, y, z) >= 1]\n",
         "_unit_diagonals keys every main diagonal, not only those of k-value 1",
     ),
     (
@@ -236,15 +236,9 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/diophantine.py",
-        "                        x == y and (-v, -u, -t) > (u, v, t)\n",
-        "                        x == y and (-v, -u, -t) < (u, v, t)\n",
-        "plane_quaternions skips the earlier of two x = y partner patterns, so a solution can keep a later q",
-    ),
-    (
-        "src/latticecubes/diophantine.py",
-        "                        or y == w and ((u, -t, -v) if t < 0 else (-u, -t, v)) > (u, v, t)\n",
-        "                        or y == w and ((u, -t, -v) if t < 0 else (-u, -t, v)) < (u, v, t)\n",
-        "plane_quaternions skips the earlier of two y = z = w partner patterns, so a solution can keep a later q",
+        "        y, z = z, y\n        if x > y:\n            x, y = y, x\n",
+        "        y, z = z, y\n",
+        "diagonal_key drops the re-swap of x and y after it swaps y and z, so (2, 3, 1) keys as (2, 1, 3)",
     ),
 ]
 

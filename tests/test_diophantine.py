@@ -13,6 +13,7 @@ from latticecubes.diophantine import (
     NormFormSolution,
     PlaneSolution,
     dedekind_psi,
+    diagonal_key,
     gamma2,
     k_values,
     lambda_d,
@@ -131,10 +132,16 @@ def test_plane_quaternions_map_the_diagonal_to_their_solution():
         plane_quaternions(4)
 
 
+def test_diagonal_key_is_the_sorted_absolute_values():
+    # zeros, ties and every sign, in every order of the coordinates
+    for v in product(range(-5, 6), repeat=3):
+        assert diagonal_key(*v) == tuple(sorted(map(abs, v))), v
+
+
 def test_plane_quaternions_keep_the_first_q_of_every_sign_pattern():
     # every sorted w >= z >= y >= x >= 0 of norm d with all 8 sign patterns of
-    # (x, y, z), in the table's order, imaged by Hamilton products: the table
-    # skips patterns whose image repeats, and must keep the first q met
+    # (x, y, z), in the table's order, imaged by Hamilton products: where an
+    # image repeats, the table must keep the first q met
     for d in range(1, 302, 2):
         first = {}
         for x in range(math.isqrt(d) + 1):

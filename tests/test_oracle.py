@@ -7,16 +7,11 @@ import pytest
 
 from latticecubes.diophantine import dedekind_psi
 from latticecubes.lattice_geometry import Cube, Vec3
-from latticecubes.oracle import (
-    _vectors_of_norm,
-    brute_force_count,
-    brute_force_sequence,
-    enumerate_frames,
-)
+from latticecubes.oracle import brute_force_count, brute_force_sequence, enumerate_frames
 from latticecubes.symmetry import invariants
 
 from .published_data import ORACLE_FROZEN, TABLE1
-from .referee import brute_force_orbit_fill, cross, dot, norm2
+from .referee import ball_vectors, brute_force_orbit_fill, cross, dot, norm2
 
 UNIT = Cube.from_points(TABLE1[0][2])
 ROW3 = Cube.from_points(TABLE1[1][2])
@@ -24,12 +19,20 @@ ROW5 = Cube.from_points(TABLE1[2][2])
 
 
 def test_vectors_of_norm():
-    assert len(_vectors_of_norm(1)) == 6
-    assert len(_vectors_of_norm(2)) == 12
-    assert len(_vectors_of_norm(9)) == 30  # 6 axial + 24 of type (1,2,2)
-    vs = _vectors_of_norm(9)
-    assert len(set(vs)) == 30
-    assert all(norm2(v) == 9 for v in vs)
+    # the referee's vector lists, against a scan of the cube |x|, |y|, |z| <= 14
+    # bucketed by norm: the whole ball of each n2 <= 196, once each
+    assert len(ball_vectors(1)) == 6
+    assert len(ball_vectors(2)) == 12
+    assert len(ball_vectors(9)) == 30  # 6 axial + 24 of type (1,2,2)
+    by_norm = {n2: [] for n2 in range(197)}
+    for v in product(range(-14, 15), repeat=3):
+        n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+        if n2 <= 196:
+            by_norm[n2].append(v)
+    for n2, vs in by_norm.items():
+        got = ball_vectors(n2)
+        assert all(type(v) is Vec3 for v in got), n2
+        assert sorted(got) == sorted(vs) and len(set(got)) == len(got), n2
 
 
 def test_primitive_classes_number_dedekind_psi():
@@ -72,7 +75,7 @@ def test_enumerate_frames_group_action():
 
 def _frames_by_vec3(s):
     """All ordered frames written with Vec3.dot and cross, as a referee."""
-    vs = _vectors_of_norm(s * s)
+    vs = ball_vectors(s * s)
     frames = []
     for e1 in vs:
         for e2 in vs:

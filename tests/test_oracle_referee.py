@@ -1,11 +1,11 @@
 """The brute-force oracle against referees that share none of its code:
-the all-pairs frame search and the full-ball vector scan it replaced,
-and its placements one box at a time."""
+the all-pairs frame search it replaced, a scan of the square for its
+circles, and its placements one box at a time."""
 
 from collections import Counter
 from itertools import product
 
-from latticecubes.oracle import _placements, _vectors_of_norm, brute_force_sequence, enumerate_frames
+from latticecubes.oracle import _circle, _placements, brute_force_sequence, enumerate_frames
 
 from .referee import frames_by_all_pairs, placements_by_box
 
@@ -16,17 +16,17 @@ def test_enumerate_frames_matches_the_all_pairs_search():
         assert enumerate_frames(s) == frames_by_all_pairs(s), s
 
 
-def test_vectors_of_norm_matches_a_ball_scan():
-    # every vector of the cube |x|, |y|, |z| <= 44 bucketed by its norm: the
-    # whole ball of each n2 <= 2000, squares and non-squares alike
+def test_circle_matches_a_square_scan():
+    # every point of the square |y|, |z| <= 44 bucketed by its norm: the whole
+    # circle of each r2 <= 2000, sums of two squares and other r2 alike
     bound = 44
-    by_norm = {n2: [] for n2 in range(2001)}
-    for v in product(range(-bound, bound + 1), repeat=3):
-        n2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-        if n2 <= 2000:
-            by_norm[n2].append(v)
-    for n2, vs in by_norm.items():
-        assert _vectors_of_norm(n2) == sorted(vs), n2
+    by_norm = {r2: [] for r2 in range(2001)}
+    for p in product(range(-bound, bound + 1), repeat=2):
+        r2 = p[0] * p[0] + p[1] * p[1]
+        if r2 <= 2000:
+            by_norm[r2].append(p)
+    for r2, ps in by_norm.items():
+        assert _circle(r2) == sorted(ps), r2
 
 
 def test_placements_match_the_per_box_products():
