@@ -75,8 +75,10 @@ of translation classes of primitive cubes of side s, which is Dedekind's
 psi(s) for odd s, and there are none of even side.  After the last side
 no odd side <= N may be missing.  With the double-claim raise, a lost,
 duplicated or extra orbit fails loudly.  A registry cache stores only
-each record's source and replays it, sorted by side, through the same
-pass, up to its first odd side without a source, which fails there.
+each record's source and replays the sources of the sides <= the
+requested N, sorted by side, through the same pass; a cache without a
+source of some odd side below its own N replays up to the first such
+side, which fails there.
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
@@ -500,29 +502,34 @@ def _source_item(src: list) -> Candidate:
 
 
 def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
-    """Registry from the cache at `path`, or None if there is no file or it
-    was built for a smaller N.
+    """Registry for N from the cache at `path`, the census registry
+    build_irreducible_list(N) would give (n_built = N), or None if there
+    is no file or it was built for a smaller N.
 
-    The sources are replayed, stably sorted by side, through the
-    census's accept pass, which rebuilds each record's frame, so each
-    side ends with the census's check of its classes against psi.  Every
-    odd side <= N has psi(side) > 0 classes, so a source: the replay
-    stops before the first odd side without one, which then fails its
-    check, and no larger side is rebuilt or has its psi computed, however
-    large N and the side are.  A file that is not this version's JSON
+    The sources of the sides <= N are replayed, stably sorted by side,
+    through the census's accept pass, which rebuilds each record's frame,
+    so each side ends with the census's check of its classes against
+    psi; no side above N is rebuilt.  Every odd side <= the cache's N
+    (N_c) has psi(side) > 0 classes, so a source.  The short-side rule: a
+    cache without a source of some odd side <= N_c is replayed only up to
+    its first such side, which then fails its check, for any N <= N_c,
+    and no larger side is rebuilt or has its psi computed, however large
+    N_c and the side are.  A file that is not this version's JSON
     document, lacks a key, holds a source that is not six integers, not a
     source the census builds (_source_item), of a side d*k outside
-    1..N or that does not become a record, or fails the accept pass,
+    1..N_c or that does not become a record, or fails the accept pass,
     raises CacheMismatch with the reason.  The sources are checked before
-    any is rebuilt, so a rebuild's cost is bounded by N.  A
+    any is rebuilt, so a rebuild's cost is bounded by N_c.  A
     PlaneSolution's d and a NormFormSolution's k are odd (a^2 + b^2 + c^2
     = 3d^2 with d even forces a, b, c even, and m^2 - mn + n^2 is odd for
     coprime m, n), so every replayed side is odd and at most N, as the
-    accept pass needs.
+    accept pass needs.  N < 1 raises ValueError, as for the census.
     """
     import json
     from pathlib import Path  # kept off the package's import path
 
+    if N < 1:
+        raise ValueError("N must be positive")
     p = Path(path)
     if not p.is_file():
         return None
@@ -548,10 +555,11 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
             raise CacheMismatch(f"cached source {src}: side d*k = {d * k} is not in 1..{n_built}")
     sides = {k * d for k, _, d, _ in items}
     gap = next(s for s in count(1, 2) if s not in sides)  # the first odd side without a source
+    top = N if gap > n_built else gap  # the request's sides, or up to the missing side, which fails
     # stable: one run per side, cached order within
-    items = sorted((item for item in items if item[0] * item[2] < gap), key=lambda item: item[0] * item[2])
+    items = sorted((item for item in items if item[0] * item[2] <= top), key=lambda item: item[0] * item[2])
     try:
-        reg = _accept(n_built, items, _build_one)
+        reg = _accept(top, items, _build_one)
     except (ValueError, ArithmeticError) as exc:
         raise CacheMismatch(f"replay of the cached sources: {exc}") from exc
     if len(reg.records) != len(items):

@@ -11,7 +11,9 @@ Subcommands:
 
 count, sequence, list and verify build the census and take --n and
 --cache; --format is offered by the subcommands with more than one output
-form.  Results go to stdout, diagnostics to stderr.  Exit codes:
+form.  Such a command builds its JSON document and its text lines, and
+one writer (_emit) prints the one --format picks.  Results go to
+stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 verification or validation failure or a cache that cannot
 be written, 2 usage error.
 """
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Optional
 
-# json is imported by the commands that read or write it, off the start-up path
+# json is imported by _emit and by the invariants command, off the start-up path
 
 from .census import (
     CacheMismatch,
@@ -74,94 +77,75 @@ def _get_registry(args: argparse.Namespace) -> CubeRegistry:
     return reg
 
 
+def _emit(args: argparse.Namespace, doc, lines: Iterable[str], indent: Optional[int] = None) -> None:
+    """The one writer: `doc` as JSON for --format json, else the text `lines`."""
+    if args.format == "json":
+        import json
+
+        print(json.dumps(doc, indent=indent))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     reg = _get_registry(args)
-    value = count_cubes(args.n, reg, build_multiples(args.n, reg))
-    print(value)
+    print(count_cubes(args.n, reg, build_multiples(args.n, reg)))
     return 0
+
+
+# the text of each `sequence` format: its header lines and one row template per term
+_SEQUENCE_TEXT = {"table": ((), "{:4d} {}"), "csv": (("n,nc",), "{},{}"), "bfile": ((), "{} {}"), "json": ((), "")}
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     values = sequence(args.n, registry=_get_registry(args))
-    if args.format == "json":
-        import json
-
-        print(json.dumps(values))
-    elif args.format == "csv":
-        print("n,nc")
-        for i, v in enumerate(values, 1):
-            print(f"{i},{v}")
-    elif args.format == "bfile":
-        out = "".join(f"{i} {v}\n" for i, v in enumerate(values, 1))
-        sys.stdout.write(out)
-    else:
-        for i, v in enumerate(values, 1):
-            print(f"{i:4d} {v}")
+    header, row = _SEQUENCE_TEXT[args.format]
+    _emit(args, values, chain(header, (row.format(i, v) for i, v in enumerate(values, 1))))
     return 0
 
 
 def cmd_list(args: argparse.Namespace) -> int:
+    # the registry holds exactly the sides <= n, and a dilate's side j*s is at most j*bound_dim <= n
     reg = _get_registry(args)
-    records = [r for r in reg.records if r.side <= args.n]
-    if args.multiples:
-        records += [r for r in build_multiples(args.n, reg) if r.side <= args.n]
-    rows = [(r, r.cube) for r in records]  # each record's vertices, built once
-    rows.sort(key=lambda rc: (rc[0].side, -rc[0].bound_dim, rc[1].vertices))
-    if args.format == "json":
-        import json
-
-        print(json.dumps([record_to_json(r, cube) for r, cube in rows], indent=1))
-    else:
-        for r, cube in rows:
-            points = ", ".join(str(v) for v in cube.as_lists())
-            kvals = ",".join(str(k) for k in sorted(r.k_values))
-            print(f"{r.side} | {r.bound_dim} | {points} | {kvals} | {list(r.invariants)}")
+    records = reg.records + build_multiples(args.n, reg) if args.multiples else reg.records
+    doc = sorted(map(record_to_json, records), key=lambda r: (r["side"], -r["bound_dim"], r["cube"]))
+    lines = (
+        f"{r['side']} | {r['bound_dim']} | {', '.join(map(str, r['cube']))} | "
+        f"{','.join(map(str, r['k_values']))} | {r['invariants']}"
+        for r in doc
+    )
+    _emit(args, doc, lines, indent=1)
     return 0
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
-    import json
+    import json  # the input is JSON in either format
 
     text = args.cube if args.cube is not None else sys.stdin.read()
     try:
-        pts = json.loads(text)
-        frame = Cube.from_points(pts).corner_edges()
+        frame = Cube.from_points(json.loads(text)).corner_edges()
     except (json.JSONDecodeError, TypeError, IndexError, ValueError, RecursionError) as exc:
         print(f"not a lattice cube: {exc}", file=sys.stderr)
         return 1
-    inv = invariants(frame)
-    kvals = sorted(frame.k_values())
-    bound = max(frame.extents())
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "side": frame.side,
-                    "bound_dim": bound,
-                    "invariants": list(inv),
-                    "k_values": kvals,
-                }
-            )
-        )
-    else:
-        print(" ".join(str(x) for x in inv))
-        print("k-values:", ",".join(str(k) for k in kvals))
-        print("side:", frame.side, " bound:", bound, file=sys.stderr)
+    doc = {
+        "side": frame.side,
+        "bound_dim": max(frame.extents()),
+        "invariants": list(invariants(frame)),
+        "k_values": sorted(frame.k_values()),
+    }
+    _emit(args, doc, (" ".join(map(str, doc["invariants"])), "k-values: " + ",".join(map(str, doc["k_values"]))))
+    if args.format != "json":
+        print("side:", doc["side"], " bound:", doc["bound_dim"], file=sys.stderr)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reg = _get_registry(args)
-    census_vals = sequence(args.n, registry=reg)
-    oracle_cap = min(args.n, args.oracle_max) if args.oracle_max else args.n
-    oracle_vals = brute_force_sequence(oracle_cap)
+    census_vals = sequence(args.n, registry=_get_registry(args))
+    oracle_vals = brute_force_sequence(min(args.n, args.oracle_max or args.n))
     failures = 0
     print(f"{'n':>4} {'census':>12} {'oracle':>12} {'listed':>12} {'log':>12}")
-    for n in range(1, args.n + 1):
-        c = census_vals[n - 1]
-        o = oracle_vals[n - 1] if n <= oracle_cap else None
-        listed = COUNTS_LISTED[n - 1] if n <= len(COUNTS_LISTED) else None
-        logged = COUNTS_LOG[n - 1] if n <= len(COUNTS_LOG) else None
+    for n, c in enumerate(census_vals, 1):
+        o, listed, logged = (col[n - 1] if n <= len(col) else None for col in (oracle_vals, COUNTS_LISTED, COUNTS_LOG))
         mark = ""
         if o is not None and o != c:
             mark = "  << census/oracle MISMATCH"
@@ -176,11 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 flags.append("log differs")
             if flags:
                 mark = "  * " + ", ".join(flags)
-        row = [f"{n:>4}", f"{c:>12}"]
-        row.append(f"{o if o is not None else '-':>12}")
-        row.append(f"{listed if listed is not None else '-':>12}")
-        row.append(f"{logged if logged is not None else '-':>12}")
-        print(" ".join(row) + mark)
+        print(f"{n:>4}" + "".join(f" {'-' if v is None else v:>12}" for v in (c, o, listed, logged)) + mark)
     if failures:
         print(f"census differs from the oracle or the listing on {failures} rows", file=sys.stderr)
         return 1
@@ -195,24 +175,9 @@ def cmd_representations(args: argparse.Namespace) -> int:
         return 1
     sols = solve_three_squares(d)
     formula = pi_epsilon(d)
-    if args.format == "json":
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "d": d,
-                    "solutions": [[s.a, s.b, s.c] for s in sols],
-                    "enumerated": len(sols),
-                    "formula": formula,
-                }
-            )
-        )
-    else:
-        for s in sols:
-            print(f"{s.a} {s.b} {s.c}")
-        print(f"enumerated: {len(sols)}")
-        print(f"formula:    {formula}")
+    doc = {"d": d, "solutions": [[s.a, s.b, s.c] for s in sols], "enumerated": len(sols), "formula": formula}
+    lines = chain((f"{s.a} {s.b} {s.c}" for s in sols), (f"enumerated: {len(sols)}", f"formula:    {formula}"))
+    _emit(args, doc, lines)
     if formula != len(sols):
         print("MISMATCH between formula and enumeration", file=sys.stderr)
         return 1

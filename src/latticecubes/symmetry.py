@@ -175,22 +175,20 @@ def orbit_size(frame: Frame) -> int:
     return 24 // _stabilizer(frame)[0]
 
 
-def invariants(frame: Frame, j: int = 1) -> InvariantSet:
-    """(alpha0, alpha, beta, gamma) of the cube spanned by j * frame, by one
-    frame kernel pass.
-
-    Dilating a cube by j >= 1 scales its orbit's class keys, slacks and
-    offsets by j, one to one: alpha0 stays and alpha, beta, gamma are the
-    same symmetric functions of s = j * r.
-    """
-    if j < 1:
-        raise ValueError("dilation factor must be positive")
-    return _closed_form(frame, _stabilizer(frame), j)
+def invariants(frame: Frame) -> InvariantSet:
+    """(alpha0, alpha, beta, gamma) of the cube of `frame`, by one frame
+    kernel pass."""
+    return _closed_form(frame, _stabilizer(frame), 1)
 
 
 def dilate_invariants(frame: Frame, jmax: int) -> list[InvariantSet]:
-    """invariants(frame, j) for j = 2, ..., jmax, by one frame kernel pass:
-    the dilates of one cube share st, alpha0 and r."""
+    """The invariants of the cube spanned by j * frame for j = 2, ..., jmax,
+    by one frame kernel pass.
+
+    Dilating a cube by j scales its orbit's class keys, slacks and offsets
+    by j, one to one: the dilates share st and alpha0, and alpha, beta,
+    gamma are the same symmetric functions of s = j * r.
+    """
     kernel = _stabilizer(frame)
     return [_closed_form(frame, kernel, j) for j in range(2, jmax + 1)]
 

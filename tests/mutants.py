@@ -52,7 +52,7 @@ MUTANTS = [
         "src/latticecubes/symmetry.py",
         "    s0, s1, s2 = j * r0, j * r1, j * r2\n",
         "    s0, s1, s2 = r0, r1, r2\n",
-        "invariants(frame, j) gives a dilate its parent's slack (no j scaling)",
+        "dilate_invariants gives a dilate its parent's slack (no j scaling)",
     ),
     (
         "src/latticecubes/symmetry.py",
@@ -239,6 +239,24 @@ MUTANTS = [
         "        y, z = z, y\n        if x > y:\n            x, y = y, x\n",
         "        y, z = z, y\n",
         "diagonal_key drops the re-swap of x and y after it swaps y and z, so (2, 3, 1) keys as (2, 1, 3)",
+    ),
+    (
+        "src/latticecubes/cli.py",
+        '    if args.format == "json":\n',
+        "    if False:\n",
+        "the CLI's one writer prints the text lines for --format json",
+    ),
+    (
+        "src/latticecubes/cli.py",
+        '"csv": (("n,nc",), "{},{}")',
+        '"csv": ((), "{},{}")',
+        "sequence --format csv drops its n,nc header",
+    ),
+    (
+        "src/latticecubes/cli.py",
+        "{'-' if v is None else v:>12}",
+        "{str(v):>12}",
+        "verify prints None, not -, in a cell without a value (past --oracle-max)",
     ),
 ]
 

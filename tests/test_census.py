@@ -356,8 +356,8 @@ def test_a_claim_reads_its_orbit_size_from_alpha(monkeypatch, registry19):
     reg.claim(rec._replace(invariants=rec.invariants._replace(alpha=rec.invariants.alpha + one_class)))
     assert reg.classes == {5: orbit_size(rec.frame) + 1}
 
-    def one_class_more(frame, j=1):
-        inv = invariants(frame, j)
+    def one_class_more(frame):
+        inv = invariants(frame)
         return inv._replace(alpha=inv.alpha + _slack_volume(frame, max(frame.extents()))) if frame.side == 5 else inv
 
     monkeypatch.setattr(census, "invariants", one_class_more)
@@ -678,6 +678,30 @@ def test_cache_roundtrip(tmp_path, registry19):
     assert loaded.claimed == registry19.claimed
     assert loaded.classes == registry19.classes
     assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
+
+
+def test_cache_load_for_a_smaller_n_replays_only_its_sides(tmp_path, monkeypatch):
+    # a cache built for N = 60 serves any n <= 60 with the census registry
+    # for n, and builds no frame of a side above n
+    p = tmp_path / "reg.json"
+    save_registry(build_irreducible_list(60), p)
+    build = census._build_one
+    for n in (1, 2, 19, 30, 45, 59, 60):
+        want = build_irreducible_list(n)
+
+        def bounded_build(item, n=n):
+            k, _, d, _ = item
+            if d * k > n:
+                pytest.fail(f"rebuilt a cached source of side {d * k} > n = {n}")
+            return build(item)
+
+        monkeypatch.setattr(census, "_build_one", bounded_build)
+        loaded = load_registry(p, n)
+        monkeypatch.setattr(census, "_build_one", build)
+        assert (loaded.n_built, loaded.records, loaded.classes) == (n, want.records, want.classes), n
+        assert sequence(n, registry=loaded) == COUNTS_LISTED[:n]
+    with pytest.raises(ValueError, match="N must be positive"):
+        load_registry(p, 0)
 
 
 def test_cache_in_any_source_order_loads_the_same_records(tmp_path, registry19):
