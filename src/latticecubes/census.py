@@ -29,9 +29,10 @@ of the nine integers) and the bounding dimension are read from the
 frame's nine integers, and one kernel pass gives its invariants
 (symmetry.invariants).  Every later reader takes its answer from the
 record: the claim reads its keys from the frame and its orbit size from
-its alpha and slack (CubeRegistry.claim), and build_multiples runs one
-more kernel pass per parent of dilates.  Nothing is cached between
-records.
+its alpha and slack (CubeRegistry.claim), and build_multiples runs no
+kernel pass: a dilate reads its parent's alpha0, orbit size and slack
+from the parent's record.  So a census record costs exactly one kernel
+pass, and nothing is cached between records.
 
 A side is done at psi(s), its number of translation classes (below):
 its k > 1 candidates are built only while the side is short of psi(s),
@@ -78,7 +79,8 @@ duplicated or extra orbit fails loudly.  A registry cache stores only
 each record's source and replays the sources of the sides <= the
 requested N, sorted by side, through the same pass; a cache without a
 source of some odd side below its own N replays up to the first such
-side, which fails there.
+side, which fails there, and a k = 1 source that is not the least k = 1
+diagonal key of its cube is not the census's and fails the load.
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
@@ -107,7 +109,7 @@ from .diophantine import (
     solve_three_squares,
 )
 from .lattice_geometry import Cube, Frame, Vec3, build_cube
-from .symmetry import ClassKey, Edge, InvariantSet, class_key, dilate_invariants, invariants, orbit_classes
+from .symmetry import ClassKey, Edge, InvariantSet, class_key, closed_form, invariants, orbit_classes
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -245,8 +247,8 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
     the accept pass; acceptance always runs serially in the canonical
     order, so the result is independent of the thread count.
     The pool does not pay (README, Performance) and the CLI does not use
-    it; it stays for the benchmark's pool check until ROADMAP item 2
-    removes both.
+    it; it stays for the benchmark's pool check until ROADMAP items 1
+    and 3 remove both.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -327,19 +329,22 @@ def build_multiples(N: int, reg: CubeRegistry) -> list[CubeRecord]:
     """Dilations j >= 2 of registry records with j * bound_dim <= N.
 
     A dilate's frame is its parent's times j, and so are its k-values,
-    which a record reads from its frame.  Its invariants come from one
-    kernel pass over the parent's frame, run here once per parent that
-    has a dilate, with the slack scaled by j (symmetry.dilate_invariants);
-    they are not the parent's invariants, since the placement polynomials
-    are not linear in the slack.
+    which a record reads from its frame.  Its invariants come from its
+    parent's record with no kernel pass: the parent's alpha0, its orbit
+    size alpha / ((1 + r0)(1 + r1)(1 + r2)) (the identity the claim reads),
+    and its slack r = bound_dim - extents scaled by j, through
+    symmetry.closed_form.
     """
     out = []
-    for side, bound_dim, frame, _, source in reg.records:
-        if 2 * bound_dim > N:
-            continue
+    for side, bound_dim, frame, (alpha0, alpha, _, _), source in (r for r in reg.records if 2 * r.bound_dim <= N):
         (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
-        for j, inv in enumerate(dilate_invariants(frame, N // bound_dim), 2):
+        r0 = bound_dim - abs(x1) - abs(x2) - abs(x3)
+        r1 = bound_dim - abs(y1) - abs(y2) - abs(y3)
+        r2 = bound_dim - abs(z1) - abs(z2) - abs(z3)
+        size = alpha // ((1 + r0) * (1 + r1) * (1 + r2))
+        for j in range(2, N // bound_dim + 1):
             dilated = Frame(Vec3(j * x1, j * y1, j * z1), Vec3(j * x2, j * y2, j * z2), Vec3(j * x3, j * y3, j * z3))
+            inv = closed_form(alpha0, size, (j * r0, j * r1, j * r2))
             out.append(CubeRecord(j * side, j * bound_dim, dilated, inv, source))
     return out
 
@@ -413,13 +418,13 @@ def sequence(N: int, registry: Optional[CubeRegistry] = None) -> list[int]:
     return sequence_from_boxes(N, boxes)
 
 
-def record_to_json(rec: CubeRecord, cube: Optional[Cube] = None) -> dict:
-    """The record as JSON; `cube` is rec.cube, for a caller that has built it."""
+def record_to_json(rec: CubeRecord) -> dict:
+    """The record as JSON."""
     sol, mn = rec.source
     return {
         "side": rec.side,
         "bound_dim": rec.bound_dim,
-        "cube": (rec.cube if cube is None else cube).as_lists(),
+        "cube": rec.cube.as_lists(),
         "k_values": sorted(rec.k_values),
         "invariants": list(rec.invariants),
         "source": {
@@ -523,7 +528,12 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
     PlaneSolution's d and a NormFormSolution's k are odd (a^2 + b^2 + c^2
     = 3d^2 with d even forces a, b, c even, and m^2 - mn + n^2 is odd for
     coprime m, n), so every replayed side is odd and at most N, as the
-    accept pass needs.  N < 1 raises ValueError, as for the census.
+    accept pass needs.  The census streams a side's plane solutions in
+    sorted order, so the source of a record with k-value 1 is the least
+    of its k = 1 diagonal keys (_unit_diagonals); a replayed record with
+    another source (another cube of the same orbit) raises CacheMismatch,
+    so a load keeps the census's own cube for each orbit.  N < 1 raises
+    ValueError, as for the census.
     """
     import json
     from pathlib import Path  # kept off the package's import path
@@ -567,4 +577,8 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
             f"cached sources that do not become records: {len(items) - len(reg.records)}"
             " (orbit already claimed or reachable at k = 1)"
         )
+    for _, _, frame, _, (sol, mn) in reg.records:
+        keys = _unit_diagonals(frame)
+        if keys and (sol.a, sol.b, sol.c) != min(keys):
+            raise CacheMismatch(f"cached source {[*sol, *mn]}: the census's source of its orbit is {min(keys)}")
     return reg

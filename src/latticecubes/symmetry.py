@@ -36,30 +36,38 @@ are tried (just the identity's 4 sign pairs when the three extents
 differ), and the identity fixes every class untried.  By
 orbit-stabilizer:
 
-  orbit size  = 24 / st classes;
+  orbit size  c = 24 / st classes;
   alpha, beta, gamma: an image's slack is r = d - w permuted, so the 24
           images, each class of the orbit st times, sum each per-class
-          polynomial over the 6 permutations of s = j * r, 4 times.
-          Those sums are symmetric in s, so with its elementary
-          symmetric functions e1 = s0 + s1 + s2, e2 = s0 s1 + s0 s2 +
-          s1 s2 and e3 = s0 s1 s2 (numbers here, not edges):
-            alpha = 24 (1 + e1 + e2 + e3) / st,
-            beta  =  8 (e1 + 2 e2 + 3 e3) / st,
-            gamma =  8 (e2 + 3 e3) / st;
+          polynomial over the 6 permutations of r, 4 times.  Those sums
+          are symmetric in r, so with its elementary symmetric functions
+          e1 = r0 + r1 + r2, e2 = r0 r1 + r0 r2 + r1 r2 and e3 = r0 r1 r2
+          (numbers here, not edges):
+            alpha = c (1 + e1 + e2 + e3),
+            beta  = c (e1 + 2 e2 + 3 e3) / 3,
+            gamma = c (e2 + 3 e3) / 3;
   alpha0 = 48 / (maps of the 48 that fix the positioned cube).  A
           class-fixing map with signs (1, g1, g2) fixes the cube iff
           r_i = 0 on each axis it flips (g_i = -1); its negation fixes it
           iff r_0 = 0 and r_i = 0 on each axis with g_i = +1.
 
-So the kernel keeps st, alpha0 and the slack triple r of a class.
+So the kernel keeps alpha0, c and the slack triple r of a class, and
+closed_form evaluates the invariants from them.
 
-The orbit-size identity: at j = 1, 1 + e1 + e2 + e3 is the product
+The orbit-size identity: 1 + e1 + e2 + e3 is the product
 (1 + r0)(1 + r1)(1 + r2), so
 
   orbit size = alpha / ((1 + r0)(1 + r1)(1 + r2)),
 
 exactly.  The census reads a record's orbit size this way, from its
 alpha and its slack, with no second kernel pass (census.CubeRegistry.claim).
+
+Dilating a cube by j scales its orbit's class keys, slacks and offsets by
+j, one to one: the dilate has its cube's st, orbit size and alpha0, and
+the slack j r.  So a dilate's invariants are closed_form of its parent
+record's alpha0, its orbit size by the identity above and j r, with no
+kernel pass (census.build_multiples); they are not the parent's, since
+the placement polynomials are not linear in the slack.
 
 orbit_classes lists the 24 images' class keys; the census needs it only
 for a cube without k-value 1 (census docstring).
@@ -119,8 +127,8 @@ _MAPS = {
 
 
 def _stabilizer(frame: Frame) -> tuple[int, int, Slack]:
-    """One frame kernel pass over the cube of `frame`: st, alpha0 and the
-    slack r = d - w of its extents.
+    """One frame kernel pass over the cube of `frame`: alpha0, the orbit
+    size 24 / st and the slack r = d - w of its extents.
 
     st counts the 24 maps that keep axis 0 and fix the class.  Only a
     map that preserves the extents w can fix it, so when the three
@@ -129,8 +137,8 @@ def _stabilizer(frame: Frame) -> tuple[int, int, Slack]:
     The extents and the lines +-e_i are the same for every frame of the
     cube (any corner, sign or order), so the pass needs no class key and
     gives each frame of one class the same result.  Nothing is kept
-    between calls: the census runs one pass per record and one per
-    parent of dilates (census.build_multiples).
+    between calls: the census runs one pass per record, and none for a
+    dilate, which reads its parent record (census.build_multiples).
     """
     e1, e2, e3 = frame
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = frame
@@ -154,7 +162,7 @@ def _stabilizer(frame: Frame) -> tuple[int, int, Slack]:
         # axis 0 and each axis with g = +1
         fixed += (g1 > 0 or r1 == 0) and (g2 > 0 or r2 == 0)
         fixed += r0 == 0 and (g1 < 0 or r1 == 0) and (g2 < 0 or r2 == 0)
-    return st, 48 // fixed, (r0, r1, r2)
+    return 48 // fixed, 24 // st, (r0, r1, r2)
 
 
 def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
@@ -167,43 +175,24 @@ def orbit_classes(frame: Frame) -> frozenset[ClassKey]:
     )
 
 
-def orbit_size(frame: Frame) -> int:
-    """Number of translation classes in the cube's symmetry orbit, 24 / st.
-
-    A caller holding the cube's alpha and slack reads it without a kernel
-    pass, by the orbit-size identity (module docstring)."""
-    return 24 // _stabilizer(frame)[0]
-
-
 def invariants(frame: Frame) -> InvariantSet:
     """(alpha0, alpha, beta, gamma) of the cube of `frame`, by one frame
     kernel pass."""
-    return _closed_form(frame, _stabilizer(frame), 1)
+    return closed_form(*_stabilizer(frame))
 
 
-def dilate_invariants(frame: Frame, jmax: int) -> list[InvariantSet]:
-    """The invariants of the cube spanned by j * frame for j = 2, ..., jmax,
-    by one frame kernel pass.
+def closed_form(alpha0: int, size: int, slack: Slack) -> InvariantSet:
+    """The invariants of a cube from its alpha0, its orbit size c = 24 / st
+    and its slack r (module docstring); ArithmeticError if they are
+    inconsistent.
 
-    Dilating a cube by j scales its orbit's class keys, slacks and offsets
-    by j, one to one: the dilates share st and alpha0, and alpha, beta,
-    gamma are the same symmetric functions of s = j * r.
-    """
-    kernel = _stabilizer(frame)
-    return [_closed_form(frame, kernel, j) for j in range(2, jmax + 1)]
-
-
-def _closed_form(frame: Frame, kernel: tuple[int, int, Slack], j: int) -> InvariantSet:
-    """The invariants of j * frame from its kernel pass (module docstring);
-    ArithmeticError if they are inconsistent."""
-    st, alpha0, (r0, r1, r2) = kernel
-    s0, s1, s2 = j * r0, j * r1, j * r2
-    e1, e2, e3 = s0 + s1 + s2, s0 * s1 + s0 * s2 + s1 * s2, s0 * s1 * s2
-    alpha = 24 * (1 + e1 + e2 + e3) // st
-    beta = 8 * (e1 + 2 * e2 + 3 * e3) // st
-    gamma = 8 * (e2 + 3 * e3) // st
+    A dilate by j has its cube's alpha0 and orbit size and j times its
+    slack (census.build_multiples)."""
+    r0, r1, r2 = slack
+    e1, e2, e3 = r0 + r1 + r2, r0 * r1 + r0 * r2 + r1 * r2, r0 * r1 * r2
+    alpha = size * (1 + e1 + e2 + e3)
+    beta = size * (e1 + 2 * e2 + 3 * e3) // 3
+    gamma = size * (e2 + 3 * e3) // 3
     if not (alpha0 <= alpha and gamma <= beta <= alpha and 48 % alpha0 == 0):
-        raise ArithmeticError(
-            f"inconsistent invariants {(alpha0, alpha, beta, gamma)} for frame {frame} dilated by {j}"
-        )
+        raise ArithmeticError(f"inconsistent invariants {(alpha0, alpha, beta, gamma)}, size {size}, slack {slack}")
     return InvariantSet(alpha0, alpha, beta, gamma)

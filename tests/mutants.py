@@ -49,15 +49,21 @@ MUTANTS = [
         "_unit_diagonals keys every main diagonal, not only those of k-value 1",
     ),
     (
-        "src/latticecubes/symmetry.py",
-        "    s0, s1, s2 = j * r0, j * r1, j * r2\n",
-        "    s0, s1, s2 = r0, r1, r2\n",
-        "dilate_invariants gives a dilate its parent's slack (no j scaling)",
+        "src/latticecubes/census.py",
+        "            inv = closed_form(alpha0, size, (j * r0, j * r1, j * r2))\n",
+        "            inv = closed_form(alpha0, size, (r0, r1, r2))\n",
+        "build_multiples gives a dilate its parent's slack (no j scaling)",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "        size = alpha // ((1 + r0) * (1 + r1) * (1 + r2))\n",
+        "        size = alpha // ((1 + r1) * (1 + r2))\n",
+        "build_multiples' orbit size of a parent drops the (1 + r0) factor",
     ),
     (
         "src/latticecubes/symmetry.py",
-        "    beta = 8 * (e1 + 2 * e2 + 3 * e3) // st\n",
-        "    beta = 8 * (e1 + e2 + 3 * e3) // st\n",
+        "    beta = size * (e1 + 2 * e2 + 3 * e3) // 3\n",
+        "    beta = size * (e1 + e2 + 3 * e3) // 3\n",
         "beta's closed form takes e2 once, not twice",
     ),
     (
@@ -125,6 +131,12 @@ MUTANTS = [
         "    if not (0 < a <= b <= c and gcd(a, b, c) == 1 and",
         "    if not (0 < a and gcd(a, b, c) == 1 and",
         "a cache load accepts a source whose a, b, c are out of order",
+    ),
+    (
+        "src/latticecubes/census.py",
+        "        if keys and (sol.a, sol.b, sol.c) != min(keys):\n",
+        "        if False:\n",
+        "a cache load keeps a k = 1 source that is not the least k = 1 diagonal key of its cube",
     ),
     (
         "src/latticecubes/oracle.py",
@@ -218,8 +230,8 @@ MUTANTS = [
     ),
     (
         "src/latticecubes/census.py",
-        "(1 + r0) * (1 + r1) * (1 + r2))\n",
-        "(1 + r1) * (1 + r2))\n",
+        "divmod(inv.alpha, (1 + r0) * (1 + r1) * (1 + r2))\n",
+        "divmod(inv.alpha, (1 + r1) * (1 + r2))\n",
         "claim's orbit size drops the (1 + r0) factor",
     ),
     (

@@ -42,7 +42,7 @@ from latticecubes.diophantine import (
 )
 from latticecubes.lattice_geometry import Cube, Frame, Vec3, build_cube
 from latticecubes.reference import COUNTS_LISTED
-from latticecubes.symmetry import InvariantSet, class_key, invariants, orbit_classes, orbit_size
+from latticecubes.symmetry import InvariantSet, class_key, invariants, orbit_classes
 
 from . import referee
 from .published_data import EXTRA_SIDE19, T9_PRINTED_ROW1, T_MATRICES, TABLE1
@@ -285,12 +285,12 @@ def test_cube_without_k_value_1_claims_by_class_keys():
         Frame(*(Vec3(*(-e[p] if f else e[p] for p, f in zip(perm, flips))) for e in frame))
         for perm, flips in BOX_MAPS
     ]
-    assert len({class_key(img) for img in images}) == len(orbit_classes(frame)) == orbit_size(frame) == 24
+    assert len({class_key(img) for img in images}) == len(orbit_classes(frame)) == 24
     for img in images:
         assert list(_unit_diagonals(img)) == []
         assert reg.is_claimed(class_key(img))
     assert reg.claimed == orbit_classes(frame)
-    assert reg.classes == {53599: orbit_size(frame)}
+    assert reg.classes == {53599: len(orbit_classes(frame))}
     with pytest.raises(ArithmeticError, match="side 53599:"):
         reg.claim(rec)
 
@@ -348,13 +348,13 @@ def test_a_claim_reads_its_orbit_size_from_alpha(monkeypatch, registry19):
     # changes the registry
     rec = next(r for r in registry19.records if r.side == 5)
     one_class = _slack_volume(rec.frame, rec.bound_dim)
-    assert one_class > 1 and rec.invariants.alpha == one_class * orbit_size(rec.frame)
+    assert one_class > 1 and rec.invariants.alpha == one_class * len(orbit_classes(rec.frame))
     reg = CubeRegistry(n_built=5)
     with pytest.raises(ArithmeticError, match="side 5: alpha 19 of frame .* is no whole orbit size"):
         reg.claim(rec._replace(invariants=rec.invariants._replace(alpha=rec.invariants.alpha + 1)))
     assert (reg.records, reg.claimed, reg.classes) == ([], set(), {})
     reg.claim(rec._replace(invariants=rec.invariants._replace(alpha=rec.invariants.alpha + one_class)))
-    assert reg.classes == {5: orbit_size(rec.frame) + 1}
+    assert reg.classes == {5: len(orbit_classes(rec.frame)) + 1}
 
     def one_class_more(frame):
         inv = invariants(frame)
@@ -376,14 +376,14 @@ def test_orbit_size_identity_on_every_record_and_dilate():
     rows.append((FRAME_53599, max(FRAME_53599.extents()), invariants(FRAME_53599)))
     for frame, bound_dim, inv in rows:
         size, rest = divmod(inv.alpha, _slack_volume(frame, bound_dim))
-        assert rest == 0 and size == orbit_size(frame), frame
+        assert rest == 0 and size == len(orbit_classes(frame)), frame
     parents = {r.source: r for r in reg.records}
     checked = 0
     for m in multiples:
         parent = parents[m.source]
         j = m.side // parent.side
         if j <= 3:
-            assert (orbit_size(parent.frame), m.invariants) == table_invariants(parent.frame, j), (parent.frame, j)
+            assert (len(orbit_classes(parent.frame)), m.invariants) == table_invariants(parent.frame, j), (parent.frame, j)
             checked += 1
     assert checked == 377
 
@@ -819,6 +819,26 @@ def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, message):
     p.write_text(json.dumps(doc))
     with pytest.raises(CacheMismatch, match=message):
         load_registry(p, 19)
+
+
+def test_cache_keeps_the_census_representative_of_each_orbit(tmp_path, registry50):
+    # the census streams a side's plane solutions sorted, so a record with
+    # k-value 1 comes from the least of its k = 1 diagonal keys
+    from latticecubes.census import _unit_diagonals
+
+    for rec in registry50.records:
+        sol, _ = rec.source
+        assert (sol.a, sol.b, sol.c) == min(_unit_diagonals(rec.frame)), rec.source
+    # (5, 7, 13) is another k = 1 diagonal of the orbit of the side-9 record
+    # (1, 11, 11): replayed, it became that orbit's record with another cube
+    p = tmp_path / "reg.json"
+    save_registry(build_irreducible_list(41), p)
+    doc = json.loads(p.read_text())
+    i = doc["sources"].index([1, 11, 11, 9, 0, 1])
+    doc["sources"][i] = [5, 7, 13, 9, 0, 1]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CacheMismatch, match=r"\[5, 7, 13, 9, 0, 1\]: the census's source of its orbit is \(1, 11, 11\)"):
+        load_registry(p, 41)
 
 
 def _huge_source():

@@ -340,6 +340,22 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     assert out == "102550\n" and "loaded registry cache (N=20)" in err
 
 
+def test_cache_with_a_swapped_representative_is_rebuilt(tmp_path, capsys):
+    # the side-9 source swapped for another k = 1 diagonal of its orbit: the
+    # counts stay, but trusted, list would print another cube for the orbit
+    cache = tmp_path / "reg.json"
+    rc, uncached, _ = run(capsys, "list", "--n", "41", "--format", "json")
+    assert rc == 0 and [r["cube"][0] for r in json.loads(uncached) if r["side"] == 9] == [[0, 5, 5]]
+    run(capsys, "count", "--n", "41", "--cache", str(cache))
+    doc = json.loads(cache.read_text())
+    doc["sources"][doc["sources"].index([1, 11, 11, 9, 0, 1])] = [5, 7, 13, 9, 0, 1]
+    cache.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "list", "--n", "41", "--format", "json", "--cache", str(cache))
+    assert rc == 0 and out == uncached
+    assert f"rejected registry cache {cache}: cached source [5, 7, 13, 9, 0, 1]" in err
+    assert "saved registry cache" in err
+
+
 def _src_env():
     src = str(Path(latticecubes.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -3,16 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticecubes.census import build_irreducible_list, build_multiples
+from latticecubes.census import CubeRecord, CubeRegistry, build_irreducible_list, build_multiples
 from latticecubes.lattice_geometry import Cube, Frame, Vec3
-from latticecubes.symmetry import (
-    InvariantSet,
-    class_key,
-    dilate_invariants,
-    invariants,
-    orbit_classes,
-    orbit_size,
-)
+from latticecubes.symmetry import InvariantSet, class_key, invariants, orbit_classes
 
 from .published_data import TABLE1, PUBLISHED_MAPS_24
 from .referee import (
@@ -173,14 +166,23 @@ def test_orbit_classes_are_octant_forms():
         assert class_key(f.translate(Vec3(3, -2, 7)).corner_edges()) == class_key(f.corner_edges())
 
 
+def _dilates_by_2_and_3(rec):
+    """The invariants of the record's dilates by 2 and 3, by the census's
+    dilate path (build_multiples), which reads them from the record."""
+    reg = CubeRegistry(n_built=rec.side)
+    reg.records.append(rec)
+    return [m.invariants for m in build_multiples(3 * rec.bound_dim, reg)]
+
+
 def test_stabilizer_kernel_matches_the_24_image_table():
     # the stabilizer counts against the table that lists all 24 images, on
     # every record to side 400 and its dilates by 2 and 3
     reg = build_irreducible_list(400)
     assert len(reg.records) == 2171
     for rec in reg.records:
-        for j, inv in enumerate([invariants(rec.frame), *dilate_invariants(rec.frame, 3)], 1):
-            assert (orbit_size(rec.frame), inv) == table_invariants(rec.frame, j), (rec.frame, j)
+        assert rec.invariants == invariants(rec.frame), rec.frame
+        for j, inv in enumerate([rec.invariants, *_dilates_by_2_and_3(rec)], 1):
+            assert (len(orbit_classes(rec.frame)), inv) == table_invariants(rec.frame, j), (rec.frame, j)
 
 
 def _assert_kernel_matches_referee(frame, c):
@@ -189,7 +191,10 @@ def _assert_kernel_matches_referee(frame, c):
     orbit = symmetry_orbit(c)
     assert inv == vertex_invariants(c)
     assert inv.alpha0 == len(orbit)
-    assert orbit_size(frame) == len(orbit_classes(frame))
+    # the orbit-size identity the claim and the dilates read: alpha is the
+    # orbit size times (1 + r0)(1 + r1)(1 + r2)
+    r0, r1, r2 = (max(frame.extents()) - w for w in frame.extents())
+    assert inv.alpha == len(orbit_classes(frame)) * (1 + r0) * (1 + r1) * (1 + r2)
     assert orbit_classes(frame) == {class_key(img.translate_to_octant().corner_edges()) for img in orbit}
 
 
@@ -230,7 +235,7 @@ def test_kernel_at_origin_corner_matches_referee(registry50):
 
 
 def _dilated_invariants(frame):
-    return dilate_invariants(frame, 3)
+    return _dilates_by_2_and_3(CubeRecord(frame.side, max(frame.extents()), frame, invariants(frame), None))
 
 
 @settings(max_examples=100, deadline=None)
@@ -244,14 +249,14 @@ def test_every_frame_of_a_cube_gives_the_same_kernel_results(registry50, data):
     perm = data.draw(st.permutations(range(3)), label="edge order")
     signs = data.draw(st.tuples(*[st.sampled_from((1, -1))] * 3), label="edge signs")
     frame = Frame(*(edges[p].scale(g) for p, g in zip(perm, signs)))
-    for fn in (invariants, orbit_classes, orbit_size, _dilated_invariants):
+    for fn in (invariants, orbit_classes, _dilated_invariants):
         assert fn(frame) == fn(rec.frame), fn.__name__
 
 
 def test_a_record_costs_one_kernel_pass_and_no_class_key(monkeypatch):
     # a record costs one kernel pass, its invariants (the claim reads its
-    # orbit size from the record), and each parent of dilates one more for
-    # all of them; the pass reads the frame's own edges: at N = 400, where
+    # orbit size from the record), and a dilate none (it reads its parent
+    # record); the pass reads the frame's own edges: at N = 400, where
     # every record has k-value 1, the census computes no class key
     from latticecubes import census, symmetry
 
@@ -274,5 +279,5 @@ def test_a_record_costs_one_kernel_pass_and_no_class_key(monkeypatch):
     multiples = build_multiples(400, reg)
     parents = {m.source for m in multiples}
     assert (len(multiples), len(parents)) == (1252, 251)
-    assert len(passes) == len(reg.records) + len(parents)
+    assert len(passes) == len(reg.records)
     assert len(calls) == 0
