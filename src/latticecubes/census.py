@@ -75,12 +75,9 @@ are built: the orbit sizes of the records of side s sum to the number
 of translation classes of primitive cubes of side s, which is Dedekind's
 psi(s) for odd s, and there are none of even side.  After the last side
 no odd side <= N may be missing.  With the double-claim raise, a lost,
-duplicated or extra orbit fails loudly.  A registry cache stores only
-each record's source and replays the sources of the sides <= the
-requested N, sorted by side, through the same pass; a cache without a
-source of some odd side below its own N replays up to the first such
-side, which fails there, and a k = 1 source that is not the least k = 1
-diagonal key of its cube is not the census's and fails the load.
+duplicated or extra orbit fails loudly.  A registry cache stores each
+record's source in registry order; a load builds the census and keeps it
+only if the file's sources are the census's (load_registry).
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
@@ -94,8 +91,8 @@ N + boxes, not N * boxes; count_cubes takes its last term.
 from __future__ import annotations
 
 import os
-from itertools import accumulate, chain, count, groupby
-from math import gcd, isqrt
+from itertools import accumulate, chain, groupby, zip_longest
+from math import gcd
 from operator import add
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -269,8 +266,7 @@ def _accept_side(
     claims of that side alone, building a candidate's frame with `build`
     only when it is needed; then the side's check of its translation
     classes against psi(side) (ArithmeticError naming the side).  The side
-    is odd and at most reg.n_built: the census generates no other, and a
-    cache load admits no other source (load_registry).
+    is odd and at most reg.n_built: the census generates no other.
 
     psi(side) is also the rule that ends the side: a k = 1 candidate is
     decided by its diagonal key, and a k > 1 candidate is passed over
@@ -438,9 +434,15 @@ def record_to_json(rec: CubeRecord) -> dict:
     }
 
 
+def _sources(reg: CubeRegistry) -> list[list[int]]:
+    """Each record's source [a, b, c, d, m, n], in registry order: what a
+    cache stores and a load compares."""
+    return [[*sol, *mn] for sol, mn in (r.source for r in reg.records)]
+
+
 def save_registry(reg: CubeRegistry, path: str | Path) -> None:
-    """Write N and each record's source [a, b, c, d, m, n], in registry
-    order, as JSON to `path`, atomically.
+    """Write N and the registry's sources (_sources) as JSON to `path`,
+    atomically.
 
     The document goes to a temp file beside `path` that then replaces it,
     so a crash or error mid-write leaves any previous cache intact.  Only
@@ -453,11 +455,7 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
     import stat
     from pathlib import Path  # kept off the package's import path
 
-    doc = {
-        "version": CACHE_VERSION,
-        "N": reg.n_built,
-        "sources": [[*sol, *mn] for sol, mn in (r.source for r in reg.records)],
-    }
+    doc = {"version": CACHE_VERSION, "N": reg.n_built, "sources": _sources(reg)}
     p = Path(path)
     try:
         mode = os.lstat(p).st_mode
@@ -477,63 +475,24 @@ def save_registry(reg: CubeRegistry, path: str | Path) -> None:
 
 class CacheMismatch(ValueError):
     """A registry cache that cannot be trusted: unreadable, of another
-    version, missing keys, or with sources that do not replay to the
-    census registry for its N."""
-
-
-def _source_item(src: list) -> Candidate:
-    """The candidate (k, mn, d, sol) a cached source [a, b, c, d, m, n] stands
-    for; CacheMismatch unless (a, b, c, d) is a PlaneSolution and (m, n) a
-    NormFormSolution or the mirror (n - m, n) of one, as the census builds
-    them.  For k = 1 that admits only (0, 1)."""
-    if not isinstance(src, list) or len(src) != 6:
-        raise CacheMismatch(f"cached source {src!r} is not a list of six integers")
-    for t in src:
-        if type(t) is not int:
-            raise CacheMismatch(f"cached source {src!r}: {t!r} is not an integer")
-    a, b, c, d, m, n = src
-    if not (0 < a <= b <= c and gcd(a, b, c) == 1 and a * a + b * b + c * c == 3 * d * d):
-        raise CacheMismatch(
-            f"cached source {src}: not a solution of a^2 + b^2 + c^2 = 3d^2 with 0 < a <= b <= c, gcd(a, b, c) = 1"
-        )
-    kk = m * m - m * n + n * n
-    k = isqrt(kk)
-    if not (0 <= m < n and gcd(m, n) == 1 and k * k == kk):
-        raise CacheMismatch(
-            f"cached source {src}: m = {m}, n = {n} is not a norm-form solution"
-            " (m^2 - mn + n^2 = k^2, 0 <= m < n, gcd(m, n) = 1)"
-        )
-    return k, NormFormSolution(m, n), d, PlaneSolution(a, b, c, d)
+    version, missing keys, or with sources that are not the census's."""
 
 
 def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
-    """Registry for N from the cache at `path`, the census registry
-    build_irreducible_list(N) would give (n_built = N), or None if there
-    is no file or it was built for a smaller N.
+    """The census registry build_irreducible_list(N), if the cache at
+    `path` agrees with it; None if there is no file or it was built for a
+    smaller N.
 
-    The sources of the sides <= N are replayed, stably sorted by side,
-    through the census's accept pass, which rebuilds each record's frame,
-    so each side ends with the census's check of its classes against
-    psi; no side above N is rebuilt.  Every odd side <= the cache's N
-    (N_c) has psi(side) > 0 classes, so a source.  The short-side rule: a
-    cache without a source of some odd side <= N_c is replayed only up to
-    its first such side, which then fails its check, for any N <= N_c,
-    and no larger side is rebuilt or has its psi computed, however large
-    N_c and the side are.  A file that is not this version's JSON
-    document, lacks a key, holds a source that is not six integers, not a
-    source the census builds (_source_item), of a side d*k outside
-    1..N_c or that does not become a record, or fails the accept pass,
-    raises CacheMismatch with the reason.  The sources are checked before
-    any is rebuilt, so a rebuild's cost is bounded by N_c.  A
-    PlaneSolution's d and a NormFormSolution's k are odd (a^2 + b^2 + c^2
-    = 3d^2 with d even forces a, b, c even, and m^2 - mn + n^2 is odd for
-    coprime m, n), so every replayed side is odd and at most N, as the
-    accept pass needs.  The census streams a side's plane solutions in
-    sorted order, so the source of a record with k-value 1 is the least
-    of its k = 1 diagonal keys (_unit_diagonals); a replayed record with
-    another source (another cube of the same orbit) raises CacheMismatch,
-    so a load keeps the census's own cube for each orbit.  N < 1 raises
-    ValueError, as for the census.
+    A file that is not this version's JSON document, lacks a key or holds
+    a malformed N or sources list raises CacheMismatch with the reason.
+    Otherwise the load builds the census for N and compares its sources
+    (_sources) with the file's, in registry order: all of them at the
+    file's own N, and for a smaller N only as many as the census has,
+    which, the census being side-major, are the file's sources of the
+    sides <= N.  The first source that differs raises CacheMismatch
+    naming it.  So the registry comes from the census, never from the
+    file, no side above N is built, and sources past the request's are
+    parsed but not checked.  N < 1 raises ValueError, as for the census.
     """
     import json
     from pathlib import Path  # kept off the package's import path
@@ -559,26 +518,10 @@ def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
         raise CacheMismatch("malformed document: N is not a positive integer or sources not a list")
     if n_built < N:
         return None
-    items = [_source_item(src) for src in sources]
-    for src, (k, _, d, _) in zip(sources, items):
-        if not 1 <= d * k <= n_built:
-            raise CacheMismatch(f"cached source {src}: side d*k = {d * k} is not in 1..{n_built}")
-    sides = {k * d for k, _, d, _ in items}
-    gap = next(s for s in count(1, 2) if s not in sides)  # the first odd side without a source
-    top = N if gap > n_built else gap  # the request's sides, or up to the missing side, which fails
-    # stable: one run per side, cached order within
-    items = sorted((item for item in items if item[0] * item[2] <= top), key=lambda item: item[0] * item[2])
-    try:
-        reg = _accept(top, items, _build_one)
-    except (ValueError, ArithmeticError) as exc:
-        raise CacheMismatch(f"replay of the cached sources: {exc}") from exc
-    if len(reg.records) != len(items):
-        raise CacheMismatch(
-            f"cached sources that do not become records: {len(items) - len(reg.records)}"
-            " (orbit already claimed or reachable at k = 1)"
-        )
-    for _, _, frame, _, (sol, mn) in reg.records:
-        keys = _unit_diagonals(frame)
-        if keys and (sol.a, sol.b, sol.c) != min(keys):
-            raise CacheMismatch(f"cached source {[*sol, *mn]}: the census's source of its orbit is {min(keys)}")
+    reg = build_irreducible_list(N)
+    want = _sources(reg)
+    got = sources if n_built == N else sources[: len(want)]
+    if got != want:
+        i, cached, census_source = next((i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+        raise CacheMismatch(f"cached source {cached} at position {i} is not the census's {census_source} for N = {N}")
     return reg

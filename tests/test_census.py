@@ -3,7 +3,9 @@
 import ast
 import json
 import pickle
-from math import gcd
+import re
+from itertools import zip_longest
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,7 @@ from latticecubes.census import (
     _build_one,
     _candidate_stream,
     _side_candidates,
-    _source_item,
+    _sources,
     build_irreducible_list,
     box_sums,
     build_multiples,
@@ -581,10 +583,16 @@ def test_side_63973_closes_at_psi_with_mirror_triangles(side63973):
     assert {r.source[1] for r in rare} == {(3, 8), (5, 8)}  # k = 7 and its mirror
 
 
+def _candidate(a, b, c, d, m, n):
+    """The candidate (k, mn, d, sol) a printed source [a, b, c, d, m, n]
+    stands for, k = isqrt(m^2 - mn + n^2)."""
+    return isqrt(m * m - m * n + n * n), NormFormSolution(m, n), d, PlaneSolution(a, b, c, d)
+
+
 def test_side_63973_sources_replay_to_the_same_records(side63973):
-    # a cache load replays each record's source, mirror triangles included,
+    # each record's source, mirror triangles included, rebuilds that record
     # through the same accept pass
-    items = [_source_item([*sol, *mn]) for sol, mn in (r.source for r in side63973.records)]
+    items = [_candidate(*sol, *mn) for sol, mn in (r.source for r in side63973.records)]
     reg = CubeRegistry(n_built=S63973)
     _accept_side(reg, S63973, items, _build_one)
     assert reg.records == side63973.records
@@ -624,7 +632,7 @@ def test_the_quaternion_referee_shares_no_census_code():
 
 def test_a_k1_candidate_off_its_table_raises_value_error():
     # a candidate is built from its d's quaternion table; a solution that is
-    # not in it is a ValueError (a cache replay's CacheMismatch), not a KeyError
+    # not in it is a ValueError, not a KeyError
     sol3 = PlaneSolution(1, 1, 5, 3)
     assert _build_one((1, NormFormSolution(0, 1), 3, sol3)).side == 3
     for sol in (PlaneSolution(1, 1, 5, 5), PlaneSolution(1, 1, 1, 3)):
@@ -662,9 +670,9 @@ def test_candidate_stream_order():
 
 def test_record_json_roundtrip(registry19):
     # a listed record's source is all the cache keeps of it: the printed
-    # sources, replayed through the accept pass, give back the records
+    # sources, through the accept pass, give back the records
     sources = [record_to_json(r)["source"] for r in registry19.records]
-    items = [_source_item([src[x] for x in "abcdmn"]) for src in sources]
+    items = [_candidate(*(src[x] for x in "abcdmn")) for src in sources]
     assert _accept(19, items, _build_one).records == registry19.records
 
 
@@ -680,35 +688,51 @@ def test_cache_roundtrip(tmp_path, registry19):
     assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
 
 
-def test_cache_load_for_a_smaller_n_replays_only_its_sides(tmp_path, monkeypatch):
+def _bound_sides(monkeypatch, n):
+    """Make the census fail on a frame built, or a psi computed, for a side
+    above n."""
+    build, psi = census._build_one, census.dedekind_psi
+
+    def bounded_build(item):
+        k, _, d, _ = item
+        if d * k > n:
+            pytest.fail(f"built a frame of side {d * k} > n = {n}")
+        return build(item)
+
+    def bounded_psi(s):
+        if s > n:
+            pytest.fail(f"psi({s}) computed for a side > n = {n}")
+        return psi(s)
+
+    monkeypatch.setattr(census, "_build_one", bounded_build)
+    monkeypatch.setattr(census, "dedekind_psi", bounded_psi)
+
+
+def test_cache_load_for_a_smaller_n_builds_only_its_sides(tmp_path, monkeypatch):
     # a cache built for N = 60 serves any n <= 60 with the census registry
-    # for n, and builds no frame of a side above n
+    # for n, and builds no frame, nor computes psi, of a side above n
     p = tmp_path / "reg.json"
     save_registry(build_irreducible_list(60), p)
-    build = census._build_one
     for n in (1, 2, 19, 30, 45, 59, 60):
         want = build_irreducible_list(n)
-
-        def bounded_build(item, n=n):
-            k, _, d, _ = item
-            if d * k > n:
-                pytest.fail(f"rebuilt a cached source of side {d * k} > n = {n}")
-            return build(item)
-
-        monkeypatch.setattr(census, "_build_one", bounded_build)
-        loaded = load_registry(p, n)
-        monkeypatch.setattr(census, "_build_one", build)
-        assert (loaded.n_built, loaded.records, loaded.classes) == (n, want.records, want.classes), n
+        with monkeypatch.context() as m:
+            _bound_sides(m, n)
+            loaded = load_registry(p, n)
+        assert (loaded.n_built, loaded.records, loaded.claimed, loaded.classes) == (
+            n, want.records, want.claimed, want.classes,
+        ), n
         assert sequence(n, registry=loaded) == COUNTS_LISTED[:n]
     with pytest.raises(ValueError, match="N must be positive"):
         load_registry(p, 0)
 
 
-def test_cache_in_any_source_order_loads_the_same_records(tmp_path, registry19):
-    # a load replays the sources sorted by side, so a cache whose sources
-    # are shuffled (one written before the census went side by side was
-    # k-major) gives the same registry
+def test_cache_in_another_source_order_is_rejected(tmp_path, capsys, registry19):
+    # a load compares the sources in registry order, so a cache whose
+    # sources are shuffled (one written before the census went side by side
+    # was k-major) is rejected, and the CLI rebuilds and resaves it
     import random
+
+    from latticecubes.cli import main
 
     p = tmp_path / "reg.json"
     save_registry(registry19, p)
@@ -716,10 +740,15 @@ def test_cache_in_any_source_order_loads_the_same_records(tmp_path, registry19):
     random.Random(19).shuffle(doc["sources"])
     assert [s[3] for s in doc["sources"]] != sorted(s[3] for s in doc["sources"])
     p.write_text(json.dumps(doc))
-    loaded = load_registry(p, 19)
-    assert set(loaded.records) == set(registry19.records)
-    assert loaded.classes == registry19.classes
-    assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
+    with pytest.raises(CacheMismatch, match=r"^cached source \[.*\] at position \d+ is not the census's"):
+        load_registry(p, 19)
+    assert main(["list", "--n", "19", "--format", "json"]) == 0
+    uncached = capsys.readouterr().out
+    assert main(["list", "--n", "19", "--format", "json", "--cache", str(p)]) == 0
+    out, err = capsys.readouterr()
+    assert out == uncached
+    assert f"rejected registry cache {p}: cached source [" in err and "saved registry cache" in err
+    assert load_registry(p, 19).records == registry19.records
 
 
 def test_cache_rejects_stale_or_broken(tmp_path, registry19):
@@ -767,19 +796,18 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch, registry19):
 
 
 def _add_reducible(doc):
-    # n = 2 would turn the side-7 source into the side-7 cube dilated by 2;
-    # gcd(m, n) = 2 rejects it before it is built
+    # n = 2 would turn the side-7 source into the side-7 cube dilated by 2
     doc["sources"].append(doc["sources"][3][:5] + [2])
 
 
 def _unsorted_abc(doc):
-    # side 3's source with a and c swapped: its replay built a different
-    # cube of the same orbit, and the load printed that cube
+    # side 3's source with a and c swapped, which would build a different
+    # cube of the same orbit
     doc["sources"][1] = [5, 1, 1, 3, 0, 1]
 
 
 def _m_n_swapped(doc):
-    # side 1's source with (m, n) = (1, 0): its replay built the unit cube
+    # side 1's source with (m, n) = (1, 0), which would build the unit cube
     doc["sources"][0] = [1, 1, 1, 1, 1, 0]
 
 
@@ -795,7 +823,7 @@ def _version_1(doc):
 
 
 @pytest.mark.parametrize(
-    "tamper, message",
+    "tamper, defect",  # defect names the case: what a trusted load would get wrong
     [
         (lambda doc: doc["sources"].pop(3), "side 7: 0 translation classes claimed, expected 8"),
         (lambda doc: doc["sources"].append(list(doc["sources"][3])), "orbit already claimed"),
@@ -811,14 +839,27 @@ def _version_1(doc):
         (_version_1, "version 1, expected 2"),
     ],
 )
-def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, message):
+def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, defect):
+    # each tampered file is rejected at its own N, naming its first source
+    # that is not the census's; a raised N still serves the sides its
+    # sources cover
     p = tmp_path / "reg.json"
     save_registry(registry19, p)
     doc = json.loads(p.read_text())
     tamper(doc)
     p.write_text(json.dumps(doc))
-    with pytest.raises(CacheMismatch, match=message):
-        load_registry(p, 19)
+    if "sources" not in doc:  # the previous format
+        with pytest.raises(CacheMismatch, match="version 1, expected 2"):
+            load_registry(p, 19)
+        return
+    n = doc["N"]
+    if n > 19:
+        assert load_registry(p, 19).records == registry19.records
+    got, want = doc["sources"], _sources(build_irreducible_list(n))
+    i, cached, census_source = next((i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+    message = f"cached source {cached} at position {i} is not the census's {census_source} for N = {n}"
+    with pytest.raises(CacheMismatch, match=f"^{re.escape(message)}$"):
+        load_registry(p, n)
 
 
 def test_cache_keeps_the_census_representative_of_each_orbit(tmp_path, registry50):
@@ -830,21 +871,24 @@ def test_cache_keeps_the_census_representative_of_each_orbit(tmp_path, registry5
         sol, _ = rec.source
         assert (sol.a, sol.b, sol.c) == min(_unit_diagonals(rec.frame)), rec.source
     # (5, 7, 13) is another k = 1 diagonal of the orbit of the side-9 record
-    # (1, 11, 11): replayed, it became that orbit's record with another cube
+    # (1, 11, 11): a cache holding it is not the census's
     p = tmp_path / "reg.json"
     save_registry(build_irreducible_list(41), p)
     doc = json.loads(p.read_text())
     i = doc["sources"].index([1, 11, 11, 9, 0, 1])
     doc["sources"][i] = [5, 7, 13, 9, 0, 1]
     p.write_text(json.dumps(doc))
-    with pytest.raises(CacheMismatch, match=r"\[5, 7, 13, 9, 0, 1\]: the census's source of its orbit is \(1, 11, 11\)"):
+    with pytest.raises(
+        CacheMismatch,
+        match=re.escape("cached source [5, 7, 13, 9, 0, 1] at position 4 is not the census's [1, 11, 11, 9, 0, 1]"),
+    ):
         load_registry(p, 41)
 
 
 def _huge_source():
     """A genuine primitive solution of a^2 + b^2 + c^2 = 3d^2 with a 25-digit
     d, from the rational sphere through (1, 1, 1), as a cached k = 1 source:
-    rebuilding it would leave dedekind_psi trial-dividing its side."""
+    building its side would leave dedekind_psi trial-dividing it."""
     p, q, r = 10**12 + 39, 7 * 10**11 + 3, 3 * 10**11 + 11
     s, t = p * p + q * q + r * r, p + q + r
     a, b, c = sorted(abs(s - 2 * t * x) for x in (p, q, r))
@@ -855,46 +899,31 @@ def _huge_source():
 
 
 def test_cache_rejects_a_huge_source_before_building_it(tmp_path, monkeypatch, registry19):
+    # the appended source is past the census's 13 at the file's own N
     src = _huge_source()
-    d = src[3]
     path = tmp_path / "reg.json"
     save_registry(registry19, path)
     doc = json.loads(path.read_text())
     doc["sources"].append(src)
     path.write_text(json.dumps(doc))
-    build = census._build_one
-
-    def bounded_build(item):
-        k, _, d, _ = item
-        if d * k > 19:
-            pytest.fail(f"rebuilt a cached source of side {d * k} > N = 19")
-        return build(item)
-
-    monkeypatch.setattr(census, "_build_one", bounded_build)
-    with pytest.raises(CacheMismatch, match=rf"side d\*k = {d} is not in 1\.\.19"):
+    _bound_sides(monkeypatch, 19)
+    with pytest.raises(CacheMismatch, match=re.escape(f"cached source {src} at position 13 is not the census's None")):
         load_registry(path, 19)
 
 
-def test_cache_with_a_huge_n_stops_at_its_first_missing_side(tmp_path, monkeypatch, registry19):
-    # N raised to 10^30 passes the side bound for the huge source; the
-    # replay must stop at side 21, which has no records, before it computes
-    # psi of the huge side by trial division
+def test_cache_with_a_huge_n_serves_the_sides_it_covers(tmp_path, monkeypatch, registry19):
+    # N raised to 10^30 and the huge source appended: a load for n = 19
+    # builds the census to 19 alone and compares only the first 13 sources,
+    # never the huge one
     path = tmp_path / "reg.json"
     save_registry(registry19, path)
     doc = json.loads(path.read_text())
     doc["N"] = 10**30
     doc["sources"].append(_huge_source())
     path.write_text(json.dumps(doc))
-    psi = census.dedekind_psi
-
-    def bounded_psi(n):
-        if n > 21:
-            pytest.fail(f"psi({n}) computed after side 21 had no records")
-        return psi(n)
-
-    monkeypatch.setattr(census, "dedekind_psi", bounded_psi)
-    with pytest.raises(CacheMismatch, match="side 21: 0 translation classes claimed, expected 32"):
-        load_registry(path, 19)
+    _bound_sides(monkeypatch, 19)
+    loaded = load_registry(path, 19)
+    assert (loaded.n_built, loaded.records, loaded.classes) == (19, registry19.records, registry19.classes)
 
 
 def test_census_builds_no_vertices(tmp_path, monkeypatch):

@@ -329,12 +329,15 @@ def test_tampered_cache_is_rebuilt(tmp_path, capsys):
     rc, out, _ = run(capsys, "count", "--n", "20", "--cache", str(cache))
     assert rc == 0 and out == "102550\n"
     doc = json.loads(cache.read_text())
-    del doc["sources"][3]  # the side-7 record; trusted, the count would be short
+    side7 = doc["sources"].pop(3)  # the side-7 record; trusted, the count would be short
     cache.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "count", "--n", "20", "--cache", str(cache))
     assert rc == 0
     assert out == "102550\n"
-    assert "rejected registry cache" in err and "side 7: 0 translation classes claimed" in err
+    assert (
+        f"rejected registry cache {cache}: cached source {doc['sources'][3]} at position 3"
+        f" is not the census's {side7} for N = 20\n"
+    ) in err
     assert "saved registry cache" in err
     rc, out, err = run(capsys, "count", "--n", "20", "--cache", str(cache))
     assert out == "102550\n" and "loaded registry cache (N=20)" in err
