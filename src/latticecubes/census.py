@@ -75,9 +75,7 @@ are built: the orbit sizes of the records of side s sum to the number
 of translation classes of primitive cubes of side s, which is Dedekind's
 psi(s) for odd s, and there are none of even side.  After the last side
 no odd side <= N may be missing.  With the double-claim raise, a lost,
-duplicated or extra orbit fails loudly.  A registry cache stores each
-record's source in registry order; a load builds the census and keeps it
-only if the file's sources are the census's (load_registry).
+duplicated or extra orbit fails loudly.
 
 NC(n) is then a sum of placement counts: each record contributes
 (t+1)^3 a - 3t(t+1)^2 b + 3(t+1)t^2 g with t = n - bound_dim, the
@@ -90,11 +88,10 @@ N + boxes, not N * boxes; count_cubes takes its last term.
 
 from __future__ import annotations
 
-import os
-from itertools import accumulate, chain, groupby, zip_longest
+from itertools import accumulate, chain, groupby
 from math import gcd
 from operator import add
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .diophantine import (
     NormFormSolution,
@@ -107,11 +104,6 @@ from .diophantine import (
 )
 from .lattice_geometry import Cube, Frame, Vec3, build_cube
 from .symmetry import ClassKey, Edge, InvariantSet, class_key, closed_form, invariants, orbit_classes
-
-if TYPE_CHECKING:
-    from pathlib import Path
-
-CACHE_VERSION = 2
 
 Candidate = tuple[int, NormFormSolution, int, PlaneSolution]  # (k, mn, d, sol)
 
@@ -409,7 +401,7 @@ def sequence(N: int, registry: Optional[CubeRegistry] = None) -> list[int]:
     if registry is None:
         registry = build_irreducible_list(N)
     elif registry.n_built < N:
-        raise ValueError("cached registry was built for a smaller N")
+        raise ValueError("registry was built for a smaller N")
     boxes = box_sums(chain(registry.records, build_multiples(N, registry)))
     return sequence_from_boxes(N, boxes)
 
@@ -433,95 +425,3 @@ def record_to_json(rec: CubeRecord) -> dict:
         },
     }
 
-
-def _sources(reg: CubeRegistry) -> list[list[int]]:
-    """Each record's source [a, b, c, d, m, n], in registry order: what a
-    cache stores and a load compares."""
-    return [[*sol, *mn] for sol, mn in (r.source for r in reg.records)]
-
-
-def save_registry(reg: CubeRegistry, path: str | Path) -> None:
-    """Write N and the registry's sources (_sources) as JSON to `path`,
-    atomically.
-
-    The document goes to a temp file beside `path` that then replaces it,
-    so a crash or error mid-write leaves any previous cache intact.  Only
-    a regular file is replaced: a directory raises IsADirectoryError and
-    anything else, a symlink, FIFO or device included, FileExistsError,
-    before any temp file is written.
-    """
-    import errno
-    import json
-    import stat
-    from pathlib import Path  # kept off the package's import path
-
-    doc = {"version": CACHE_VERSION, "N": reg.n_built, "sources": _sources(reg)}
-    p = Path(path)
-    try:
-        mode = os.lstat(p).st_mode
-    except FileNotFoundError:
-        mode = stat.S_IFREG  # a new cache
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(p))
-    if not stat.S_ISREG(mode):
-        raise FileExistsError(errno.EEXIST, "exists and is not a regular file", str(p))
-    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
-        os.replace(tmp, p)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-class CacheMismatch(ValueError):
-    """A registry cache that cannot be trusted: unreadable, of another
-    version, missing keys, or with sources that are not the census's."""
-
-
-def load_registry(path: str | Path, N: int) -> Optional[CubeRegistry]:
-    """The census registry build_irreducible_list(N), if the cache at
-    `path` agrees with it; None if there is no file or it was built for a
-    smaller N.
-
-    A file that is not this version's JSON document, lacks a key or holds
-    a malformed N or sources list raises CacheMismatch with the reason.
-    Otherwise the load builds the census for N and compares its sources
-    (_sources) with the file's, in registry order: all of them at the
-    file's own N, and for a smaller N only as many as the census has,
-    which, the census being side-major, are the file's sources of the
-    sides <= N.  The first source that differs raises CacheMismatch
-    naming it.  So the registry comes from the census, never from the
-    file, no side above N is built, and sources past the request's are
-    parsed but not checked.  N < 1 raises ValueError, as for the census.
-    """
-    import json
-    from pathlib import Path  # kept off the package's import path
-
-    if N < 1:
-        raise ValueError("N must be positive")
-    p = Path(path)
-    if not p.is_file():
-        return None
-    try:
-        doc = json.loads(p.read_text())
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise CacheMismatch(f"unreadable JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CacheMismatch("not a JSON object")
-    if doc.get("version") != CACHE_VERSION:
-        raise CacheMismatch(f"version {doc.get('version')!r}, expected {CACHE_VERSION}")
-    try:
-        n_built, sources = doc["N"], doc["sources"]
-    except KeyError as exc:
-        raise CacheMismatch(f"missing key {exc}") from exc
-    if type(n_built) is not int or n_built < 1 or not isinstance(sources, list):
-        raise CacheMismatch("malformed document: N is not a positive integer or sources not a list")
-    if n_built < N:
-        return None
-    reg = build_irreducible_list(N)
-    want = _sources(reg)
-    got = sources if n_built == N else sources[: len(want)]
-    if got != want:
-        i, cached, census_source = next((i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if a != b)
-        raise CacheMismatch(f"cached source {cached} at position {i} is not the census's {census_source} for N = {N}")
-    return reg

@@ -16,26 +16,34 @@ one writer (_emit) prints the one --format picks.  Results go to
 stdout, diagnostics to stderr.  Exit codes:
 0 success, 1 verification or validation failure or a cache that cannot
 be written, 2 usage error.
+
+A request builds its census once (_get_registry).  --cache FILE then
+checks the file against it: the file holds N and each record's source
+[a, b, c, d, m, n] in registry order, and a load compares them with the
+census's, all of them at the file's own N and, for a smaller n, only as
+many as the census has, which, the census being side-major, are the
+file's sources of the sides <= n.  A file that agrees is reported as
+loaded; otherwise the census is saved to it, after a line giving the
+reason when the file disagrees or cannot be read.  So every result comes
+from the census, never from the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterable, Optional
 
-# json is imported by _emit and by the invariants command, off the start-up path
+# json is imported where it is used (_emit, the invariants command, the cache), off the start-up path
 
 from .census import (
-    CacheMismatch,
     CubeRegistry,
     build_irreducible_list,
     build_multiples,
     count_cubes,
-    load_registry,
     record_to_json,
-    save_registry,
     sequence,
 )
 from .diophantine import pi_epsilon, solve_three_squares
@@ -56,18 +64,106 @@ def _positive_int(text: str) -> int:
     return value
 
 
+CACHE_VERSION = 2
+
+
+class CacheMismatch(ValueError):
+    """A registry cache that cannot be trusted: unreadable, of another
+    version, missing keys, or with sources that are not the census's."""
+
+
+def _sources(reg: CubeRegistry) -> list[list[int]]:
+    """Each record's source [a, b, c, d, m, n], in registry order: what a
+    cache stores and a load compares."""
+    return [[*sol, *mn] for sol, mn in (r.source for r in reg.records)]
+
+
+def save_registry(reg: CubeRegistry, path: str | os.PathLike[str]) -> None:
+    """Write N and the registry's sources (_sources) as JSON to `path`,
+    atomically.
+
+    The document goes to a temp file beside `path` that then replaces it,
+    so a crash or error mid-write leaves any previous cache intact.  Only
+    a regular file is replaced: a directory raises IsADirectoryError and
+    anything else, a symlink, FIFO or device included, FileExistsError,
+    before any temp file is written.
+    """
+    import errno
+    import json
+    import stat
+    from pathlib import Path  # kept off the package's import path
+
+    doc = {"version": CACHE_VERSION, "N": reg.n_built, "sources": _sources(reg)}
+    p = Path(path)
+    try:
+        mode = os.lstat(p).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a new cache
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(p))
+    if not stat.S_ISREG(mode):
+        raise FileExistsError(errno.EEXIST, "exists and is not a regular file", str(p))
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
+        os.replace(tmp, p)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def load_registry(path: str | os.PathLike[str], reg: CubeRegistry) -> bool:
+    """True if the cache at `path` holds the sources of the census `reg`;
+    False if there is no file or it was built for an N below reg.n_built.
+
+    A file that is not this version's JSON document, lacks a key or holds
+    a malformed N or sources list raises CacheMismatch with the reason.
+    Otherwise its sources are compared with reg's (_sources), in registry
+    order: all of them at the file's own N, and below it only as many as
+    reg has.  The first source that differs, in value or in JSON type,
+    raises CacheMismatch naming it.  Sources past reg's are parsed but not
+    checked.
+    """
+    import json
+    from pathlib import Path  # kept off the package's import path
+
+    N = reg.n_built
+    p = Path(path)
+    if not p.is_file():
+        return False
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CacheMismatch(f"unreadable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CacheMismatch("not a JSON object")
+    if doc.get("version") != CACHE_VERSION:
+        raise CacheMismatch(f"version {doc.get('version')!r}, expected {CACHE_VERSION}")
+    try:
+        n_built, sources = doc["N"], doc["sources"]
+    except KeyError as exc:
+        raise CacheMismatch(f"missing key {exc}") from exc
+    if type(n_built) is not int or n_built < 1 or not isinstance(sources, list):
+        raise CacheMismatch("malformed document: N is not a positive integer or sources not a list")
+    if n_built < N:
+        return False
+    want = _sources(reg)
+    got = sources if n_built == N else sources[: len(want)]
+    for i, (cached, source) in enumerate(zip_longest(got, want)):
+        # JSON's true and 1.0 compare equal to 1, so each cached number must be an int too
+        if cached != source or any(type(x) is not int for x in cached):
+            raise CacheMismatch(f"cached source {cached} at position {i} is not the census's {source} for N = {N}")
+    return True
+
+
 def _get_registry(args: argparse.Namespace) -> CubeRegistry:
-    if args.cache_path:
-        try:
-            reg = load_registry(args.cache_path, args.n)
-        except CacheMismatch as exc:
-            print(f"rejected registry cache {args.cache_path}: {exc}", file=sys.stderr)
-            reg = None
-        if reg is not None:
-            print(f"loaded registry cache (N={reg.n_built})", file=sys.stderr)
-            return reg
     reg = build_irreducible_list(args.n)
     if args.cache_path:
+        try:
+            if load_registry(args.cache_path, reg):
+                print(f"loaded registry cache (N={reg.n_built})", file=sys.stderr)
+                return reg
+        except CacheMismatch as exc:
+            print(f"rejected registry cache {args.cache_path}: {exc}", file=sys.stderr)
         try:
             save_registry(reg, args.cache_path)
         except OSError as exc:

@@ -127,16 +127,29 @@ MUTANTS = [
         "Frame.of does not check that e1 and e3 are orthogonal",
     ),
     (
-        "src/latticecubes/census.py",
-        "    if got != want:\n",
-        "    if False:\n",
+        "src/latticecubes/cli.py",
+        "        if cached != source or any(type(x) is not int for x in cached):\n",
+        "        if False:\n",
         "a cache load skips the source comparison",
     ),
     (
-        "src/latticecubes/census.py",
+        "src/latticecubes/cli.py",
         "    got = sources if n_built == N else sources[: len(want)]\n",
         "    got = sources[: len(want)]\n",
         "a cache load compares only a prefix at the file's own N",
+    ),
+    (
+        "src/latticecubes/cli.py",
+        " or any(type(x) is not int for x in cached):\n",
+        ":\n",
+        "a cache load takes a cached true or 1.0 for the census's 1",
+    ),
+    (
+        "src/latticecubes/cli.py",
+        '            print(f"rejected registry cache {args.cache_path}: {exc}", file=sys.stderr)\n',
+        '            print(f"rejected registry cache {args.cache_path}: {exc}", file=sys.stderr)\n'
+        "            reg = build_irreducible_list(args.n)\n",
+        "a rejected cache builds the census again",
     ),
     (
         "src/latticecubes/oracle.py",

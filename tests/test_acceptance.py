@@ -17,11 +17,10 @@ from latticecubes.census import (
     build_irreducible_list,
     build_multiples,
     count_cubes,
-    load_registry,
     placement_count,
-    save_registry,
     sequence,
 )
+from latticecubes.cli import load_registry, save_registry
 from latticecubes.diophantine import pi_epsilon, solve_three_squares
 from latticecubes.lattice_geometry import Cube, build_cube
 from latticecubes.oracle import brute_force_count, brute_force_sequence
@@ -158,13 +157,11 @@ def test_geometry_invariant_suite():
 def test_scale_target(tmp_path):
     cache = tmp_path / "registry50.json"
     t0 = time.perf_counter()
-    reg = load_registry(cache, 50)
-    if reg is None:
-        reg = build_irreducible_list(50)
+    reg = build_irreducible_list(50)
+    if not load_registry(cache, reg):
         save_registry(reg, cache)
-    reloaded = load_registry(cache, 50)
-    assert reloaded is not None
-    vals = sequence(50, registry=reloaded)
+    assert load_registry(cache, reg)
+    vals = sequence(50, registry=reg)
     elapsed = time.perf_counter() - t0
     assert elapsed < 600, f"took {elapsed:.1f}s, limit 600s"
     assert vals == COUNTS_LISTED[:50]

@@ -1,4 +1,4 @@
-"""Census: record generation, dedup, placement counting, caching."""
+"""Census: record generation, dedup, placement counting; the CLI's registry cache against it."""
 
 import ast
 import json
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from latticecubes import census
 from latticecubes.census import (
-    CacheMismatch,
     CubeRecord,
     CubeRegistry,
     _accept,
@@ -22,18 +21,16 @@ from latticecubes.census import (
     _build_one,
     _candidate_stream,
     _side_candidates,
-    _sources,
     build_irreducible_list,
     box_sums,
     build_multiples,
     count_cubes,
-    load_registry,
     placement_count,
     record_to_json,
-    save_registry,
     sequence,
     sequence_from_boxes,
 )
+from latticecubes.cli import CacheMismatch, _sources, load_registry, save_registry
 from latticecubes.diophantine import (
     NormFormSolution,
     PlaneSolution,
@@ -677,53 +674,22 @@ def test_record_json_roundtrip(registry19):
 
 
 def test_cache_roundtrip(tmp_path, registry19):
+    # the file holds N and each record's source in registry order, and
+    # loads against the census it was saved from
     p = tmp_path / "reg.json"
     save_registry(registry19, p)
-    loaded = load_registry(p, 19)
-    assert loaded is not None
-    assert loaded.n_built == 19
-    assert loaded.records == registry19.records
-    assert loaded.claimed == registry19.claimed
-    assert loaded.classes == registry19.classes
-    assert sequence(19, registry=loaded) == sequence(19, registry=registry19)
+    assert json.loads(p.read_text()) == {"version": 2, "N": 19, "sources": _sources(registry19)}
+    assert load_registry(p, registry19) is True
+    assert load_registry(p, build_irreducible_list(19)) is True
 
 
-def _bound_sides(monkeypatch, n):
-    """Make the census fail on a frame built, or a psi computed, for a side
-    above n."""
-    build, psi = census._build_one, census.dedekind_psi
-
-    def bounded_build(item):
-        k, _, d, _ = item
-        if d * k > n:
-            pytest.fail(f"built a frame of side {d * k} > n = {n}")
-        return build(item)
-
-    def bounded_psi(s):
-        if s > n:
-            pytest.fail(f"psi({s}) computed for a side > n = {n}")
-        return psi(s)
-
-    monkeypatch.setattr(census, "_build_one", bounded_build)
-    monkeypatch.setattr(census, "dedekind_psi", bounded_psi)
-
-
-def test_cache_load_for_a_smaller_n_builds_only_its_sides(tmp_path, monkeypatch):
-    # a cache built for N = 60 serves any n <= 60 with the census registry
-    # for n, and builds no frame, nor computes psi, of a side above n
+def test_cache_load_for_a_smaller_n_compares_only_its_sides(tmp_path):
+    # a cache built for N = 60 serves any n <= 60: the load compares the
+    # census's sources with the file's first ones, those of the sides <= n
     p = tmp_path / "reg.json"
     save_registry(build_irreducible_list(60), p)
     for n in (1, 2, 19, 30, 45, 59, 60):
-        want = build_irreducible_list(n)
-        with monkeypatch.context() as m:
-            _bound_sides(m, n)
-            loaded = load_registry(p, n)
-        assert (loaded.n_built, loaded.records, loaded.claimed, loaded.classes) == (
-            n, want.records, want.claimed, want.classes,
-        ), n
-        assert sequence(n, registry=loaded) == COUNTS_LISTED[:n]
-    with pytest.raises(ValueError, match="N must be positive"):
-        load_registry(p, 0)
+        assert load_registry(p, build_irreducible_list(n)) is True, n
 
 
 def test_cache_in_another_source_order_is_rejected(tmp_path, capsys, registry19):
@@ -741,39 +707,39 @@ def test_cache_in_another_source_order_is_rejected(tmp_path, capsys, registry19)
     assert [s[3] for s in doc["sources"]] != sorted(s[3] for s in doc["sources"])
     p.write_text(json.dumps(doc))
     with pytest.raises(CacheMismatch, match=r"^cached source \[.*\] at position \d+ is not the census's"):
-        load_registry(p, 19)
+        load_registry(p, registry19)
     assert main(["list", "--n", "19", "--format", "json"]) == 0
     uncached = capsys.readouterr().out
     assert main(["list", "--n", "19", "--format", "json", "--cache", str(p)]) == 0
     out, err = capsys.readouterr()
     assert out == uncached
     assert f"rejected registry cache {p}: cached source [" in err and "saved registry cache" in err
-    assert load_registry(p, 19).records == registry19.records
+    assert load_registry(p, registry19) is True
 
 
 def test_cache_rejects_stale_or_broken(tmp_path, registry19):
     p = tmp_path / "reg.json"
-    assert load_registry(p, 1) is None  # missing file
+    assert load_registry(p, build_irreducible_list(1)) is False  # missing file
     save_registry(registry19, p)
-    assert load_registry(p, 25) is None  # built for smaller N than requested
+    assert load_registry(p, build_irreducible_list(25)) is False  # built for smaller N than requested
     doc = json.loads(p.read_text())
     p.write_text(json.dumps(dict(doc, version=999)))
     with pytest.raises(CacheMismatch, match="version 999, expected 2"):
-        load_registry(p, 19)
+        load_registry(p, registry19)
     for key in ("N", "sources"):
         p.write_text(json.dumps({k: v for k, v in doc.items() if k != key}))
         with pytest.raises(CacheMismatch, match=f"missing key '{key}'"):
-            load_registry(p, 19)
+            load_registry(p, registry19)
     for bad in ({"N": "19"}, {"N": 0}, {"sources": {}}):
         p.write_text(json.dumps(dict(doc, **bad)))
         with pytest.raises(CacheMismatch, match="malformed document"):
-            load_registry(p, 19)
+            load_registry(p, registry19)
     p.write_text("[]")
     with pytest.raises(CacheMismatch, match="not a JSON object"):
-        load_registry(p, 19)
+        load_registry(p, registry19)
     p.write_text("{not json")
     with pytest.raises(CacheMismatch, match="unreadable JSON"):
-        load_registry(p, 19)  # corrupt file
+        load_registry(p, registry19)  # corrupt file
 
 
 def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch, registry19):
@@ -792,7 +758,7 @@ def test_failed_save_keeps_previous_cache(tmp_path, monkeypatch, registry19):
     monkeypatch.undo()
     assert p.read_text() == before
     assert [f.name for f in tmp_path.iterdir()] == ["reg.json"]  # temp file removed
-    assert set(load_registry(p, 19).records) == set(registry19.records)
+    assert load_registry(p, registry19) is True
 
 
 def _add_reducible(doc):
@@ -830,6 +796,7 @@ def _version_1(doc):
         (lambda doc: doc["sources"][3].__setitem__(0, 3), "not a solution"),
         (lambda doc: doc["sources"][3].__setitem__(2, 1.5), "1.5 is not an integer"),
         (lambda doc: doc["sources"][3].__setitem__(4, True), "True is not an integer"),
+        (lambda doc: doc["sources"].__setitem__(0, [True, True, True, 1.0, False, True]), "true and 1.0 equal 1"),
         (lambda doc: doc["sources"][3].pop(), "is not a list of six integers"),
         (_add_reducible, "m = 0, n = 2 is not"),
         (_unsorted_abc, "0 < a <= b <= c"),
@@ -850,16 +817,20 @@ def test_cache_rejects_tampered_records(tmp_path, registry19, tamper, defect):
     p.write_text(json.dumps(doc))
     if "sources" not in doc:  # the previous format
         with pytest.raises(CacheMismatch, match="version 1, expected 2"):
-            load_registry(p, 19)
+            load_registry(p, registry19)
         return
     n = doc["N"]
     if n > 19:
-        assert load_registry(p, 19).records == registry19.records
-    got, want = doc["sources"], _sources(build_irreducible_list(n))
-    i, cached, census_source = next((i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if a != b)
+        assert load_registry(p, registry19) is True
+    reg = build_irreducible_list(n)
+    # the first source whose JSON differs: 1, true and 1.0 are not the same number
+    got, want = doc["sources"], _sources(reg)
+    i, cached, census_source = next(
+        (i, a, b) for i, (a, b) in enumerate(zip_longest(got, want)) if json.dumps(a) != json.dumps(b)
+    )
     message = f"cached source {cached} at position {i} is not the census's {census_source} for N = {n}"
     with pytest.raises(CacheMismatch, match=f"^{re.escape(message)}$"):
-        load_registry(p, n)
+        load_registry(p, reg)
 
 
 def test_cache_keeps_the_census_representative_of_each_orbit(tmp_path, registry50):
@@ -882,7 +853,7 @@ def test_cache_keeps_the_census_representative_of_each_orbit(tmp_path, registry5
         CacheMismatch,
         match=re.escape("cached source [5, 7, 13, 9, 0, 1] at position 4 is not the census's [1, 11, 11, 9, 0, 1]"),
     ):
-        load_registry(p, 41)
+        load_registry(p, build_irreducible_list(41))
 
 
 def _huge_source():
@@ -898,52 +869,51 @@ def _huge_source():
     return [a, b, c, d, 0, 1]
 
 
-def test_cache_rejects_a_huge_source_before_building_it(tmp_path, monkeypatch, registry19):
-    # the appended source is past the census's 13 at the file's own N
+def test_cache_rejects_a_huge_source_before_building_it(tmp_path, registry19):
+    # the appended source is past the census's 13 at the file's own N, so
+    # the load compares it with nothing, and no census reaches its side
     src = _huge_source()
     path = tmp_path / "reg.json"
     save_registry(registry19, path)
     doc = json.loads(path.read_text())
     doc["sources"].append(src)
     path.write_text(json.dumps(doc))
-    _bound_sides(monkeypatch, 19)
     with pytest.raises(CacheMismatch, match=re.escape(f"cached source {src} at position 13 is not the census's None")):
-        load_registry(path, 19)
+        load_registry(path, registry19)
 
 
-def test_cache_with_a_huge_n_serves_the_sides_it_covers(tmp_path, monkeypatch, registry19):
+def test_cache_with_a_huge_n_serves_the_sides_it_covers(tmp_path, registry19):
     # N raised to 10^30 and the huge source appended: a load for n = 19
-    # builds the census to 19 alone and compares only the first 13 sources,
-    # never the huge one
+    # compares only the first 13 sources, those of the census to 19, never
+    # the huge one
     path = tmp_path / "reg.json"
     save_registry(registry19, path)
     doc = json.loads(path.read_text())
     doc["N"] = 10**30
     doc["sources"].append(_huge_source())
     path.write_text(json.dumps(doc))
-    _bound_sides(monkeypatch, 19)
-    loaded = load_registry(path, 19)
-    assert (loaded.n_built, loaded.records, loaded.classes) == (19, registry19.records, registry19.classes)
+    assert load_registry(path, registry19) is True
 
 
 def test_census_builds_no_vertices(tmp_path, monkeypatch):
-    # a record keeps its frame: the census and a cache load never build the
-    # 8 vertices, which exist only for output
+    # a record keeps its frame: the census and a cache save or load never
+    # build the 8 vertices, which exist only for output
     def no_vertices(frame):
         raise AssertionError(f"vertices built for {frame}")
 
     monkeypatch.setattr(Frame, "cube", no_vertices)
     assert sequence(60) == COUNTS_LISTED[:60]
     p = tmp_path / "reg.json"
-    save_registry(build_irreducible_list(60), p)
-    assert sequence(60, registry=load_registry(p, 60)) == COUNTS_LISTED[:60]
+    reg = build_irreducible_list(60)
+    save_registry(reg, p)
+    assert load_registry(p, reg) is True
 
 
 def test_cache_save_is_deterministic(tmp_path, registry19):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     save_registry(registry19, p1)
-    save_registry(load_registry(p1, 19), p2)
+    save_registry(build_irreducible_list(19), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import latticecubes
+from latticecubes import census, cli
 from latticecubes.cli import main
 from latticecubes.reference import COUNTS_LISTED
 
@@ -357,6 +358,37 @@ def test_cache_with_a_swapped_representative_is_rebuilt(tmp_path, capsys):
     assert rc == 0 and out == uncached
     assert f"rejected registry cache {cache}: cached source [5, 7, 13, 9, 0, 1]" in err
     assert "saved registry cache" in err
+
+
+@pytest.mark.parametrize(
+    "outcome, message",
+    [
+        ("missing", "saved registry cache to"),
+        ("loaded", "loaded registry cache (N=20)\n"),
+        ("smaller", "saved registry cache to"),
+        ("rejected", ": cached source [1, 1, 5, 3, 0, 1] at position 0 is not the census's [1, 1, 1, 1, 0, 1]"),
+        ("malformed", ": malformed document"),
+    ],
+)
+def test_a_cached_request_builds_one_census(tmp_path, capsys, monkeypatch, outcome, message):
+    # whatever the cache holds, the request builds its census once and
+    # checks the file against it; a rejected file costs no second census
+    cache = tmp_path / "reg.json"
+    if outcome != "missing":
+        run(capsys, "count", "--n", "15" if outcome == "smaller" else "20", "--cache", str(cache))
+        doc = json.loads(cache.read_text())
+        if outcome == "rejected":
+            doc["sources"][:2] = doc["sources"][1::-1]  # sides 1 and 3 swapped
+        elif outcome == "malformed":
+            doc["N"] = "20"
+        cache.write_text(json.dumps(doc))
+    built = []
+    build = census.build_irreducible_list
+    for module in (census, cli):
+        monkeypatch.setattr(module, "build_irreducible_list", lambda n: built.append(n) or build(n))
+    rc, out, err = run(capsys, "count", "--n", "20", "--cache", str(cache))
+    assert (rc, out, built) == (0, "102550\n", [20])
+    assert message in err
 
 
 def _src_env():
