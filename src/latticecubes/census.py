@@ -91,7 +91,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, groupby
 from math import gcd
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .diophantine import (
     NormFormSolution,
@@ -213,7 +213,8 @@ def _candidate_stream(N: int) -> Iterator[Candidate]:
 
 
 def _build_one(item: Candidate) -> Frame:
-    """Pure per-candidate work: the cube's checked frame, build_cube's.
+    """The candidate's checked frame, build_cube's: the accept pass's one
+    builder, called only when it needs the frame.
 
     build_cube looks the plane solution's quaternion up in the table the
     stream computed for its d (plane_quaternions keeps the last d's), and
@@ -231,31 +232,18 @@ def build_irreducible_list(N: int, threads: int = 1) -> CubeRegistry:
     """Registry of all irreducible cubes with side <= N.
 
     Candidates stream through the accept pass, which builds a frame only
-    when it needs one.  threads > 1 builds every candidate's frame in
-    worker processes first, and a mirror triangle (not a candidate) in
-    the accept pass; acceptance always runs serially in the canonical
-    order, so the result is independent of the thread count.
-    The pool does not pay (README, Performance) and the CLI does not use
-    it; it stays for the benchmark's pool check until ROADMAP items 1
-    and 3 remove both.
+    when it needs one.  threads is accepted and ignored: the census is
+    one serial pass in the canonical order.  perfbench/tracing.py still
+    passes it, until ROADMAP item 1 frees it.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if threads > 1:
-        from multiprocessing import Pool  # kept off the package's import path
-
-        items = list(_candidate_stream(N))
-        with Pool(threads) as pool:
-            built = dict(zip(items, pool.map(_build_one, items, chunksize=max(1, len(items) // (threads * 8)))))
-        return _accept(N, items, lambda item: built[item] if item in built else _build_one(item))
-    return _accept(N, _candidate_stream(N), _build_one)
+    return _accept(N, _candidate_stream(N))
 
 
-def _accept_side(
-    reg: CubeRegistry, side: int, candidates: Iterable[Candidate], build: Callable[[Candidate], Frame]
-) -> None:
+def _accept_side(reg: CubeRegistry, side: int, candidates: Iterable[Candidate]) -> None:
     """The accept pass over the candidates of one side, in order, with the
-    claims of that side alone, building a candidate's frame with `build`
+    claims of that side alone, building a candidate's frame (_build_one)
     only when it is needed; then the side's check of its translation
     classes against psi(side) (ArithmeticError naming the side).  The side
     is odd and at most reg.n_built: the census generates no other.
@@ -264,7 +252,7 @@ def _accept_side(
     decided by its diagonal key, and a k > 1 candidate is passed over
     unbuilt once the side's classes reach psi(side).  A k > 1 candidate
     whose cube has k-value 1 or a claimed orbit gives way to its mirror
-    triangle (n - m, n), built with `build` and checked the same way; a
+    triangle (n - m, n), built and checked the same way; a
     record keeps the (m, n) of the triangle it came from."""
     reg.claimed = set()
     expected = dedekind_psi(side)
@@ -275,13 +263,13 @@ def _accept_side(
             # decided by its plane solution, a k = 1 diagonal key of its cube
             if reg.is_claimed((sol.a, sol.b, sol.c)):
                 continue
-            frame = build(item)
+            frame = _build_one(item)
         elif expected == reg.classes.get(side, 0):
             continue  # the side is full
         else:
             # the candidate stands for its triangle and then the mirror triangle
             for mn in (mn, NormFormSolution(mn.n - mn.m, mn.n)):
-                frame = build((k, mn, d, sol))
+                frame = _build_one((k, mn, d, sol))
                 if not (1 in frame.k_values() or reg.is_claimed(class_key(frame))):
                     break
             else:
@@ -299,17 +287,17 @@ def _accept_side(
         raise ArithmeticError(f"side {side}: {claimed} translation classes claimed, expected {expected}")
 
 
-def _accept(N: int, candidates: Iterable[Candidate], build: Callable[[Candidate], Frame]) -> CubeRegistry:
+def _accept(N: int, candidates: Iterable[Candidate]) -> CubeRegistry:
     """The accept pass: each run of candidates of one side (d*k) through
     _accept_side, then _accept_side with no candidates for each odd side
     <= N that had none, so the first of them fails its psi check.  A side
     met twice is counted twice and fails its check."""
     reg = CubeRegistry(n_built=N)
     for side, items in groupby(candidates, lambda item: item[0] * item[2]):
-        _accept_side(reg, side, items, build)
+        _accept_side(reg, side, items)
     for s in range(1, N + 1, 2):
         if s not in reg.classes:
-            _accept_side(reg, s, (), build)
+            _accept_side(reg, s, ())
     return reg
 
 
@@ -390,7 +378,11 @@ def sequence_from_boxes(N: int, boxes: dict[int, InvariantSet]) -> list[int]:
 
 def count_cubes(N: int, reg: CubeRegistry, multiples: list[CubeRecord]) -> int:
     """NC(N): lattice cubes with all 8 vertices in {0..N}^3, the last term
-    of sequence_from_boxes (0 for N < 1: no cube fits)."""
+    of sequence_from_boxes (0 for N < 1: no cube fits).  ValueError if the
+    registry was built for a smaller N: its records would miss the sides
+    above reg.n_built."""
+    if reg.n_built < N:
+        raise ValueError("registry was built for a smaller N")
     return sequence_from_boxes(N, box_sums(chain(reg.records, multiples)))[-1] if N >= 1 else 0
 
 

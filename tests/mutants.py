@@ -109,6 +109,12 @@ MUTANTS = [
         "sequence_from_boxes drops a forward difference that lands on position N",
     ),
     (
+        "src/latticecubes/census.py",
+        "    if reg.n_built < N:\n",
+        "    if False:\n",
+        "count_cubes skips the registry-size check, so a registry built for a smaller N undercounts",
+    ),
+    (
         "src/latticecubes/ring_arith.py",
         "        x, y = -y, x - y  # times omega\n",
         "        x, y = x, y  # times omega\n",

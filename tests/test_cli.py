@@ -432,6 +432,19 @@ def test_import_loads_no_heavy_stdlib_module():
     assert proc.stdout == "[]\n"
 
 
+def test_a_threaded_census_starts_no_process_pool():
+    # threads= is accepted and ignored: the census is one serial pass
+    code = (
+        "import sys; from latticecubes.census import build_irreducible_list; "
+        "build_irreducible_list(19, threads=2); print('multiprocessing' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_src_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_import_loads_no_pathlib():
     # -S: site may import pathlib itself (a .pth file can), which would hide
     # an import by the package
